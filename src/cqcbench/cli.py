@@ -247,7 +247,15 @@ def ingest_csv(path: str) -> Dataset:
             raise DataError(f"{path}: rejected rows: {detail}{more}")
         if not ys:
             raise DataError(f"{path}: no data rows")
-    return Dataset(np.array(ys), np.array(xs), np.array(arms))
+    return _checked_input(path, Dataset, np.array(ys), np.array(xs), np.array(arms))
+
+
+def _checked_input(path: str, step, *args):
+    """Run a library step that validates the input data; its ValueError is a data error."""
+    try:
+        return step(*args)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def write_dataset_csv(dataset: Dataset, path: str) -> None:
@@ -332,15 +340,21 @@ def cmd_simulate(config: RunConfig) -> int:
 
 def _fit_dr_contrast(config: RunConfig, dataset: Dataset):
     kind = PseudoOutcomeKind(config.pseudo)
+    split = _checked_input(config.input_path, make_split, dataset, config.seed)
     if config.cross_fit:
+        # Draws the same split again from the seed.
         return cross_fit_contrast(
             dataset, config.seed, config.nuisance_kernel(), config.outer_kernel(),
             kind=kind, xi=config.xi,
         )
     return fit_contrast(
-        dataset, make_split(dataset, config.seed),
-        config.nuisance_kernel(), config.outer_kernel(), kind=kind, xi=config.xi,
+        dataset, split, config.nuisance_kernel(), config.outer_kernel(), kind=kind, xi=config.xi,
     )
+
+
+def _input_grid(config: RunConfig, dataset: Dataset) -> np.ndarray:
+    policy, count = _parse_grid_policy(config.grid)
+    return _checked_input(config.input_path, build_grid, dataset, policy, count)
 
 
 def _surface_axes(config: RunConfig, dataset: Dataset):
@@ -356,8 +370,7 @@ def _surface_axes(config: RunConfig, dataset: Dataset):
 def cmd_surface(config: RunConfig) -> int:
     dataset = ingest_csv(config.input_path)
     contrast = _fit_dr_contrast(config, dataset)
-    policy, count = _parse_grid_policy(config.grid)
-    fit = CqcFit(contrast, build_grid(dataset, policy, count))
+    fit = CqcFit(contrast, _input_grid(config, dataset))
     ys, x_vals, xs = _surface_axes(config, dataset)
     surface = surface_eval(fit, ys, xs)
     if not np.isfinite(surface).all():
@@ -381,8 +394,7 @@ def cmd_cqte(config: RunConfig) -> int:
     if any(not 0.0 < a < 1.0 for a in alphas):
         raise ConfigError("alpha values must lie in (0, 1)")
     contrast = _fit_dr_contrast(config, dataset)
-    policy, count = _parse_grid_policy(config.grid)
-    grid = build_grid(dataset, policy, count)
+    grid = _input_grid(config, dataset)
     arm0 = fit_ccdf(dataset, config.nuisance_kernel())
     _, x_vals, xs = _surface_axes(config, dataset)
     queries_y0, queries_x, echo = [], [], []

@@ -20,7 +20,7 @@ import numpy as np
 
 from .isotonic import pava_project
 from .kernels import KernelSpec, nw_weight_matrix, resolve_weights
-from .nuisance import Dataset, SplitPlan, fit_nuisance, make_split
+from .nuisance import Dataset, SplitPlan, fit_nuisance, make_split, prefix_gather
 from .pseudo import PseudoOutcomeKind
 
 _MONOTONE_TOL = 1e-9
@@ -42,6 +42,9 @@ class _ContrastReplicate:
         self._a = data2.a.astype(float)
         pi = np.asarray(nuisance.propensity.many(data2.x), dtype=float)
         self._c = (self._a - pi) / (pi * (1.0 - pi))
+        treated = data2.arm_indices(1)
+        self._treated = treated[np.argsort(data2.y[treated], kind="stable")]
+        self._f1 = None  # (grid, F1(grid | data2.x)) of the last grid profiled
 
     def evaluate(self, y0: float, y1: float, x) -> float:
         """Pseudo-outcomes on the regression rows, NW-smoothed at x."""
@@ -58,22 +61,35 @@ class _ContrastReplicate:
             phi = self._c * (ind - f_own) + f1 - f0
         return float(weights @ phi)
 
+    def _f1_grid(self, grid: np.ndarray) -> np.ndarray:
+        # F1(grid | regression rows) does not depend on the queries, so it is
+        # kept for repeated calls on one grid (a surface profiles x by x).
+        if self._f1 is None or not np.array_equal(self._f1[0], grid):
+            self._f1 = (grid.copy(), self.nuisance.ccdf.cdf_table(1, grid, self.data2.x))
+        return self._f1[1]
+
     def profile_many(self, y0s: np.ndarray, grid: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        """Contrast profiles h_hat(y0s[q], grid[l] | xs[q]) as an (m, p) table."""
+        """Contrast profiles h_hat(y0s[q], grid[l] | xs[q]) as an (m, p) table.
+
+        The treated-indicator term sum_j w_j a_j c_j 1{y_j <= grid[l]} is a
+        prefix sum over the treated rows in outcome order.
+        """
         d2 = self.data2
         w_out = nw_weight_matrix(self.outer_kernel, xs, d2.x)
-        ind1 = (d2.y[:, None] <= grid[None, :]).astype(float)
+        rows1 = self._treated
+        treated_term = prefix_gather(w_out[:, rows1] * self._c[rows1], d2.y[rows1], grid)
         ind0 = (d2.y[:, None] <= y0s[None, :]).astype(float)
-        ac = self._a * self._c
         un = (1.0 - self._a) * self._c
         if self.kind is PseudoOutcomeKind.IPW:
             s0 = np.einsum("qj,jq->q", w_out, un[:, None] * ind0)
-            return (w_out * ac[None, :]) @ ind1 + s0[:, None]
-        f1_grid = self.nuisance.ccdf.cdf_table(1, grid, d2.x)
+            return treated_term + s0[:, None]
         f0_q = self.nuisance.ccdf.cdf_table(0, y0s, d2.x)
         t0 = un[:, None] * (ind0 - f0_q) - f0_q
         s0 = np.einsum("qj,jq->q", w_out, t0)
-        return (w_out * ac[None, :]) @ (ind1 - f1_grid) + w_out @ f1_grid + s0[:, None]
+        # sum_j w_j (1 - a_j c_j) F1(grid | x_j): the F1 part of the treated
+        # term, -a_j c_j F1, merged with the DR correction's +F1.
+        f1_term = (w_out * (1.0 - self._a * self._c)) @ self._f1_grid(grid)
+        return treated_term + f1_term + s0[:, None]
 
 
 @dataclass

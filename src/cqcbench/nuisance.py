@@ -38,6 +38,18 @@ def step_quantile(jumps: np.ndarray, cum: np.ndarray, alpha: float) -> float:
     return float(jumps[pos])
 
 
+def prefix_gather(weights: np.ndarray, points: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Row sums of ``weights`` over the columns whose point is <= each of ``ys``.
+
+    ``points`` (ascending) labels the columns of the (m, k) ``weights``; the
+    result is the (m, len(ys)) table sum_k weights[:, k] * (points[k] <= ys[l]),
+    computed as a running sum gathered at each y's insertion point.
+    """
+    cum = np.zeros((weights.shape[0], weights.shape[1] + 1))
+    np.cumsum(weights, axis=1, out=cum[:, 1:])
+    return cum[:, np.searchsorted(points, ys, side="right")]
+
+
 @dataclass
 class Dataset:
     """Observations (outcome, covariate vector, binary treatment).
@@ -182,8 +194,7 @@ class CcdfEvaluator:
         """CDF values F(ys[l] | queries[j], arm) as a (len(queries), len(ys)) table."""
         ys = np.asarray(ys, dtype=float).reshape(-1)
         _, jumps = self._arm_rows[arm]
-        indicators = (jumps[:, None] <= ys[None, :]).astype(float)
-        return np.clip(self.weight_matrix(arm, queries) @ indicators, 0.0, 1.0)
+        return np.clip(prefix_gather(self.weight_matrix(arm, queries), jumps, ys), 0.0, 1.0)
 
     def quantile(self, arm: int, alpha: float, x) -> float:
         """Generalised inverse inf{y : F(y) >= alpha} over the jump points."""

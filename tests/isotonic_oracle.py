@@ -1,7 +1,8 @@
-"""Independent brute-force oracle for the isotonic projection tests.
+"""Reference implementations for the isotonic projection tests.
 
-Dynamic program over a fixed value grid: position l takes value grid[g], and
-the best nondecreasing prefix cost is
+``dp_isotonic_fit`` is an independent brute-force oracle: a dynamic program
+over a fixed value grid, where position l takes value grid[g] and the best
+nondecreasing prefix cost is
 
     best[l][g] = (v[l] - grid[g])^2 + min_{g' <= g} best[l-1][g'].
 
@@ -9,6 +10,10 @@ When the grid contains the exact optimum's values (block means), the DP
 recovers the exact projection; for integer inputs in {-2..2} with blocks of
 at most five elements, every block mean is a multiple of 1/60, so a 1/60-step
 grid over [-2, 2] is exact.
+
+``numpy_stack_pava`` is the pool-adjacent-violators stack on numpy scalars
+and arrays. The library's stack runs on Python floats; it must reproduce this
+one byte for byte.
 """
 
 import numpy as np
@@ -34,3 +39,22 @@ def dp_isotonic_fit(values, grid=EXACT_GRID) -> np.ndarray:
         g = int(backptr[level][g])
         out[level - 1] = grid[g]
     return out
+
+
+def numpy_stack_pava(values) -> np.ndarray:
+    v = np.asarray(values, dtype=float)
+    means = np.empty(v.size)
+    counts = np.empty(v.size, dtype=np.intp)
+    top = -1
+    for val in v:
+        top += 1
+        means[top] = val
+        counts[top] = 1
+        while top > 0 and means[top - 1] > means[top]:
+            merged = counts[top - 1] + counts[top]
+            means[top - 1] = (
+                counts[top - 1] * means[top - 1] + counts[top] * means[top]
+            ) / merged
+            counts[top - 1] = merged
+            top -= 1
+    return np.repeat(means[: top + 1], counts[: top + 1])

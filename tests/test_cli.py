@@ -196,6 +196,15 @@ def test_single_arm_csv_is_data_error(tmp_path):
     assert main(["surface", "--input", path, "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("command", ["surface", "cqte"])
+def test_too_small_csv_is_data_error(tmp_path, capsys, command):
+    path = write(tmp_path / "tiny.csv", "y,a,x1\n1,1,0.1\n2,0,0.5\n3,1,0.9\n")
+    assert main([command, "--input", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "too small" in err
+    assert err.count("\n") == 1
+
+
 def test_bad_rows_are_data_error(tmp_path):
     path = write(tmp_path / "bad.csv", "y,a,x1\n1,2,0.5\n")
     assert main(["surface", "--input", path, "--out", str(tmp_path)]) == 2

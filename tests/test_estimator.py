@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from contrast_oracle import dense_cdf_table, dense_profile_many
 from cqcbench.estimator import (
     ContrastFit,
     CqcFit,
@@ -15,7 +18,7 @@ from cqcbench.estimator import (
     surface_eval,
 )
 from cqcbench.kernels import KernelSpec
-from cqcbench.nuisance import Dataset, SingleArmError, make_split
+from cqcbench.nuisance import Dataset, SingleArmError, SplitPlan, make_split
 from cqcbench.pseudo import PseudoOutcomeKind
 from cqcbench.simlab import DgpSpec, sample_dgp, truth
 
@@ -223,6 +226,63 @@ def test_profile_many_matches_scalar_evaluate():
         profile = contrast.profile(0.2, grid, x)
         scalars = np.array([contrast.evaluate(0.2, g, x) for g in grid])
         np.testing.assert_allclose(profile, scalars, atol=1e-10)
+        dense = dense_profile_many(contrast.replicates[0], np.array([0.2]), grid, x.reshape(1, 1))
+        np.testing.assert_allclose(profile, dense[0], rtol=0, atol=1e-12)
+
+
+def _tables_case(n, seed, levels):
+    """Data with both arms in each half of a fixed split; outcomes rounded to
+    ``levels`` per unit when given, so that outcomes repeat."""
+    rng = np.random.default_rng(seed)
+    y = rng.normal(size=n)
+    if levels is not None:
+        y = np.round(y * levels) / levels
+    a = rng.integers(0, 2, size=n)
+    a[:4] = (0, 0, 1, 1)
+    data = Dataset(y, rng.uniform(0, 1, (n, 1)), a)
+    split = SplitPlan(np.arange(0, n, 2), np.arange(1, n, 2), seed)
+    return data, split, rng
+
+
+def _on_and_between(points, rng):
+    """Every point, every midpoint, and two values beyond the ends, shuffled."""
+    points = np.sort(points)
+    values = np.concatenate(
+        [points, (points[1:] + points[:-1]) / 2, [points[0] - 1, points[-1] + 1]]
+    )
+    return rng.permutation(values)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n=st.integers(min_value=8, max_value=120),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    levels=st.sampled_from([None, 2, 8]),
+    bandwidth=st.floats(min_value=0.05, max_value=1.0),
+)
+def test_prefix_sum_tables_match_dense_oracle(n, seed, levels, bandwidth):
+    data, split, rng = _tables_case(n, seed, levels)
+    kernel = KernelSpec("gaussian", bandwidth)
+    queries = rng.uniform(-0.2, 1.2, (7, 1))
+    for kind in (PseudoOutcomeKind.DR, PseudoOutcomeKind.IPW):
+        rep = fit_contrast(data, split, kernel, kernel, kind=kind).replicates[0]
+        ccdf = rep.nuisance.ccdf
+        for arm in (0, 1):
+            ys = _on_and_between(ccdf.arm_outcomes(arm), rng)
+            np.testing.assert_allclose(
+                ccdf.cdf_table(arm, ys, queries),
+                dense_cdf_table(ccdf, arm, ys, queries),
+                rtol=0, atol=1e-12,
+            )
+        grid = np.sort(_on_and_between(data.y[data.a == 1], rng))  # repeats kept
+        y0s = _on_and_between(data.y[data.a == 0], rng)
+        xs = rng.uniform(-0.2, 1.2, (y0s.size, 1))
+        for g in (grid, grid, grid[1:]):  # the replicate keeps its last F1 table
+            np.testing.assert_allclose(
+                rep.profile_many(y0s, g, xs),
+                dense_profile_many(rep, y0s, g, xs),
+                rtol=0, atol=1e-12,
+            )
 
 
 def test_cross_fit_is_mean_of_replicates():

@@ -1,9 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from cqcbench.isotonic import pava_project
 
-from isotonic_oracle import dp_isotonic_fit
+from isotonic_oracle import dp_isotonic_fit, numpy_stack_pava
 
 
 def test_already_isotonic_is_unchanged():
@@ -97,3 +101,31 @@ def test_adjacent_gaps_never_increase():
 def test_ties_form_equal_valued_blocks():
     out = pava_project([2.0, 2.0, 1.0]).projected
     np.testing.assert_allclose(out, [5.0 / 3.0] * 3)
+
+
+def test_bit_identical_to_numpy_stack_reference():
+    rng = np.random.default_rng(6)
+    rows = [
+        np.array([0.1, 0.1, 0.1]),
+        np.array([-0.0, 0.0, -0.0]),
+        np.linspace(-1.0, 1.0, 500),  # already monotone
+        np.linspace(1.0, -1.0, 500),  # one long decreasing run
+        np.repeat(rng.normal(size=50), 10),  # ties
+        np.repeat(rng.integers(-3, 4, size=100) / 7.0, 3),  # ties with pooling
+    ]
+    for _ in range(200):
+        size = int(rng.integers(1, 600))
+        trend = rng.uniform(-0.01, 0.01) * np.arange(size)
+        rows.append(trend + rng.normal(scale=rng.uniform(0.001, 1.0), size=size))
+    for values in rows:
+        assert (
+            pava_project(values).projected.tobytes()
+            == numpy_stack_pava(values).tobytes()
+        )
+
+
+def test_package_import_leaves_scipy_optimize_unloaded():
+    # Importing scipy.optimize would add about 23 MB of RSS to every run.
+    code = "import sys, cqcbench; sys.exit('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
