@@ -103,6 +103,8 @@ class RunConfig:
                 raise ConfigError(f"unknown DGP family {self.dgp!r}")
             if self.replications < 2:
                 raise ConfigError("need at least 2 replications (CI undefined otherwise)")
+            if self.n_total < 4:
+                raise ConfigError("need at least 4 observations (--n)")
         else:
             if self.input_path is None:
                 raise ConfigError(f"{command} requires --input")

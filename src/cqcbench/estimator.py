@@ -44,7 +44,7 @@ class _ContrastReplicate:
         self._c = (self._a - pi) / (pi * (1.0 - pi))
         treated = data2.arm_indices(1)
         self._treated = treated[np.argsort(data2.y[treated], kind="stable")]
-        self._f1 = None  # (grid, F1(grid | data2.x)) of the last grid profiled
+        self._tables = {}  # arm -> (ys, F_arm(ys | data2.x)) of the last ys asked for
 
     def evaluate(self, y0: float, y1: float, x) -> float:
         """Pseudo-outcomes on the regression rows, NW-smoothed at x."""
@@ -61,12 +61,15 @@ class _ContrastReplicate:
             phi = self._c * (ind - f_own) + f1 - f0
         return float(weights @ phi)
 
-    def _f1_grid(self, grid: np.ndarray) -> np.ndarray:
-        # F1(grid | regression rows) does not depend on the queries, so it is
-        # kept for repeated calls on one grid (a surface profiles x by x).
-        if self._f1 is None or not np.array_equal(self._f1[0], grid):
-            self._f1 = (grid.copy(), self.nuisance.ccdf.cdf_table(1, grid, self.data2.x))
-        return self._f1[1]
+    def _cdf_rows(self, arm: int, ys: np.ndarray) -> np.ndarray:
+        # F_arm(ys | regression rows) does not depend on the query covariates,
+        # so the last table per arm is kept for repeated calls with the same
+        # ys (a surface profiles x by x on one grid and one set of y0s).
+        cached = self._tables.get(arm)
+        if cached is None or not np.array_equal(cached[0], ys):
+            cached = (ys.copy(), self.nuisance.ccdf.cdf_table(arm, ys, self.data2.x))
+            self._tables[arm] = cached
+        return cached[1]
 
     def profile_many(self, y0s: np.ndarray, grid: np.ndarray, xs: np.ndarray) -> np.ndarray:
         """Contrast profiles h_hat(y0s[q], grid[l] | xs[q]) as an (m, p) table.
@@ -83,12 +86,12 @@ class _ContrastReplicate:
         if self.kind is PseudoOutcomeKind.IPW:
             s0 = np.einsum("qj,jq->q", w_out, un[:, None] * ind0)
             return treated_term + s0[:, None]
-        f0_q = self.nuisance.ccdf.cdf_table(0, y0s, d2.x)
+        f0_q = self._cdf_rows(0, y0s)
         t0 = un[:, None] * (ind0 - f0_q) - f0_q
         s0 = np.einsum("qj,jq->q", w_out, t0)
         # sum_j w_j (1 - a_j c_j) F1(grid | x_j): the F1 part of the treated
         # term, -a_j c_j F1, merged with the DR correction's +F1.
-        f1_term = (w_out * (1.0 - self._a * self._c)) @ self._f1_grid(grid)
+        f1_term = (w_out * (1.0 - self._a * self._c)) @ self._cdf_rows(1, grid)
         return treated_term + f1_term + s0[:, None]
 
 

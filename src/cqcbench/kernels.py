@@ -24,6 +24,10 @@ MIN_SUPPORT = 5
 
 _WEIGHT_SUM_TOL = 1e-12
 
+# Float64 differences per row block of ``_sq_dist_matrix`` (256 KiB, an L2-sized
+# working set).
+_BLOCK_VALUES = 1 << 15
+
 
 class DegenerateMassError(RuntimeError):
     """No kernel mass at a query point, even after the retry policy."""
@@ -121,16 +125,26 @@ def kernel_eval(spec: KernelSpec, x, x2) -> float:
 
 
 def _kernel_from_sq(spec: KernelSpec, sq_dists: np.ndarray) -> np.ndarray:
+    # Overwrites ``sq_dists`` with the kernel values. (-a)/b == a/(-b) exactly,
+    # so dividing by -2h^2 gives the bits of exp(-a / (2h^2)).
     if spec.family == "box":
-        return (sq_dists <= spec.bandwidth**2).astype(float)
-    return np.exp(-sq_dists / (2.0 * spec.bandwidth**2))
+        return np.less_equal(sq_dists, spec.bandwidth**2, out=sq_dists)
+    np.divide(sq_dists, -2.0 * spec.bandwidth**2, out=sq_dists)
+    return np.exp(sq_dists, out=sq_dists)
 
 
 def _sq_dist_matrix(queries: np.ndarray, train: np.ndarray) -> np.ndarray:
-    # (m, n) squared distances via explicit differences; exact for d = 1 and
-    # bitwise-consistent with the scalar path.
-    diff = queries[:, None, :] - train[None, :, :]
-    return np.einsum("mnd,mnd->mn", diff, diff)
+    # (m, n) squared distances from explicit differences, filled one block of
+    # query rows at a time. Blocking keeps memory O(m*n) instead of O(m*n*d)
+    # and a block's differences in cache. The Gram form |q|^2 + |t|^2 - 2 q.t
+    # is faster at large d but moves the low bits of every distance, so the
+    # exact-difference form is kept.
+    out = np.empty((queries.shape[0], train.shape[0]))
+    rows = max(1, _BLOCK_VALUES // max(1, train.size))
+    for s in range(0, queries.shape[0], rows):
+        diff = queries[s : s + rows, None, :] - train[None, :, :]
+        np.einsum("mnd,mnd->mn", diff, diff, out=out[s : s + rows])
+    return out
 
 
 def kernel_matrix(spec: KernelSpec, queries, train) -> np.ndarray:
@@ -208,12 +222,10 @@ def nw_weight_matrix(
     km = kernel_matrix(spec, q, train)
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
-        km = km * mask
+        km *= mask
     totals = km.sum(axis=1)
     bad = totals <= 0.0
-    out = np.zeros_like(km)
-    ok = ~bad
-    out[ok] = km[ok] / totals[ok, None]
+    np.divide(km, totals[:, None], out=km, where=~bad[:, None])
     for i in np.nonzero(bad)[0]:
-        out[i] = resolve_weights(spec, q[i], train, mask, strict=strict).weights
-    return out
+        km[i] = resolve_weights(spec, q[i], train, mask, strict=strict).weights
+    return km

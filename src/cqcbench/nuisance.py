@@ -194,7 +194,8 @@ class CcdfEvaluator:
         """CDF values F(ys[l] | queries[j], arm) as a (len(queries), len(ys)) table."""
         ys = np.asarray(ys, dtype=float).reshape(-1)
         _, jumps = self._arm_rows[arm]
-        return np.clip(prefix_gather(self.weight_matrix(arm, queries), jumps, ys), 0.0, 1.0)
+        table = prefix_gather(self.weight_matrix(arm, queries), jumps, ys)
+        return np.clip(table, 0.0, 1.0, out=table)
 
     def quantile(self, arm: int, alpha: float, x) -> float:
         """Generalised inverse inf{y : F(y) >= alpha} over the jump points."""

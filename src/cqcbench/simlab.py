@@ -329,6 +329,8 @@ def run_experiment(
                 predictor = est.fit(data, rep_seed, truth=oracle)
                 g_hat = np.asarray(predictor(hold_y, hold_x), dtype=float)
                 errors[r, j] = float(np.mean(np.abs(g_hat - g_star)))
+                # A fit keeps its CDF tables; free them before the next fit.
+                del predictor
             except Exception:
                 failure_counts[j] += 1
     results = []

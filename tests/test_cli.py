@@ -152,6 +152,12 @@ def test_simulate_single_replication_is_config_error(tmp_path):
     assert main(simulate_args(tmp_path, **{"--replications": "1"})) == 1
 
 
+def test_simulate_too_few_observations_is_config_error(tmp_path, capsys):
+    assert main(simulate_args(tmp_path, **{"--n": "3"})) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
 def test_simulate_deterministic_files(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     out_a.mkdir(), out_b.mkdir()

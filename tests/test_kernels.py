@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from kernel_oracle import full_tensor_kernel_matrix, full_tensor_sq_dists
 
 from cqcbench.kernels import (
+    _BLOCK_VALUES,
     DegenerateMassError,
     KernelSpec,
     WeightVector,
@@ -11,6 +15,7 @@ from cqcbench.kernels import (
     nw_weight_matrix,
     nw_weights,
     resolve_weights,
+    _sq_dist_matrix,
 )
 
 BOX1 = KernelSpec("box", 1.0)
@@ -158,6 +163,18 @@ def test_weight_matrix_matches_per_row_weights():
     matrix = nw_weight_matrix(GAUSS1, queries, xs)
     for i, q in enumerate(queries):
         np.testing.assert_array_equal(matrix[i], nw_weights(GAUSS1, q, xs).weights)
+    # Several distance blocks, a mask, and a far query whose empty box ball
+    # takes the retry path while the other rows are normalised in place.
+    xs = rng.uniform(-1, 1, (400, 2))
+    rows_per_block = _BLOCK_VALUES // xs.size
+    queries = rng.uniform(-1, 1, (2 * rows_per_block + 5, 2))
+    queries[3] = [4.0, 4.0]
+    mask = rng.random(400) < 0.7
+    for spec in (GAUSS1, KernelSpec("box", 0.3)):
+        matrix = nw_weight_matrix(spec, queries, xs, mask=mask)
+        for i, q in enumerate(queries):
+            np.testing.assert_array_equal(matrix[i], resolve_weights(spec, q, xs, mask).weights)
+    assert nw_weights(KernelSpec("box", 0.3), queries[3], xs, mask).degenerate
 
 
 def test_kernel_matrix_matches_scalar_eval():
@@ -168,3 +185,32 @@ def test_kernel_matrix_matches_scalar_eval():
     for i in range(4):
         for j in range(10):
             assert km[i, j] == pytest.approx(kernel_eval(GAUSS1, queries[i], xs[j]), abs=1e-15)
+
+
+@pytest.mark.parametrize("d", [1, 3, 10])
+def test_blocked_distances_match_full_tensor(d):
+    rng = np.random.default_rng(d)
+    rows_per_block = _BLOCK_VALUES // (50 * d)
+    # m not a multiple of the block's row count; then n*d above one block, so
+    # every block is a single query row.
+    for m, n in ((2 * rows_per_block + 3, 50), (3, _BLOCK_VALUES // d + 1)):
+        queries = rng.normal(size=(m, d))
+        train = rng.normal(size=(n, d))
+        assert _sq_dist_matrix(queries, train).tobytes() == full_tensor_sq_dists(queries, train).tobytes()
+        for spec in (KernelSpec("box", 1.5), KernelSpec("gaussian", 0.7)):
+            expected = full_tensor_kernel_matrix(spec, queries, train)
+            assert kernel_matrix(spec, queries, train).tobytes() == expected.tobytes()
+
+
+def test_weight_matrix_memory_stays_within_two_matrices():
+    rng = np.random.default_rng(0)
+    m = n = 1500
+    queries = rng.normal(size=(m, 10))
+    train = rng.normal(size=(n, 10))
+    tracemalloc.start()
+    try:
+        nw_weight_matrix(KernelSpec("gaussian", 2.0), queries, train)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * m * n * 8
