@@ -8,7 +8,7 @@ baselines, simulation DGPs with closed-form truths, a Monte-Carlo benchmark
 runner, and a CSV-based CLI.
 """
 
-from .kernels import DegenerateMassError, KernelSpec, WeightVector, kernel_eval, nw_regress, nw_weights
+from .kernels import DegenerateMassError, KernelSpec, nw_weight_matrix, resolve_weights
 from .isotonic import IsotonicResult, pava_project
 from .nuisance import (
     CcdfEvaluator,
@@ -17,13 +17,12 @@ from .nuisance import (
     PropensityEvaluator,
     SingleArmError,
     SplitPlan,
-    ccdf_generalised_inverse,
     fit_ccdf,
     fit_nuisance,
     fit_propensity,
     make_split,
 )
-from .pseudo import PseudoEvaluation, PseudoOutcomeKind, dr_pseudo, ipw_pseudo, oracle_pseudo
+from .pseudo import PseudoOutcomeKind
 from .estimator import (
     ContrastFit,
     CqcEstimate,
@@ -38,16 +37,7 @@ from .estimator import (
     quantile_diff,
     surface_eval,
 )
-from .baselines import (
-    BaselineKind,
-    DrEstimator,
-    IpwEstimator,
-    OracleEstimator,
-    SeparateEstimator,
-    ipw_cqc,
-    oracle_dr_cqc,
-    separate_plugin_cqc,
-)
+from .baselines import DrEstimator, IpwEstimator, OracleEstimator, SeparateEstimator
 from .simlab import (
     DgpSpec,
     ErrorReport,

@@ -4,7 +4,7 @@ Three baselines ship alongside the doubly robust estimator: a separate
 plug-in that estimates the two arm CDFs independently and composes the
 generalised inverse with the untreated CDF, an IPW pseudo-outcome variant of
 the main pipeline, and the oracle that runs the main pipeline with exact
-nuisances. The estimator classes at the bottom share one contract -- ``fit``
+nuisances. The estimator classes share one contract -- ``fit``
 on a dataset and a seed, get back a batch predictor -- so the Monte-Carlo
 runner treats all of them identically.
 
@@ -14,8 +14,6 @@ no estimation noise, so sample splitting would only discard data.
 """
 
 from __future__ import annotations
-
-from enum import Enum
 
 import numpy as np
 
@@ -28,62 +26,8 @@ from .estimator import (
     fit_oracle_contrast,
 )
 from .kernels import KernelSpec
-from .nuisance import Dataset, SplitPlan, fit_ccdf, make_split, step_quantile
+from .nuisance import Dataset, fit_ccdf, make_split, step_quantile
 from .pseudo import PseudoOutcomeKind
-
-
-class BaselineKind(str, Enum):
-    SEPARATE_PLUGIN = "separate_plugin"
-    IPW = "ipw"
-    ORACLE_DR = "oracle_dr"
-
-
-def separate_plugin_cqc(dataset: Dataset, kernel: KernelSpec, y0: float, x) -> float:
-    """Plug-in estimate: arm-1 generalised inverse at the arm-0 CDF value.
-
-    Fits arm-masked NW step CDFs on the full sample; the returned value is
-    always an observed treated outcome.
-    """
-    ccdf = fit_ccdf(dataset, kernel)
-    alpha = ccdf(0, y0, x)
-    return ccdf.quantile(1, alpha, x)
-
-
-def ipw_cqc(
-    dataset: Dataset,
-    split: SplitPlan,
-    nuisance_kernel: KernelSpec,
-    outer_kernel: KernelSpec,
-    xi: float,
-    y0: float,
-    x,
-    grid,
-) -> float:
-    """Main pipeline with the IPW pseudo-outcome; projection must be a no-op."""
-    contrast = fit_contrast(
-        dataset, split, nuisance_kernel, outer_kernel, kind=PseudoOutcomeKind.IPW, xi=xi
-    )
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    g_hat, _, _ = estimate_cqc_many(
-        contrast, grid, np.array([y0]), x_arr.reshape(1, -1), require_monotone=True
-    )
-    return float(g_hat[0])
-
-
-def oracle_dr_cqc(
-    dataset: Dataset,
-    exact_nuisance,
-    outer_kernel: KernelSpec,
-    y0: float,
-    x,
-    grid,
-    xi: float = 0.05,
-) -> float:
-    """Main pipeline with exact nuisances and no sample split."""
-    contrast = fit_oracle_contrast(dataset, exact_nuisance, outer_kernel, xi=xi)
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    g_hat, _, _ = estimate_cqc_many(contrast, grid, np.array([y0]), x_arr.reshape(1, -1))
-    return float(g_hat[0])
 
 
 class _ContrastPredictor:
@@ -119,10 +63,6 @@ class _SeparatePredictor:
         return out
 
 
-def _resolve_grid(dataset: Dataset, grid_policy: str, grid_count: int | None) -> np.ndarray:
-    return build_grid(dataset, grid_policy, grid_count)
-
-
 class DrEstimator:
     """Doubly robust pipeline packaged for the Monte-Carlo harness."""
 
@@ -146,7 +86,7 @@ class DrEstimator:
         self.grid_count = grid_count
 
     def fit(self, dataset: Dataset, seed: int, truth=None) -> _ContrastPredictor:
-        grid = _resolve_grid(dataset, self.grid_policy, self.grid_count)
+        grid = build_grid(dataset, self.grid_policy, self.grid_count)
         if self.cross_fit:
             contrast = cross_fit_contrast(
                 dataset, seed, self.nuisance_kernel, self.outer_kernel, self.kind, self.xi
@@ -204,6 +144,6 @@ class OracleEstimator:
     def fit(self, dataset: Dataset, seed: int, truth=None) -> _ContrastPredictor:
         if truth is None:
             raise ValueError("oracle estimator needs exact nuisances from a simulation")
-        grid = _resolve_grid(dataset, self.grid_policy, self.grid_count)
+        grid = build_grid(dataset, self.grid_policy, self.grid_count)
         contrast = fit_oracle_contrast(dataset, truth, self.outer_kernel, xi=self.xi)
         return _ContrastPredictor(contrast, grid, require_monotone=False)

@@ -84,10 +84,8 @@ class RunConfig:
     alphas: str = "0.25,0.5,0.75"
 
     def validate(self, command: str) -> None:
-        if self.kernel not in ("box", "gaussian"):
-            raise ConfigError(f"unknown kernel family {self.kernel!r}")
-        if self.bandwidth_nuisance <= 0 or self.bandwidth_outer <= 0:
-            raise ConfigError("bandwidths must be positive")
+        _as_config_error(self.nuisance_kernel)
+        _as_config_error(self.outer_kernel)
         if not 0.0 < self.xi <= 0.5:
             raise ConfigError("xi must lie in (0, 0.5]")
         if self.pseudo not in ("dr", "ipw", "oracle"):
@@ -99,12 +97,13 @@ class RunConfig:
                 raise ConfigError(f"{command} requires --dgp")
             if self.input_path is not None:
                 raise ConfigError("provide a DGP spec or an input CSV, not both")
-            if self.dgp not in FAMILIES:
-                raise ConfigError(f"unknown DGP family {self.dgp!r}")
+            _as_config_error(self.dgp_spec)
             if self.replications < 2:
                 raise ConfigError("need at least 2 replications (CI undefined otherwise)")
             if self.n_total < 4:
                 raise ConfigError("need at least 4 observations (--n)")
+            if self.holdout < 1:
+                raise ConfigError("need at least 1 holdout draw (--holdout)")
         else:
             if self.input_path is None:
                 raise ConfigError(f"{command} requires --input")
@@ -118,6 +117,17 @@ class RunConfig:
 
     def outer_kernel(self) -> KernelSpec:
         return KernelSpec(self.kernel, self.bandwidth_outer)
+
+    def dgp_spec(self) -> DgpSpec:
+        return DgpSpec(family=self.dgp, gamma=self.gamma, seed=self.seed)
+
+
+def _as_config_error(build):
+    """Build a library spec from config values; its ValueError is a config error."""
+    try:
+        return build()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 _CONFIG_FIELDS = {f.name: f.type for f in fields(RunConfig)}
@@ -184,15 +194,17 @@ def _parse_grid_policy(text: str):
 def _parse_axis(text: str, lo: float, hi: float) -> np.ndarray:
     """Axis spec: either a point count over [lo, hi] or 'min:max:count'."""
     parts = text.split(":")
+    if len(parts) not in (1, 3):
+        raise ConfigError(f"bad axis spec {text!r} (use 'N' or 'min:max:N')")
     try:
-        if len(parts) == 1:
-            count = int(parts[0])
-            return np.linspace(lo, hi, count)
         if len(parts) == 3:
-            return np.linspace(float(parts[0]), float(parts[1]), int(parts[2]))
+            lo, hi = float(parts[0]), float(parts[1])
+        count = int(parts[-1])
     except ValueError as exc:
         raise ConfigError(f"bad axis spec {text!r}") from exc
-    raise ConfigError(f"bad axis spec {text!r} (use 'N' or 'min:max:N')")
+    if count < 1:
+        raise ConfigError(f"bad axis spec {text!r}: need at least 1 point")
+    return np.linspace(lo, hi, count)
 
 
 def ingest_csv(path: str) -> Dataset:
@@ -317,7 +329,7 @@ def _build_estimators(config: RunConfig):
 
 
 def cmd_simulate(config: RunConfig) -> int:
-    spec = DgpSpec(family=config.dgp, gamma=config.gamma, seed=config.seed)
+    spec = config.dgp_spec()
     if config.dump_data is not None:
         write_dataset_csv(sample_dgp(spec, config.n_total, config.seed), config.dump_data)
     report = run_experiment(
@@ -390,7 +402,10 @@ def cmd_surface(config: RunConfig) -> int:
 
 def cmd_cqte(config: RunConfig) -> int:
     dataset = ingest_csv(config.input_path)
-    alphas = [float(tok) for tok in config.alphas.split(",") if tok.strip()]
+    try:
+        alphas = [float(tok) for tok in config.alphas.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"bad alpha list {config.alphas!r}") from exc
     if not alphas:
         raise ConfigError("empty alpha list")
     if any(not 0.0 < a < 1.0 for a in alphas):

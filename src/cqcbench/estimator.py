@@ -14,12 +14,12 @@ swapped and averages the evaluations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .isotonic import pava_project
-from .kernels import KernelSpec, nw_weight_matrix, resolve_weights
+from .kernels import KernelSpec, nw_weight_matrix
 from .nuisance import Dataset, SplitPlan, fit_nuisance, make_split, prefix_gather
 from .pseudo import PseudoOutcomeKind
 
@@ -30,8 +30,7 @@ class _ContrastReplicate:
     """One nuisance-then-regress pass: fixed regression rows, fixed nuisances.
 
     ``nuisance`` may be a fitted model or an exact (closed-form) one; it must
-    expose ``propensity(x)`` with a ``many(xs)`` method and ``ccdf(a, y, x)``
-    with a ``cdf_table(a, ys, xs)`` method.
+    expose ``propensity.many(xs)`` and ``ccdf.cdf_table(a, ys, xs)``.
     """
 
     def __init__(self, nuisance, data2: Dataset, outer_kernel: KernelSpec, kind: PseudoOutcomeKind):
@@ -45,21 +44,6 @@ class _ContrastReplicate:
         treated = data2.arm_indices(1)
         self._treated = treated[np.argsort(data2.y[treated], kind="stable")]
         self._tables = {}  # arm -> (ys, F_arm(ys | data2.x)) of the last ys asked for
-
-    def evaluate(self, y0: float, y1: float, x) -> float:
-        """Pseudo-outcomes on the regression rows, NW-smoothed at x."""
-        d2 = self.data2
-        weights = resolve_weights(self.outer_kernel, x, d2.x).weights
-        f1 = self.nuisance.ccdf.cdf_table(1, np.array([y1]), d2.x)[:, 0]
-        f0 = self.nuisance.ccdf.cdf_table(0, np.array([y0]), d2.x)[:, 0]
-        y_a = np.where(d2.a == 1, y1, y0)
-        ind = (d2.y <= y_a).astype(float)
-        if self.kind is PseudoOutcomeKind.IPW:
-            phi = self._c * ind
-        else:
-            f_own = np.where(d2.a == 1, f1, f0)
-            phi = self._c * (ind - f_own) + f1 - f0
-        return float(weights @ phi)
 
     def _cdf_rows(self, arm: int, ys: np.ndarray) -> np.ndarray:
         # F_arm(ys | regression rows) does not depend on the query covariates,
@@ -109,7 +93,7 @@ class ContrastFit:
     xi: float
 
     def evaluate(self, y0: float, y1: float, x) -> float:
-        return float(np.mean([rep.evaluate(y0, y1, x) for rep in self.replicates]))
+        return float(self.profile(y0, np.array([y1]), x)[0])
 
     def profile_many(self, y0s, grid, xs) -> np.ndarray:
         y0s = np.asarray(y0s, dtype=float).reshape(-1)
@@ -228,56 +212,41 @@ class CqcEstimate:
     residual: float
 
 
-def _invert_profile(profile: np.ndarray, grid: np.ndarray) -> tuple[CqcEstimate, np.ndarray]:
-    # A contrast is -1 below the grid and +1 above it, so a profile that never
-    # changes sign has its root past the corresponding grid end; the plain
-    # argmin then clamps there, which is the intended boundary behaviour.
-    projected = pava_project(profile).projected
-    idx = int(np.argmin(np.abs(projected)))  # ties resolve to the smallest index
-    est = CqcEstimate(g_hat=float(grid[idx]), index=idx, residual=float(abs(projected[idx])))
-    return est, projected
-
-
-def estimate_cqc(contrast: ContrastFit, grid, y0: float, x) -> CqcEstimate:
-    """Grid-evaluate the contrast at (y0, x), project, and take argmin |value|."""
-    grid = _check_grid(grid)
-    profile = contrast.profile(y0, grid, x)
-    est, _ = _invert_profile(profile, grid)
-    return est
-
-
-def estimate_cqc_many(
-    contrast: ContrastFit,
-    grid,
-    y0s,
-    xs,
-    require_monotone: bool = False,
-    monotone_tol: float = _MONOTONE_TOL,
-):
+def estimate_cqc_many(contrast: ContrastFit, grid, y0s, xs, require_monotone: bool = False):
     """Batched inversion over query pairs (y0s[q], xs[q]).
 
+    Each pair's contrast profile over the grid is projected onto nondecreasing
+    sequences, and the grid point with the smallest |projected value| is the
+    estimate (ties resolve to the smallest index). A contrast is -1 below the
+    grid and +1 above it, so a profile that never changes sign has its root
+    past the corresponding grid end, and the argmin clamps there. Returns
+    (g_hat, grid indices, residuals |projected value|).
+
     With ``require_monotone`` the pre-projection profiles are asserted to be
-    nondecreasing (up to ``monotone_tol``); a violation signals an
+    nondecreasing (up to ``_MONOTONE_TOL``); a violation signals an
     implementation bug in a pipeline that guarantees monotone profiles.
     """
     grid = _check_grid(grid)
     y0s = np.asarray(y0s, dtype=float).reshape(-1)
     profiles = contrast.profile_many(y0s, grid, xs)
-    g_hat = np.empty(y0s.size)
     indices = np.empty(y0s.size, dtype=np.intp)
     residuals = np.empty(y0s.size)
-    for q in range(y0s.size):
-        row = profiles[q]
-        if require_monotone and np.any(np.diff(row) < -monotone_tol):
+    for q, row in enumerate(profiles):
+        if require_monotone and np.any(np.diff(row) < -_MONOTONE_TOL):
             raise AssertionError(
                 "pre-projection contrast profile is not monotone; "
                 "this pipeline guarantees monotonicity"
             )
-        est, _ = _invert_profile(row, grid)
-        g_hat[q] = est.g_hat
-        indices[q] = est.index
-        residuals[q] = est.residual
-    return g_hat, indices, residuals
+        projected = pava_project(row).projected
+        indices[q] = np.argmin(np.abs(projected))
+        residuals[q] = abs(projected[indices[q]])
+    return grid[indices], indices, residuals
+
+
+def estimate_cqc(contrast: ContrastFit, grid, y0: float, x) -> CqcEstimate:
+    """``estimate_cqc_many`` for one query pair (y0, x)."""
+    g_hat, indices, residuals = estimate_cqc_many(contrast, grid, [y0], np.reshape(x, (1, -1)))
+    return CqcEstimate(g_hat=float(g_hat[0]), index=int(indices[0]), residual=float(residuals[0]))
 
 
 def quantile_diff(estimate: CqcEstimate, y0: float) -> float:
@@ -287,32 +256,16 @@ def quantile_diff(estimate: CqcEstimate, y0: float) -> float:
 
 @dataclass
 class CqcFit:
-    """A contrast fit bound to an evaluation grid, with per-query projection cache."""
+    """A contrast fit bound to an evaluation grid."""
 
     contrast: ContrastFit
     grid: np.ndarray
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.grid = _check_grid(self.grid)
 
     def estimate(self, y0: float, x) -> CqcEstimate:
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        key = (float(y0), tuple(x_arr.tolist()))
-        projected = self._cache.get(key)
-        if projected is None:
-            profile = self.contrast.profile(y0, self.grid, x_arr)
-            _, projected = _invert_profile(profile, self.grid)
-            self._cache[key] = projected
-        idx = int(np.argmin(np.abs(projected)))
-        return CqcEstimate(
-            g_hat=float(self.grid[idx]), index=idx, residual=float(abs(projected[idx]))
-        )
-
-    def estimate_many(self, y0s, xs, require_monotone: bool = False):
-        return estimate_cqc_many(
-            self.contrast, self.grid, y0s, xs, require_monotone=require_monotone
-        )
+        return estimate_cqc(self.contrast, self.grid, y0, x)
 
 
 def cqc_to_cqte(fit: CqcFit, arm0_quantile, alpha: float, x) -> float:

@@ -22,8 +22,6 @@ KERNEL_FAMILIES = ("box", "gaussian")
 MAX_DOUBLINGS = 10
 MIN_SUPPORT = 5
 
-_WEIGHT_SUM_TOL = 1e-12
-
 # Float64 differences per row block of ``_sq_dist_matrix`` (256 KiB, an L2-sized
 # working set).
 _BLOCK_VALUES = 1 << 15
@@ -57,52 +55,6 @@ class KernelSpec:
         return KernelSpec(self.family, bandwidth)
 
 
-@dataclass
-class WeightVector:
-    """Smoother weights for one query point.
-
-    Non-degenerate weights are nonnegative and sum to one (within 1e-12).
-    A degenerate vector is all zeros with ``degenerate=True``; the two states
-    are mutually exclusive.
-    """
-
-    weights: np.ndarray
-    degenerate: bool = False
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float)
-        if np.any(self.weights < 0):
-            raise ValueError("weights must be nonnegative")
-        total = self.weights.sum()
-        if self.degenerate:
-            if total != 0.0:
-                raise ValueError("degenerate weight vector must be all zero")
-        elif abs(total - 1.0) > _WEIGHT_SUM_TOL:
-            raise ValueError(f"weights sum to {total!r}, expected 1")
-
-    @property
-    def norm1(self) -> float:
-        return float(np.abs(self.weights).sum())
-
-    @property
-    def norm2(self) -> float:
-        return float(np.sqrt((self.weights**2).sum()))
-
-    @property
-    def norm_inf(self) -> float:
-        return float(np.abs(self.weights).max()) if self.weights.size else 0.0
-
-    def __len__(self) -> int:
-        return self.weights.size
-
-
-def _as_query(x) -> np.ndarray:
-    q = np.atleast_1d(np.asarray(x, dtype=float))
-    if q.ndim != 1:
-        raise ValueError("query point must be a single covariate vector")
-    return q
-
-
 def _as_train(xs) -> np.ndarray:
     t = np.asarray(xs, dtype=float)
     if t.ndim == 0:
@@ -112,16 +64,6 @@ def _as_train(xs) -> np.ndarray:
     elif t.ndim != 2:
         raise ValueError("training covariates must form an (n, d) array")
     return t
-
-
-def kernel_eval(spec: KernelSpec, x, x2) -> float:
-    """Evaluate the kernel between two covariate vectors."""
-    a = _as_query(x)
-    b = _as_query(x2)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    sq = float(((a - b) ** 2).sum())
-    return _kernel_from_sq(spec, np.array(sq)).item()
 
 
 def _kernel_from_sq(spec: KernelSpec, sq_dists: np.ndarray) -> np.ndarray:
@@ -156,76 +98,39 @@ def kernel_matrix(spec: KernelSpec, queries, train) -> np.ndarray:
     return _kernel_from_sq(spec, _sq_dist_matrix(q, t))
 
 
-def nw_weights(spec: KernelSpec, x, train_xs, mask=None) -> WeightVector:
-    """Nadaraya-Watson weights of a query point against training points.
+def _normalise_rows(km: np.ndarray) -> np.ndarray:
+    # Divides each row by its sum in place and returns the mask of rows with no
+    # kernel mass (empty box ball, or total underflow), which are left as zeros.
+    totals = km.sum(axis=1)
+    bad = totals <= 0.0
+    np.divide(km, totals[:, None], out=km, where=~bad[:, None])
+    return bad
 
-    Masked-out points get weight zero; the degenerate flag is set when the
-    kernel mass is zero (empty box ball, or total underflow). Degeneracy is
-    never an error here: policy is up to the caller.
+
+def resolve_weights(spec: KernelSpec, x, train_xs) -> np.ndarray:
+    """Nadaraya-Watson weights of one query point, with the retry policy applied.
+
+    A query with no kernel mass doubles the bandwidth up to ``MAX_DOUBLINGS``
+    times until at least ``min(MIN_SUPPORT, n)`` points carry positive mass,
+    then raises ``DegenerateMassError``.
     """
+    q = _as_train(x).reshape(1, -1)
     train = _as_train(train_xs)
-    if train.shape[0] == 0:
-        raise ValueError("training set must be nonempty")
-    row = kernel_matrix(spec, _as_query(x).reshape(1, -1), train)[0]
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape[0] != train.shape[0]:
-            raise ValueError("mask length must match training set")
-        row = row * mask
-    total = row.sum()
-    if total <= 0.0:
-        return WeightVector(np.zeros_like(row), degenerate=True)
-    return WeightVector(row / total)
-
-
-def resolve_weights(
-    spec: KernelSpec, x, train_xs, mask=None, strict: bool = False
-) -> WeightVector:
-    """``nw_weights`` with the degenerate-mass retry policy applied.
-
-    Default mode doubles the bandwidth up to ``MAX_DOUBLINGS`` times until at
-    least ``min(MIN_SUPPORT, n)`` points carry positive mass, then raises;
-    strict mode raises immediately on a degenerate query.
-    """
-    wv = nw_weights(spec, x, train_xs, mask)
-    if not wv.degenerate:
-        return wv
-    if strict:
-        raise DegenerateMassError(x, "strict mode")
-    n_candidates = len(wv) if mask is None else int(np.asarray(mask).sum())
-    target = min(MIN_SUPPORT, n_candidates)
+    target = min(MIN_SUPPORT, train.shape[0])
     widened = spec
-    for _ in range(MAX_DOUBLINGS):
+    for doublings in range(MAX_DOUBLINGS + 1):
+        row = kernel_matrix(widened, q, train)
+        if not _normalise_rows(row)[0] and (doublings == 0 or np.count_nonzero(row) >= target):
+            return row[0]
         widened = widened.with_bandwidth(widened.bandwidth * 2.0)
-        wv = nw_weights(widened, x, train_xs, mask)
-        if not wv.degenerate and np.count_nonzero(wv.weights) >= target:
-            return wv
     raise DegenerateMassError(x, f"after {MAX_DOUBLINGS} bandwidth doublings")
 
 
-def nw_regress(spec: KernelSpec, x, train_xs, targets, mask=None, strict: bool = False) -> float:
-    """NW regression estimate at a query point (convex combination of targets)."""
-    targets = np.asarray(targets, dtype=float)
-    train = _as_train(train_xs)
-    if targets.shape[0] != train.shape[0]:
-        raise ValueError("targets length must match training set")
-    wv = resolve_weights(spec, x, train, mask, strict=strict)
-    return float(wv.weights @ targets)
-
-
-def nw_weight_matrix(
-    spec: KernelSpec, queries, train_xs, mask=None, strict: bool = False
-) -> np.ndarray:
+def nw_weight_matrix(spec: KernelSpec, queries, train_xs) -> np.ndarray:
     """Row-normalised NW weight matrix with the retry policy applied per row."""
     q = _as_train(queries)
     train = _as_train(train_xs)
     km = kernel_matrix(spec, q, train)
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        km *= mask
-    totals = km.sum(axis=1)
-    bad = totals <= 0.0
-    np.divide(km, totals[:, None], out=km, where=~bad[:, None])
-    for i in np.nonzero(bad)[0]:
-        km[i] = resolve_weights(spec, q[i], train, mask, strict=strict).weights
+    for i in np.nonzero(_normalise_rows(km))[0]:
+        km[i] = resolve_weights(spec, q[i], train)
     return km

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, nw_regress, nw_weight_matrix, resolve_weights
+from .kernels import KernelSpec, nw_weight_matrix, resolve_weights
 
 _QUANTILE_SLACK = 1e-9
 
@@ -43,11 +43,15 @@ def prefix_gather(weights: np.ndarray, points: np.ndarray, ys: np.ndarray) -> np
 
     ``points`` (ascending) labels the columns of the (m, k) ``weights``; the
     result is the (m, len(ys)) table sum_k weights[:, k] * (points[k] <= ys[l]),
-    computed as a running sum gathered at each y's insertion point.
+    computed as a running sum gathered at the last point <= each y. The running
+    sum is taken in place: ``weights`` is overwritten.
     """
-    cum = np.zeros((weights.shape[0], weights.shape[1] + 1))
-    np.cumsum(weights, axis=1, out=cum[:, 1:])
-    return cum[:, np.searchsorted(points, ys, side="right")]
+    last = np.searchsorted(points, ys, side="right") - 1
+    if points.size == 0:  # e.g. a regression half without treated rows
+        return np.zeros((weights.shape[0], last.size))
+    table = np.cumsum(weights, axis=1, out=weights)[:, last]
+    table[:, last < 0] = 0.0
+    return table
 
 
 @dataclass
@@ -104,10 +108,9 @@ class SplitPlan:
 
     indices_1: np.ndarray
     indices_2: np.ndarray
-    seed: int
 
     def swapped(self) -> "SplitPlan":
-        return SplitPlan(self.indices_2, self.indices_1, self.seed)
+        return SplitPlan(self.indices_2, self.indices_1)
 
 
 def make_split(dataset: Dataset, seed: int) -> SplitPlan:
@@ -120,7 +123,6 @@ def make_split(dataset: Dataset, seed: int) -> SplitPlan:
     return SplitPlan(
         indices_1=np.sort(perm[:half]),
         indices_2=np.sort(perm[half:]),
-        seed=seed,
     )
 
 
@@ -138,8 +140,7 @@ class PropensityEvaluator:
             raise SingleArmError("propensity fit needs both treatment arms")
 
     def __call__(self, x) -> float:
-        raw = nw_regress(self.kernel, x, self.xs, self.treatments)
-        return float(np.clip(raw, self.xi, 1.0 - self.xi))
+        return float(self.many(np.reshape(x, (1, -1)))[0])
 
     def many(self, xs) -> np.ndarray:
         w = nw_weight_matrix(self.kernel, xs, self.xs)
@@ -174,7 +175,7 @@ class CcdfEvaluator:
     def weight_row(self, arm: int, x) -> np.ndarray:
         """Policy-resolved weights over the arm's rows, in jump-point order."""
         idx, _ = self._arm_rows[arm]
-        return resolve_weights(self.kernel, x, self.xs[idx]).weights
+        return resolve_weights(self.kernel, x, self.xs[idx])
 
     def weight_matrix(self, arm: int, queries) -> np.ndarray:
         idx, _ = self._arm_rows[arm]
@@ -214,18 +215,13 @@ def fit_ccdf(dataset: Dataset, kernel: KernelSpec) -> CcdfEvaluator:
     return CcdfEvaluator(kernel, dataset.x, dataset.y, dataset.a)
 
 
-def ccdf_generalised_inverse(ccdf: CcdfEvaluator, arm: int, alpha: float, x) -> float:
-    return ccdf.quantile(arm, alpha, x)
-
-
 @dataclass
 class NuisanceModel:
-    """Fitted propensity and CCDF evaluators, plus the training rows."""
+    """Fitted propensity and CCDF evaluators."""
 
     propensity: PropensityEvaluator
     ccdf: CcdfEvaluator
     xi: float
-    rows: Dataset | None = None
 
 
 def fit_nuisance(dataset: Dataset, kernel: KernelSpec, xi: float = 0.05) -> NuisanceModel:
@@ -234,5 +230,4 @@ def fit_nuisance(dataset: Dataset, kernel: KernelSpec, xi: float = 0.05) -> Nuis
         propensity=fit_propensity(dataset, kernel, xi),
         ccdf=fit_ccdf(dataset, kernel),
         xi=xi,
-        rows=dataset,
     )

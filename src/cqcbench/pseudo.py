@@ -4,12 +4,13 @@ For thresholds (y0, y1) and an observation (y, x, a), each pseudo-outcome is
 a random quantity whose conditional mean given X = x equals the CDF contrast
 F1(y1|x) - F0(y0|x). The doubly robust form residualises the observation's
 own-arm CDF and adds the plug-in contrast; the IPW form keeps only the
-inverse-propensity-weighted indicator.
+inverse-propensity-weighted indicator. The oracle form is the doubly robust
+one with exact nuisances. ``estimator._ContrastReplicate.profile_many``
+evaluates and smooths them for whole grids of thresholds at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 
@@ -17,57 +18,3 @@ class PseudoOutcomeKind(str, Enum):
     DR = "dr"
     IPW = "ipw"
     ORACLE_DR = "oracle_dr"
-
-
-@dataclass(frozen=True)
-class PseudoEvaluation:
-    """One pseudo-outcome value with its query echoed back."""
-
-    value: float
-    y0: float
-    y1: float
-    index: int | None = None
-
-
-def dr_pseudo(y: float, x, a: int, y0: float, y1: float, nuisance) -> float:
-    """Doubly robust pseudo-outcome under a fitted (or exact) nuisance model.
-
-    The indicator threshold follows the observation's own arm: y1 when
-    treated, y0 when untreated.
-    """
-    pi = nuisance.propensity(x)
-    y_a = y1 if a == 1 else y0
-    f_own = nuisance.ccdf(a, y_a, x)
-    residual = ((a - pi) / (pi * (1.0 - pi))) * (float(y <= y_a) - f_own)
-    return residual + nuisance.ccdf(1, y1, x) - nuisance.ccdf(0, y0, x)
-
-
-def ipw_pseudo(y: float, x, a: int, y0: float, y1: float, propensity) -> float:
-    """Inverse-propensity-weighted pseudo-outcome (no CDF residualisation)."""
-    pi = propensity(x)
-    y_a = y1 if a == 1 else y0
-    return ((a - pi) / (pi * (1.0 - pi))) * float(y <= y_a)
-
-
-def oracle_pseudo(y: float, x, a: int, y0: float, y1: float, exact_nuisance) -> float:
-    """DR pseudo-outcome with exact nuisances; same code path as ``dr_pseudo``."""
-    return dr_pseudo(y, x, a, y0, y1, exact_nuisance)
-
-
-def pseudo_evaluation(
-    kind: PseudoOutcomeKind,
-    y: float,
-    x,
-    a: int,
-    y0: float,
-    y1: float,
-    nuisance,
-    index: int | None = None,
-) -> PseudoEvaluation:
-    """Evaluate one pseudo-outcome and echo the query back with it."""
-    kind = PseudoOutcomeKind(kind)
-    if kind is PseudoOutcomeKind.IPW:
-        value = ipw_pseudo(y, x, a, y0, y1, nuisance.propensity)
-    else:
-        value = dr_pseudo(y, x, a, y0, y1, nuisance)
-    return PseudoEvaluation(value=value, y0=y0, y1=y1, index=index)

@@ -316,6 +316,8 @@ def run_experiment(
     estimators = list(estimators)
     if not estimators:
         raise ValueError("need at least one estimator")
+    if holdout < 1:
+        raise ValueError("need at least 1 holdout draw")
     oracle = truth(spec)
     errors = np.full((replications, len(estimators)), np.nan)
     failure_counts = np.zeros(len(estimators), dtype=int)

@@ -1,0 +1,63 @@
+"""Scalar reference forms of the pseudo-outcomes, the contrast and the separate plug-in.
+
+The library forms pseudo-outcomes, smooths them and inverts the arm CDFs for
+whole batches of queries with prefix sums and matrix products. These
+references take one observation or one query at a time through the
+nuisances' scalar calls, ``propensity(x)`` and ``ccdf(arm, y, x)``, and
+weight the regression rows with ``resolve_weights``, so they share no batch
+arithmetic with the library's profiles.
+"""
+
+import numpy as np
+
+from cqcbench.kernels import resolve_weights
+from cqcbench.nuisance import fit_ccdf
+from cqcbench.pseudo import PseudoOutcomeKind
+
+
+def dr_pseudo(y: float, x, a: int, y0: float, y1: float, nuisance) -> float:
+    """Doubly robust pseudo-outcome under a fitted (or exact) nuisance model.
+
+    The indicator threshold follows the observation's own arm: y1 when
+    treated, y0 when untreated.
+    """
+    pi = nuisance.propensity(x)
+    y_a = y1 if a == 1 else y0
+    f_own = nuisance.ccdf(a, y_a, x)
+    residual = ((a - pi) / (pi * (1.0 - pi))) * (float(y <= y_a) - f_own)
+    return residual + nuisance.ccdf(1, y1, x) - nuisance.ccdf(0, y0, x)
+
+
+def ipw_pseudo(y: float, x, a: int, y0: float, y1: float, propensity) -> float:
+    """Inverse-propensity-weighted pseudo-outcome (no CDF residualisation)."""
+    pi = propensity(x)
+    y_a = y1 if a == 1 else y0
+    return ((a - pi) / (pi * (1.0 - pi))) * float(y <= y_a)
+
+
+def oracle_pseudo(y: float, x, a: int, y0: float, y1: float, exact_nuisance) -> float:
+    """DR pseudo-outcome with exact nuisances; same code path as ``dr_pseudo``."""
+    return dr_pseudo(y, x, a, y0, y1, exact_nuisance)
+
+
+def scalar_contrast(rep, y0: float, y1: float, x) -> float:
+    """One contrast replicate's h_hat(y0, y1 | x): its regression rows'
+    pseudo-outcomes, one row at a time, NW-smoothed at x."""
+    d2 = rep.data2
+    rows = [(d2.y[j], d2.x[j], int(d2.a[j])) for j in range(d2.n)]
+    if rep.kind is PseudoOutcomeKind.IPW:
+        phi = [ipw_pseudo(y, xj, a, y0, y1, rep.nuisance.propensity) for y, xj, a in rows]
+    else:
+        phi = [dr_pseudo(y, xj, a, y0, y1, rep.nuisance) for y, xj, a in rows]
+    return float(resolve_weights(rep.outer_kernel, x, d2.x) @ np.array(phi))
+
+
+def separate_plugin_cqc(dataset, kernel, y0: float, x) -> float:
+    """Plug-in estimate: arm-1 generalised inverse at the arm-0 CDF value.
+
+    Fits arm-masked NW step CDFs on the full sample; the returned value is
+    always an observed treated outcome.
+    """
+    ccdf = fit_ccdf(dataset, kernel)
+    alpha = ccdf(0, y0, x)
+    return ccdf.quantile(1, alpha, x)

@@ -20,7 +20,6 @@ from cqcbench.estimator import build_grid, estimate_cqc_many, fit_contrast
 from cqcbench.isotonic import pava_project
 from cqcbench.kernels import KernelSpec
 from cqcbench.nuisance import fit_ccdf, make_split
-from cqcbench.pseudo import oracle_pseudo
 from cqcbench.simlab import (
     FAMILIES,
     DgpSpec,
@@ -31,6 +30,7 @@ from cqcbench.simlab import (
 )
 
 from isotonic_oracle import dp_isotonic_fit
+from scalar_oracle import oracle_pseudo
 
 # Benchmark configuration shared by the Monte-Carlo criteria (gaussian
 # kernels; the nuisance bandwidth resolves the sine wiggle at gamma <= 10,

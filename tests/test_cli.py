@@ -1,7 +1,10 @@
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqcbench.cli import (
     DataError,
@@ -87,6 +90,31 @@ def test_dataset_round_trip_is_value_identical(tmp_path):
     np.testing.assert_array_equal(back.a, data.a)
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -2.5e-310, 1.7976931348623157e308, -1.7976931348623157e308]
+)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(
+    d=st.integers(min_value=1, max_value=12),
+    rows=st.integers(min_value=1, max_value=6),
+    data=st.data(),
+)
+def test_dataset_round_trip_is_bit_exact(d, rows, data):
+    values = data.draw(st.lists(FINITE, min_size=rows * (d + 1), max_size=rows * (d + 1)))
+    arms = data.draw(st.lists(st.integers(0, 1), min_size=rows, max_size=rows))
+    grid = np.array(values).reshape(rows, d + 1)
+    dataset = Dataset(grid[:, 0], grid[:, 1:], np.array(arms))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "round.csv")
+        write_dataset_csv(dataset, path)
+        back = ingest_csv(path)
+    assert back.y.tobytes() == dataset.y.tobytes()
+    assert back.x.tobytes() == dataset.x.tobytes()
+    np.testing.assert_array_equal(back.a, dataset.a)
+
+
 def test_config_file_parsing(tmp_path):
     path = write(
         tmp_path / "run.cfg",
@@ -156,6 +184,29 @@ def test_simulate_too_few_observations_is_config_error(tmp_path, capsys):
     assert main(simulate_args(tmp_path, **{"--n": "3"})) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cqte", "--alphas", "0.5,abc"],
+        ["surface", "--y-grid", "0"],
+        ["cqte", "--x-grid", "0"],
+        ["surface", "--bandwidth-nuisance", "nan"],
+        ["simulate", "--gamma", "-1"],
+        ["simulate", "--holdout", "0"],
+    ],
+    ids=["alphas-abc", "y-grid-0", "x-grid-0", "bandwidth-nan", "gamma-negative", "holdout-0"],
+)
+def test_malformed_config_is_one_line_config_error(tmp_path, capsys, argv):
+    if argv[0] == "simulate":
+        argv = simulate_args(tmp_path, **{argv[1]: argv[2]})
+    else:
+        argv = argv + ["--input", synthetic_csv(tmp_path, n=60), "--out", str(tmp_path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert not {"errors.csv", "surface.csv", "cqte.csv"} & set(os.listdir(tmp_path))
 
 
 def test_simulate_deterministic_files(tmp_path):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contrast_oracle import dense_cdf_table, dense_profile_many
+from scalar_oracle import scalar_contrast
 from cqcbench.estimator import (
     ContrastFit,
     CqcFit,
@@ -54,6 +55,11 @@ class LinearContrast:
 
 def illustrative_data(n=300, gamma=2.0, seed=0):
     return sample_dgp(DgpSpec("illustrative", gamma=gamma), n, seed)
+
+
+def replicate_value(rep, y0, y1, x):
+    """One replicate's h_hat(y0, y1 | x), read off its batch profile."""
+    return rep.profile_many(np.array([y0]), np.array([y1]), np.reshape(x, (1, -1)))[0, 0]
 
 
 def test_build_grid_sorts_and_dedupes():
@@ -224,7 +230,7 @@ def test_profile_many_matches_scalar_evaluate():
         contrast = fit_contrast(data, make_split(data, 5), NK, OK, kind=kind)
         x = np.array([0.35])
         profile = contrast.profile(0.2, grid, x)
-        scalars = np.array([contrast.evaluate(0.2, g, x) for g in grid])
+        scalars = np.array([scalar_contrast(contrast.replicates[0], 0.2, g, x) for g in grid])
         np.testing.assert_allclose(profile, scalars, atol=1e-10)
         dense = dense_profile_many(contrast.replicates[0], np.array([0.2]), grid, x.reshape(1, 1))
         np.testing.assert_allclose(profile, dense[0], rtol=0, atol=1e-12)
@@ -240,7 +246,7 @@ def _tables_case(n, seed, levels):
     a = rng.integers(0, 2, size=n)
     a[:4] = (0, 0, 1, 1)
     data = Dataset(y, rng.uniform(0, 1, (n, 1)), a)
-    split = SplitPlan(np.arange(0, n, 2), np.arange(1, n, 2), seed)
+    split = SplitPlan(np.arange(0, n, 2), np.arange(1, n, 2))
     return data, split, rng
 
 
@@ -291,7 +297,7 @@ def test_cross_fit_is_mean_of_replicates():
     assert len(contrast.replicates) == 2
     x = np.array([0.6])
     value = contrast.evaluate(0.1, 1.0, x)
-    parts = [rep.evaluate(0.1, 1.0, x) for rep in contrast.replicates]
+    parts = [replicate_value(rep, 0.1, 1.0, x) for rep in contrast.replicates]
     assert value == pytest.approx(np.mean(parts), abs=1e-15)
 
 
@@ -300,8 +306,8 @@ def test_cross_fit_mean_of_stub_replicates():
         def __init__(self, value):
             self.value = value
 
-        def evaluate(self, y0, y1, x):
-            return self.value
+        def profile_many(self, y0s, grid, xs):
+            return np.full((y0s.size, grid.size), self.value)
 
     fit = ContrastFit(
         kind=PseudoOutcomeKind.DR,
@@ -322,7 +328,7 @@ def test_cross_fit_error_no_worse_than_worst_replicate():
         x = rng.uniform(0, 1, 1)
         target = float(oracle.h(y0, y1, x.reshape(1, -1))[0])
         combined = abs(contrast.evaluate(y0, y1, x) - target)
-        parts = [abs(rep.evaluate(y0, y1, x) - target) for rep in contrast.replicates]
+        parts = [abs(replicate_value(rep, y0, y1, x) - target) for rep in contrast.replicates]
         assert combined <= max(parts) + 1e-12
 
 
@@ -358,7 +364,7 @@ def test_cqcfit_cache_consistent_with_direct_estimate():
     grid = build_grid(data, "treated")
     fit = CqcFit(contrast, grid)
     first = fit.estimate(0.3, np.array([0.5]))
-    second = fit.estimate(0.3, np.array([0.5]))  # served from the cache
+    second = fit.estimate(0.3, np.array([0.5]))
     direct = estimate_cqc(contrast, grid, 0.3, np.array([0.5]))
     assert first == second == direct
 

@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqcbench.isotonic import pava_project
 
@@ -12,6 +14,20 @@ from isotonic_oracle import dp_isotonic_fit, numpy_stack_pava
 
 def test_already_isotonic_is_unchanged():
     np.testing.assert_array_equal(pava_project([1.0, 2.0, 3.0]).projected, [1.0, 2.0, 3.0])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        st.floats(allow_nan=False) | st.sampled_from([-1.0, -0.0, 0.0, 1.0]),
+        min_size=1,
+        max_size=200,
+    )
+)
+def test_nondecreasing_input_is_returned_bit_identical(values):
+    # Ties, signed zeros, subnormals and infinities included.
+    v = np.sort(np.array(values))
+    assert pava_project(v).projected.tobytes() == v.tobytes()
 
 
 def test_two_point_violation_pools_to_mean():

@@ -5,11 +5,11 @@ from cqcbench.kernels import KernelSpec
 from cqcbench.nuisance import (
     Dataset,
     SingleArmError,
-    ccdf_generalised_inverse,
     fit_ccdf,
     fit_nuisance,
     fit_propensity,
     make_split,
+    prefix_gather,
 )
 
 WIDE_BOX = KernelSpec("box", 100.0)  # bandwidth beyond any data diameter used here
@@ -21,6 +21,11 @@ def four_point_arm1_dataset():
     x = np.zeros((5, 1))
     a = np.array([1, 1, 1, 1, 0])
     return Dataset(y, x, a)
+
+
+def test_prefix_gather_with_no_columns_is_zero():
+    table = prefix_gather(np.zeros((3, 0)), np.zeros(0), np.array([-1.0, 0.0, 2.0]))
+    np.testing.assert_array_equal(table, np.zeros((3, 3)))
 
 
 def test_dataset_validation():
@@ -152,10 +157,10 @@ def test_ccdf_wide_bandwidth_equals_empirical_cdf():
 def test_generalised_inverse_step_examples():
     ccdf = fit_ccdf(four_point_arm1_dataset(), WIDE_BOX)
     x = np.array([0.0])
-    assert ccdf_generalised_inverse(ccdf, 1, 0.5, x) == 2.0
-    assert ccdf_generalised_inverse(ccdf, 1, 1.0, x) == 4.0
-    assert ccdf_generalised_inverse(ccdf, 1, 0.26, x) == 2.0
-    assert ccdf_generalised_inverse(ccdf, 1, 0.0, x) == 1.0  # smallest jump point
+    assert ccdf.quantile(1, 0.5, x) == 2.0
+    assert ccdf.quantile(1, 1.0, x) == 4.0
+    assert ccdf.quantile(1, 0.26, x) == 2.0
+    assert ccdf.quantile(1, 0.0, x) == 1.0  # smallest jump point
 
 
 def test_generalised_inverse_alpha_out_of_range():
@@ -198,6 +203,5 @@ def test_fit_nuisance_bundles_evaluators():
     data = four_point_arm1_dataset()
     model = fit_nuisance(data, WIDE_BOX, xi=0.05)
     assert model.xi == 0.05
-    assert model.rows is data
     assert 0.05 <= model.propensity(np.array([0.0])) <= 0.95
     assert model.ccdf(1, 2.5, np.array([0.0])) == pytest.approx(0.5)

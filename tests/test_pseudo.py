@@ -1,15 +1,10 @@
 import numpy as np
 import pytest
 
+from scalar_oracle import dr_pseudo, ipw_pseudo, oracle_pseudo
+
 from cqcbench.kernels import KernelSpec
 from cqcbench.nuisance import Dataset, NuisanceModel, fit_nuisance
-from cqcbench.pseudo import (
-    PseudoOutcomeKind,
-    dr_pseudo,
-    ipw_pseudo,
-    oracle_pseudo,
-    pseudo_evaluation,
-)
 from cqcbench.simlab import DgpSpec, draw_given_x, truth
 
 X = np.array([0.0])
@@ -34,9 +29,7 @@ class StubCcdf:
 
 
 def stub_nuisance(pi, table, xi=0.05):
-    return NuisanceModel(
-        propensity=StubPropensity(pi), ccdf=StubCcdf(table), xi=xi, rows=None
-    )
+    return NuisanceModel(propensity=StubPropensity(pi), ccdf=StubCcdf(table), xi=xi)
 
 
 def test_dr_pseudo_treated_hand_value():
@@ -117,17 +110,6 @@ def test_ipw_pseudo_monotone_in_thresholds():
         assert values_y1 == sorted(values_y1)
         values_y0 = [ipw_pseudo(y, x, a, t, 2.0, prop) for t in (-1.0, 0.5, 2.0)]
         assert values_y0 == sorted(values_y0, reverse=True)
-
-
-def test_pseudo_evaluation_echoes_query():
-    nuis = stub_nuisance(0.5, {(1, 2.0): 0.3, (0, 0.0): 0.2})
-    ev = pseudo_evaluation(
-        PseudoOutcomeKind.DR, 1.0, X, 1, 0.0, 2.0, nuis, index=17
-    )
-    assert (ev.y0, ev.y1, ev.index) == (0.0, 2.0, 17)
-    assert ev.value == pytest.approx(1.5)
-    ev_ipw = pseudo_evaluation("ipw", 1.0, X, 1, 0.0, 2.0, nuis)
-    assert ev_ipw.value == pytest.approx(2.0)
 
 
 def test_oracle_pseudo_conditionally_unbiased_quick():
