@@ -88,6 +88,8 @@ class RunConfig:
         _as_config_error(self.outer_kernel)
         if not 0.0 < self.xi <= 0.5:
             raise ConfigError("xi must lie in (0, 0.5]")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         if self.pseudo not in ("dr", "ipw", "oracle"):
             raise ConfigError(f"unknown pseudo-outcome kind {self.pseudo!r}")
         _parse_grid_policy(self.grid)

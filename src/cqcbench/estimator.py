@@ -215,12 +215,13 @@ class CqcEstimate:
 def estimate_cqc_many(contrast: ContrastFit, grid, y0s, xs, require_monotone: bool = False):
     """Batched inversion over query pairs (y0s[q], xs[q]).
 
-    Each pair's contrast profile over the grid is projected onto nondecreasing
+    Each pair's contrast profile over the grid is a row of an (m, p) table;
+    one ``pava_project`` call projects every row onto nondecreasing
     sequences, and the grid point with the smallest |projected value| is the
     estimate (ties resolve to the smallest index). A contrast is -1 below the
     grid and +1 above it, so a profile that never changes sign has its root
     past the corresponding grid end, and the argmin clamps there. Returns
-    (g_hat, grid indices, residuals |projected value|).
+    (g_hat, grid indices, residuals |projected value|), empty for no queries.
 
     With ``require_monotone`` the pre-projection profiles are asserted to be
     nondecreasing (up to ``_MONOTONE_TOL``); a violation signals an
@@ -229,17 +230,14 @@ def estimate_cqc_many(contrast: ContrastFit, grid, y0s, xs, require_monotone: bo
     grid = _check_grid(grid)
     y0s = np.asarray(y0s, dtype=float).reshape(-1)
     profiles = contrast.profile_many(y0s, grid, xs)
-    indices = np.empty(y0s.size, dtype=np.intp)
-    residuals = np.empty(y0s.size)
-    for q, row in enumerate(profiles):
-        if require_monotone and np.any(np.diff(row) < -_MONOTONE_TOL):
-            raise AssertionError(
-                "pre-projection contrast profile is not monotone; "
-                "this pipeline guarantees monotonicity"
-            )
-        projected = pava_project(row).projected
-        indices[q] = np.argmin(np.abs(projected))
-        residuals[q] = abs(projected[indices[q]])
+    if require_monotone and np.any(np.diff(profiles, axis=1) < -_MONOTONE_TOL):
+        raise AssertionError(
+            "pre-projection contrast profile is not monotone; "
+            "this pipeline guarantees monotonicity"
+        )
+    projected = pava_project(profiles).projected
+    indices = np.argmin(np.abs(projected), axis=1)
+    residuals = np.abs(projected[np.arange(y0s.size), indices])
     return grid[indices], indices, residuals
 
 

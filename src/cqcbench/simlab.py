@@ -47,8 +47,8 @@ class DgpSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown DGP family {self.family!r}")
-        if self.gamma < 0:
-            raise ValueError("gamma must be nonnegative")
+        if not 0 <= self.gamma < np.inf:
+            raise ValueError("gamma must be finite and nonnegative")
         expected_dim = 10 if self.family == "tendim" else 1
         if self.dim is None:
             self.dim = expected_dim

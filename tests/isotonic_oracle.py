@@ -14,6 +14,11 @@ grid over [-2, 2] is exact.
 ``numpy_stack_pava`` is the pool-adjacent-violators stack on numpy scalars
 and arrays. The library's stack runs on Python floats; it must reproduce this
 one byte for byte.
+
+``per_row_inversion`` is the inversion step one profile at a time: project the
+row, take the first grid index of smallest |projected value|. The library
+projects and inverts the whole (m, p) table at once; it must reproduce this
+one byte for byte.
 """
 
 import numpy as np
@@ -58,3 +63,14 @@ def numpy_stack_pava(values) -> np.ndarray:
             counts[top - 1] = merged
             top -= 1
     return np.repeat(means[: top + 1], counts[: top + 1])
+
+
+def per_row_inversion(profiles, grid):
+    grid = np.asarray(grid, dtype=float)
+    indices = np.empty(len(profiles), dtype=np.intp)
+    residuals = np.empty(len(profiles))
+    for q, row in enumerate(profiles):
+        projected = numpy_stack_pava(row)
+        indices[q] = np.argmin(np.abs(projected))
+        residuals[q] = abs(projected[indices[q]])
+    return grid[indices], indices, residuals

@@ -195,8 +195,15 @@ def test_simulate_too_few_observations_is_config_error(tmp_path, capsys):
         ["surface", "--bandwidth-nuisance", "nan"],
         ["simulate", "--gamma", "-1"],
         ["simulate", "--holdout", "0"],
+        ["simulate", "--gamma", "nan"],
+        ["simulate", "--gamma", "inf"],
+        ["simulate", "--seed", "-1"],
+        ["surface", "--seed", "-1"],
     ],
-    ids=["alphas-abc", "y-grid-0", "x-grid-0", "bandwidth-nan", "gamma-negative", "holdout-0"],
+    ids=[
+        "alphas-abc", "y-grid-0", "x-grid-0", "bandwidth-nan", "gamma-negative", "holdout-0",
+        "gamma-nan", "gamma-inf", "seed-negative-simulate", "seed-negative-surface",
+    ],
 )
 def test_malformed_config_is_one_line_config_error(tmp_path, capsys, argv):
     if argv[0] == "simulate":

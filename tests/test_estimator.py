@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contrast_oracle import dense_cdf_table, dense_profile_many
+from isotonic_oracle import per_row_inversion
 from scalar_oracle import scalar_contrast
 from cqcbench.estimator import (
     ContrastFit,
@@ -130,6 +131,46 @@ def test_estimate_cqc_many_monotone_assertion():
         estimate_cqc_many(
             StubContrast([0.5, -0.5, 0.5]), grid, [0.0], [[0.0]], require_monotone=True
         )
+
+
+class TableContrast:
+    """Contrast evaluator returning a fixed (m, p) profile table."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def profile_many(self, y0s, grid, xs):
+        return self.table
+
+
+def test_estimate_cqc_many_matches_per_row_inversion():
+    rng = np.random.default_rng(11)
+    grid = np.linspace(-1.0, 1.0, 30)
+    for _ in range(20):
+        m = int(rng.integers(3, 40))
+        trend = np.linspace(-1.0, 1.0, grid.size) * rng.uniform(0.0, 2.0, size=(m, 1))
+        table = trend + rng.uniform(-1.0, 1.0, size=(m, 1)) + rng.normal(
+            scale=rng.uniform(0.0, 0.3), size=(m, grid.size)
+        )
+        monotone = rng.random(m) < 0.3
+        table[monotone] = np.sort(table[monotone], axis=1)
+        quarters = rng.random(m) < 0.3  # values k/4: ties in |projected|
+        table[quarters] = np.round(table[quarters] * 4.0) / 4.0
+        table[0] = np.abs(table[0]) + 0.1  # root below the grid: clamps to index 0
+        table[-1] = -np.abs(table[-1]) - 0.1  # root above the grid: clamps to p - 1
+        got = estimate_cqc_many(TableContrast(table), grid, np.zeros(m), np.zeros((m, 1)))
+        expected = per_row_inversion(table, grid)
+        for g, e in zip(got, expected):
+            assert g.dtype == e.dtype and g.tobytes() == e.tobytes()
+
+
+def test_estimate_cqc_many_with_no_queries_returns_empty_arrays():
+    data = illustrative_data(200, gamma=2.0, seed=4)
+    contrast = fit_contrast(data, make_split(data, 4), NK, OK)
+    g_hat, indices, residuals = estimate_cqc_many(
+        contrast, build_grid(data, "treated"), np.empty(0), np.empty((0, 1))
+    )
+    assert g_hat.shape == indices.shape == residuals.shape == (0,)
 
 
 def test_quantile_diff():

@@ -43,11 +43,15 @@ def test_interior_violation_pools_pair():
 def test_empty_input_raises():
     with pytest.raises(ValueError):
         pava_project([])
-
-
-def test_two_dimensional_input_raises():
     with pytest.raises(ValueError):
-        pava_project(np.zeros((2, 2)))
+        pava_project(np.zeros((2, 0)))
+
+
+def test_zero_and_three_dimensional_input_raises():
+    with pytest.raises(ValueError):
+        pava_project(1.0)
+    with pytest.raises(ValueError):
+        pava_project(np.zeros((2, 2, 2)))
 
 
 def test_result_reports_input_length():
@@ -138,6 +142,28 @@ def test_bit_identical_to_numpy_stack_reference():
             pava_project(values).projected.tobytes()
             == numpy_stack_pava(values).tobytes()
         )
+
+
+_TABLE_VALUES = st.floats(allow_nan=False, width=64) | st.sampled_from(
+    [-1.0, -0.0, 0.0, 1.0, np.nan, np.inf, -np.inf]
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data(), st.integers(1, 8), st.integers(1, 40))
+def test_table_rows_bit_identical_to_numpy_stack_reference(data, m, p):
+    # Rows are raw draws or sorted draws (exactly monotone, ties included);
+    # m = 1 and p = 1 give the one-row and one-column tables.
+    rows = []
+    for _ in range(m):
+        row = np.array(data.draw(st.lists(_TABLE_VALUES, min_size=p, max_size=p)))
+        rows.append(np.sort(row) if data.draw(st.booleans()) else row)
+    table = np.array(rows)
+    projected = pava_project(table).projected
+    assert projected.shape == table.shape
+    with np.errstate(all="ignore"):
+        expected = [numpy_stack_pava(row).tobytes() for row in table]
+    assert [row.tobytes() for row in projected] == expected
 
 
 def test_package_import_leaves_scipy_optimize_unloaded():
