@@ -204,6 +204,8 @@ def _parse_axis(text: str, lo: float, hi: float) -> np.ndarray:
         count = int(parts[-1])
     except ValueError as exc:
         raise ConfigError(f"bad axis spec {text!r}") from exc
+    if not math.isfinite(hi - lo):  # NaN or infinite bounds, or a span that overflows
+        raise ConfigError(f"bad axis spec {text!r}: bounds and their span must be finite")
     if count < 1:
         raise ConfigError(f"bad axis spec {text!r}: need at least 1 point")
     return np.linspace(lo, hi, count)

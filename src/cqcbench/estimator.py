@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .isotonic import pava_project
+from .isotonic import pava_project, zero_crossing
 from .kernels import KernelSpec, nw_weight_matrix
 from .nuisance import Dataset, SplitPlan, fit_nuisance, make_split, prefix_gather
 from .pseudo import PseudoOutcomeKind
@@ -215,13 +215,18 @@ class CqcEstimate:
 def estimate_cqc_many(contrast: ContrastFit, grid, y0s, xs, require_monotone: bool = False):
     """Batched inversion over query pairs (y0s[q], xs[q]).
 
-    Each pair's contrast profile over the grid is a row of an (m, p) table;
-    one ``pava_project`` call projects every row onto nondecreasing
-    sequences, and the grid point with the smallest |projected value| is the
-    estimate (ties resolve to the smallest index). A contrast is -1 below the
-    grid and +1 above it, so a profile that never changes sign has its root
-    past the corresponding grid end, and the argmin clamps there. Returns
-    (g_hat, grid indices, residuals |projected value|), empty for no queries.
+    Each pair's contrast profile over the grid is a row of an (m, p) table.
+    The estimate is the grid point where the row's projection onto
+    nondecreasing sequences has the smallest |value| (ties resolve to the
+    smallest index). ``isotonic.zero_crossing`` finds it without projecting
+    the row: it locates the crossing from the row's suffix sums and runs the
+    pool-adjacent-violators stack only on the few blocks beside it, falling
+    back to one ``pava_project`` call for the rows whose crossing it cannot
+    certify against rounding. Indices and residuals are bit for bit those
+    of projecting every row. A contrast is -1 below the grid and +1 above
+    it, so a profile that never changes sign has its root past the
+    corresponding grid end, and the argmin clamps there. Returns (g_hat,
+    grid indices, residuals |projected value|), empty for no queries.
 
     With ``require_monotone`` the pre-projection profiles are asserted to be
     nondecreasing (up to ``_MONOTONE_TOL``); a violation signals an
@@ -235,9 +240,7 @@ def estimate_cqc_many(contrast: ContrastFit, grid, y0s, xs, require_monotone: bo
             "pre-projection contrast profile is not monotone; "
             "this pipeline guarantees monotonicity"
         )
-    projected = pava_project(profiles).projected
-    indices = np.argmin(np.abs(projected), axis=1)
-    residuals = np.abs(projected[np.arange(y0s.size), indices])
+    indices, residuals = zero_crossing(profiles)
     return grid[indices], indices, residuals
 
 

@@ -199,10 +199,15 @@ def test_simulate_too_few_observations_is_config_error(tmp_path, capsys):
         ["simulate", "--gamma", "inf"],
         ["simulate", "--seed", "-1"],
         ["surface", "--seed", "-1"],
+        ["cqte", "--x-grid", "nan:1:3"],
+        ["surface", "--y-grid", "nan:1:3"],
+        ["surface", "--x-grid", "0:inf:3"],
+        ["surface", "--y-grid", "1e308:-1e308:3"],
     ],
     ids=[
         "alphas-abc", "y-grid-0", "x-grid-0", "bandwidth-nan", "gamma-negative", "holdout-0",
         "gamma-nan", "gamma-inf", "seed-negative-simulate", "seed-negative-surface",
+        "x-grid-nan", "y-grid-nan", "x-grid-inf", "y-grid-span-overflow",
     ],
 )
 def test_malformed_config_is_one_line_config_error(tmp_path, capsys, argv):

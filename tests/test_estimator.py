@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contrast_oracle import dense_cdf_table, dense_profile_many
@@ -22,7 +22,7 @@ from cqcbench.estimator import (
 from cqcbench.kernels import KernelSpec
 from cqcbench.nuisance import Dataset, SingleArmError, SplitPlan, make_split
 from cqcbench.pseudo import PseudoOutcomeKind
-from cqcbench.simlab import DgpSpec, sample_dgp, truth
+from cqcbench.simlab import DgpSpec, sample_dgp, sample_holdout, truth
 
 NK = KernelSpec("gaussian", 0.1)
 OK = KernelSpec("gaussian", 0.15)
@@ -162,6 +162,70 @@ def test_estimate_cqc_many_matches_per_row_inversion():
         expected = per_row_inversion(table, grid)
         for g, e in zip(got, expected):
             assert g.dtype == e.dtype and g.tobytes() == e.tobytes()
+
+
+def assert_same_inversion(got, expected):
+    for g, e in zip(got, expected):
+        assert g.dtype == e.dtype and g.tobytes() == e.tobytes()
+
+
+# Quarter levels tie exactly, in raw values and in block means.
+TIE_LEVELS = (-1.0, -0.75, -0.5, -0.25, -0.0, 0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+@st.composite
+def near_tie_rows(draw, p):
+    row = np.array(draw(st.lists(st.sampled_from(TIE_LEVELS), min_size=p, max_size=p)))
+    runs = draw(st.lists(st.integers(1, 4), min_size=p, max_size=p))
+    row = np.repeat(row, runs)[:p]  # runs of equal adjacent raw values
+    for i in draw(st.lists(st.integers(0, p - 1), max_size=3)):
+        row[i] = np.nextafter(row[i], draw(st.sampled_from((-np.inf, np.inf))))  # one ulp
+    # +-2 moves the crossing past a grid end, so the row never changes sign.
+    row = row + draw(st.sampled_from((0.0, 0.0, 2.0, -2.0)))
+    if p > 2 and draw(st.integers(0, 2)) > 0:
+        # Large end values make the suffix sums round at their scale, far
+        # above small steps and one-ulp gaps near the crossing.
+        row = row * draw(st.sampled_from((0.1, 0.3, 1e-9)))
+        row[0], row[-1] = -1e6, 1e6
+    if draw(st.integers(0, 4)) == 0:
+        row[draw(st.integers(0, p - 1))] = draw(st.sampled_from((np.nan, np.inf, -np.inf)))
+    return row
+
+
+@st.composite
+def near_tie_tables(draw):
+    p = draw(st.integers(1, 14))
+    m = draw(st.integers(0, 6))
+    return np.array([draw(near_tie_rows(p)) for _ in range(m)]).reshape(m, p)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(table=near_tie_tables())
+@example(table=np.empty((0, 5)))
+@example(table=np.array([[0.5], [-0.0], [np.nan], [-np.inf]]))
+@example(table=np.array([[-1.0, -0.25, -0.25, 0.25, 0.25, -0.5, 1.0]]))
+def test_estimate_cqc_many_matches_per_row_inversion_on_near_ties(table):
+    m, p = table.shape
+    grid = np.linspace(-1.0, 1.0, p)
+    got = estimate_cqc_many(TableContrast(table), grid, np.zeros(m), np.zeros((m, 1)))
+    with np.errstate(invalid="ignore"):
+        expected = per_row_inversion(table, grid)
+    assert_same_inversion(got, expected)
+
+
+def test_estimate_cqc_many_matches_per_row_inversion_on_fitted_profiles():
+    spec = DgpSpec("illustrative", gamma=6.0)
+    data = sample_dgp(spec, 400, seed=3)
+    y0s, xs = sample_holdout(spec, 40, seed=4)
+    contrast = cross_fit_contrast(
+        data, 3, KernelSpec("gaussian", 0.03), KernelSpec("gaussian", 0.08)
+    )
+    grid = build_grid(data, "treated")
+    table = contrast.profile_many(y0s, grid, xs)
+    assert np.any(table[:, 1:] == table[:, :-1])  # exact ties in real profiles
+    assert np.any(table[:, 1:] < table[:, :-1])
+    got = estimate_cqc_many(contrast, grid, y0s, xs)
+    assert_same_inversion(got, per_row_inversion(table, grid))
 
 
 def test_estimate_cqc_many_with_no_queries_returns_empty_arrays():

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqcbench.isotonic import pava_project
+from cqcbench import isotonic
+from cqcbench.isotonic import pava_project, zero_crossing
 
 from isotonic_oracle import dp_isotonic_fit, numpy_stack_pava
 
@@ -164,6 +165,70 @@ def test_table_rows_bit_identical_to_numpy_stack_reference(data, m, p):
     with np.errstate(all="ignore"):
         expected = [numpy_stack_pava(row).tobytes() for row in table]
     assert [row.tobytes() for row in projected] == expected
+
+
+# The ends set a rounding bound of about 9e-9 on these rows; the two values
+# left of the -0.25 run sit 4 and 5.5 bounds below it (mirrored in the second
+# row), so pooling across the crossing window's edge is within rounding of the
+# chord test and the rows must go to pava_project.
+EDGE_WITHIN_ROUNDING = np.array([
+    [-1e6, -0.2500000355271368, -0.2500000488498131, -0.25, -0.25, 0.5, 1e6],
+    [-1e6, -0.5, 0.25, 0.25, 0.2500000488498131, 0.2500000355271368, 1e6],
+])
+
+
+def count_pava_rows(monkeypatch):
+    calls = []
+
+    def counted(values):
+        calls.append(np.array(values))
+        return pava_project(values)
+
+    monkeypatch.setattr(isotonic, "pava_project", counted)
+    return calls
+
+
+def assert_matches_per_row_reference(table, indices, residuals):
+    for row, index, residual in zip(table, indices, residuals):
+        projected = np.abs(numpy_stack_pava(row))
+        assert index == np.argmin(projected) and residual.tobytes() == projected[index].tobytes()
+
+
+def test_zero_crossing_sends_only_uncertified_rows_to_one_pava_call(monkeypatch):
+    calls = count_pava_rows(monkeypatch)
+    table = np.vstack([
+        [-1.0, -0.5, 0.5, 0.25, -0.25, 1.0, 2.0],  # a clean crossing
+        EDGE_WITHIN_ROUNDING,
+        [-1.0, np.nan, 0.5, 0.25, -0.25, 1.0, 2.0],
+        [-1.0, -0.5, 0.5, 0.25, -0.25, 1.0, np.inf],
+        [-0.3, -0.2, -0.1, 0.0, 0.1, 0.2, 0.3],  # no descent: its own projection
+    ])
+    indices, residuals = zero_crossing(table)
+    assert len(calls) == 1 and calls[0].tobytes() == table[1:5].tobytes()
+    assert_matches_per_row_reference(table, indices, residuals)
+
+    calls.clear()
+    zero_crossing(table[[0, 5]])
+    assert len(calls) == 1 and calls[0].shape == (0, 7)
+
+
+def test_zero_crossing_in_row_blocks_matches_per_row_reference(monkeypatch):
+    calls = count_pava_rows(monkeypatch)
+    rng = np.random.default_rng(3)
+    quarters = np.round(np.cumsum(rng.normal(size=(30, 7)), axis=1) * 4.0) / 4.0  # ties
+    table = np.vstack([quarters, EDGE_WITHIN_ROUNDING])
+    for block_values in (isotonic._BLOCK_VALUES, 8, 24):  # all rows, 1 and 3 per block
+        monkeypatch.setattr(isotonic, "_BLOCK_VALUES", block_values)
+        calls.clear()
+        indices, residuals = zero_crossing(table)
+        assert_matches_per_row_reference(table, indices, residuals)
+        assert len(calls) == 1 and calls[0].tobytes() == EDGE_WITHIN_ROUNDING.tobytes()
+
+
+def test_zero_crossing_rejects_non_table_input():
+    for bad in (np.zeros(3), np.zeros((2, 0)), np.zeros((1, 2, 3))):
+        with pytest.raises(ValueError):
+            zero_crossing(bad)
 
 
 def test_package_import_leaves_scipy_optimize_unloaded():
