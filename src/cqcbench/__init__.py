@@ -25,16 +25,13 @@ from .nuisance import (
 from .pseudo import PseudoOutcomeKind
 from .estimator import (
     ContrastFit,
-    CqcEstimate,
     CqcFit,
     build_grid,
     cqc_to_cqte,
     cross_fit_contrast,
-    estimate_cqc,
     estimate_cqc_many,
     fit_contrast,
     fit_oracle_contrast,
-    quantile_diff,
     surface_eval,
 )
 from .baselines import DrEstimator, IpwEstimator, OracleEstimator, SeparateEstimator

@@ -17,32 +17,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .estimator import (
-    ContrastFit,
-    build_grid,
-    cross_fit_contrast,
-    estimate_cqc_many,
-    fit_contrast,
-    fit_oracle_contrast,
-)
+from .estimator import CqcFit, build_grid, cross_fit_contrast, fit_contrast, fit_oracle_contrast
 from .kernels import KernelSpec
 from .nuisance import Dataset, fit_ccdf, make_split, step_quantile
 from .pseudo import PseudoOutcomeKind
-
-
-class _ContrastPredictor:
-    """Batch predictor over a fitted contrast and a fixed grid."""
-
-    def __init__(self, contrast: ContrastFit, grid: np.ndarray, require_monotone: bool):
-        self.contrast = contrast
-        self.grid = grid
-        self.require_monotone = require_monotone
-
-    def __call__(self, y0s, xs) -> np.ndarray:
-        g_hat, _, _ = estimate_cqc_many(
-            self.contrast, self.grid, y0s, xs, require_monotone=self.require_monotone
-        )
-        return g_hat
 
 
 class _SeparatePredictor:
@@ -52,15 +30,10 @@ class _SeparatePredictor:
     def __call__(self, y0s, xs) -> np.ndarray:
         y0s = np.asarray(y0s, dtype=float).reshape(-1)
         jumps0 = self.ccdf.arm_outcomes(0)
-        jumps1 = self.ccdf.arm_outcomes(1)
         w0 = self.ccdf.weight_matrix(0, xs)
-        w1 = self.ccdf.weight_matrix(1, xs)
         alphas = np.einsum("qi,iq->q", w0, (jumps0[:, None] <= y0s[None, :]).astype(float))
-        cums = np.cumsum(w1, axis=1)
-        out = np.empty(y0s.size)
-        for q in range(y0s.size):
-            out[q] = step_quantile(jumps1, cums[q], alphas[q])
-        return out
+        cums1 = np.cumsum(self.ccdf.weight_matrix(1, xs), axis=1)
+        return step_quantile(self.ccdf.arm_outcomes(1), cums1, alphas)
 
 
 class DrEstimator:
@@ -85,7 +58,7 @@ class DrEstimator:
         self.grid_policy = grid_policy
         self.grid_count = grid_count
 
-    def fit(self, dataset: Dataset, seed: int, truth=None) -> _ContrastPredictor:
+    def fit(self, dataset: Dataset, seed: int, truth=None) -> CqcFit:
         grid = build_grid(dataset, self.grid_policy, self.grid_count)
         if self.cross_fit:
             contrast = cross_fit_contrast(
@@ -100,9 +73,7 @@ class DrEstimator:
                 self.kind,
                 self.xi,
             )
-        return _ContrastPredictor(
-            contrast, grid, require_monotone=self.kind is PseudoOutcomeKind.IPW
-        )
+        return CqcFit(contrast, grid, require_monotone=self.kind is PseudoOutcomeKind.IPW)
 
 
 class IpwEstimator(DrEstimator):
@@ -141,9 +112,9 @@ class OracleEstimator:
         self.grid_policy = grid_policy
         self.grid_count = grid_count
 
-    def fit(self, dataset: Dataset, seed: int, truth=None) -> _ContrastPredictor:
+    def fit(self, dataset: Dataset, seed: int, truth=None) -> CqcFit:
         if truth is None:
             raise ValueError("oracle estimator needs exact nuisances from a simulation")
         grid = build_grid(dataset, self.grid_policy, self.grid_count)
         contrast = fit_oracle_contrast(dataset, truth, self.outer_kernel, xi=self.xi)
-        return _ContrastPredictor(contrast, grid, require_monotone=False)
+        return CqcFit(contrast, grid)

@@ -29,8 +29,8 @@ import numpy as np
 from .estimator import (
     CqcFit,
     build_grid,
+    cqc_to_cqte,
     cross_fit_contrast,
-    estimate_cqc_many,
     fit_contrast,
     surface_eval,
 )
@@ -288,17 +288,25 @@ def write_dataset_csv(dataset: Dataset, path: str) -> None:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".csv")
+    """Write ``text`` to ``path`` through a temporary file beside it.
+
+    A path that cannot be written, such as one below a regular file, is a
+    config error.
+    """
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        directory = os.path.dirname(os.path.abspath(path))
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".csv")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _out_path(config: RunConfig, filename: str) -> str:
@@ -414,23 +422,13 @@ def cmd_cqte(config: RunConfig) -> int:
         raise ConfigError("empty alpha list")
     if any(not 0.0 < a < 1.0 for a in alphas):
         raise ConfigError("alpha values must lie in (0, 1)")
-    contrast = _fit_dr_contrast(config, dataset)
-    grid = _input_grid(config, dataset)
+    fit = CqcFit(_fit_dr_contrast(config, dataset), _input_grid(config, dataset))
     arm0 = fit_ccdf(dataset, config.nuisance_kernel())
     _, x_vals, xs = _surface_axes(config, dataset)
-    queries_y0, queries_x, echo = [], [], []
-    for alpha in alphas:
-        for k in range(xs.shape[0]):
-            y0 = arm0.quantile(0, alpha, xs[k])
-            queries_y0.append(y0)
-            queries_x.append(xs[k])
-            echo.append((alpha, float(x_vals[k]), y0))
-    g_hat, _, _ = estimate_cqc_many(
-        contrast, grid, np.array(queries_y0), np.array(queries_x)
-    )
+    tau = cqc_to_cqte(fit, lambda levels, x: arm0.quantile(0, levels, x), alphas, xs)
     lines = ["alpha,x,tau_hat"]
-    for (alpha, xv, y0), g in zip(echo, g_hat):
-        lines.append(f"{alpha!r},{xv!r},{float(g) - y0!r}")
+    for alpha, row in zip(alphas, tau):  # alpha-major, as cqc_to_cqte's table
+        lines += [f"{alpha!r},{float(xv)!r},{float(t)!r}" for xv, t in zip(x_vals, row)]
     path = _out_path(config, "cqte.csv")
     _atomic_write(path, "\n".join(lines) + "\n")
     print(f"wrote {path} ({len(alphas)} alphas x {x_vals.size} x-values)")

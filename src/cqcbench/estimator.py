@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .isotonic import pava_project, zero_crossing
+# pava_project is unused here, but bench/test_bench.py checks this binding.
+from .isotonic import pava_project, zero_crossing  # noqa: F401
 from .kernels import KernelSpec, nw_weight_matrix
 from .nuisance import Dataset, SplitPlan, fit_nuisance, make_split, prefix_gather
 from .pseudo import PseudoOutcomeKind
@@ -203,15 +204,6 @@ def _check_grid(grid: np.ndarray) -> np.ndarray:
     return grid
 
 
-@dataclass(frozen=True)
-class CqcEstimate:
-    """One inverted estimate: grid member, its index, and |projected value|."""
-
-    g_hat: float
-    index: int
-    residual: float
-
-
 def estimate_cqc_many(contrast: ContrastFit, grid, y0s, xs, require_monotone: bool = False):
     """Batched inversion over query pairs (y0s[q], xs[q]).
 
@@ -244,64 +236,61 @@ def estimate_cqc_many(contrast: ContrastFit, grid, y0s, xs, require_monotone: bo
     return grid[indices], indices, residuals
 
 
-def estimate_cqc(contrast: ContrastFit, grid, y0: float, x) -> CqcEstimate:
-    """``estimate_cqc_many`` for one query pair (y0, x)."""
-    g_hat, indices, residuals = estimate_cqc_many(contrast, grid, [y0], np.reshape(x, (1, -1)))
-    return CqcEstimate(g_hat=float(g_hat[0]), index=int(indices[0]), residual=float(residuals[0]))
-
-
-def quantile_diff(estimate: CqcEstimate, y0: float) -> float:
-    """Signed treated-minus-untreated gap at the estimated equal quantile."""
-    return estimate.g_hat - y0
-
-
 @dataclass
 class CqcFit:
-    """A contrast fit bound to an evaluation grid."""
+    """A contrast fit bound to an evaluation grid: the batch predictor of g_hat.
+
+    ``fit(y0s, xs)`` is ``estimate_cqc_many``'s g_hat for the query pairs
+    (y0s[q], xs[q]); ``require_monotone`` is passed through to it.
+    """
 
     contrast: ContrastFit
     grid: np.ndarray
+    require_monotone: bool = False
 
     def __post_init__(self):
         self.grid = _check_grid(self.grid)
 
-    def estimate(self, y0: float, x) -> CqcEstimate:
-        return estimate_cqc(self.contrast, self.grid, y0, x)
+    def __call__(self, y0s, xs) -> np.ndarray:
+        g_hat, _, _ = estimate_cqc_many(
+            self.contrast, self.grid, y0s, xs, require_monotone=self.require_monotone
+        )
+        return g_hat
 
 
-def cqc_to_cqte(fit: CqcFit, arm0_quantile, alpha: float, x) -> float:
-    """Quantile treatment effect at level alpha via the estimated outcome map.
+def _as_rows(xs) -> np.ndarray:
+    xs = np.asarray(xs, dtype=float)
+    return xs.reshape(-1, 1) if xs.ndim < 2 else xs
 
-    ``arm0_quantile(alpha, x)`` supplies the untreated conditional quantile
-    (fitted or exact); the effect is g_hat at that point minus the point.
+
+def cqc_to_cqte(fit: CqcFit, arm0_quantile, alphas, xs) -> np.ndarray:
+    """Quantile treatment effects over (alphas[i], xs[k]) via the estimated outcome map.
+
+    ``arm0_quantile(alphas, x)`` supplies the untreated conditional quantiles
+    (fitted or exact) at every level for one covariate row. Cell [i, k] of the
+    (len(alphas), len(xs)) result is g_hat at y0 = the alphas[i]-quantile at
+    xs[k], minus y0; all cells are estimated in one level-major ``fit`` call.
     """
-    if not 0.0 < alpha < 1.0:
+    alphas = np.asarray(alphas, dtype=float).reshape(-1)
+    if not np.all((alphas > 0.0) & (alphas < 1.0)):
         raise ValueError("alpha must lie in (0, 1)")
-    y0 = float(arm0_quantile(alpha, x))
-    return fit.estimate(y0, x).g_hat - y0
+    xs = _as_rows(xs)
+    y0s = np.column_stack([arm0_quantile(alphas, x) for x in xs])
+    g_hat = fit(y0s.reshape(-1), np.tile(xs, (alphas.size, 1)))
+    return g_hat.reshape(y0s.shape) - y0s
 
 
-def surface_eval(fit: CqcFit, y_grid, x_grid, monotone_y0: bool = False) -> np.ndarray:
+def surface_eval(fit: CqcFit, y_grid, x_grid) -> np.ndarray:
     """Treated-minus-untreated gap over a (y, x) grid, row-major in y.
 
-    ``monotone_y0`` applies a second isotonic pass to g_hat along the y axis
-    of each x slice before differencing; the grid search only enforces
-    monotonicity along the candidate-outcome axis, so residual non-monotone
-    wiggle in y0 can remain without it.
+    Each x column is one ``fit`` call over the y values, so only one
+    column's profile table is live at a time.
     """
     ys = np.asarray(y_grid, dtype=float).reshape(-1)
-    xs = np.asarray(x_grid, dtype=float)
-    if xs.ndim == 0:
-        xs = xs.reshape(1, 1)
-    elif xs.ndim == 1:
-        xs = xs.reshape(-1, 1)
+    xs = _as_rows(x_grid)
     if ys.size == 0 or xs.shape[0] == 0:
         raise ValueError("surface grids must be nonempty")
     out = np.empty((ys.size, xs.shape[0]))
     for j in range(xs.shape[0]):
-        x_rows = np.tile(xs[j], (ys.size, 1))
-        g_hat, _, _ = estimate_cqc_many(fit.contrast, fit.grid, ys, x_rows)
-        if monotone_y0:
-            g_hat = pava_project(g_hat).projected
-        out[:, j] = g_hat - ys
+        out[:, j] = fit(ys, np.tile(xs[j], (ys.size, 1))) - ys
     return out

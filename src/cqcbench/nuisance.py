@@ -22,20 +22,25 @@ class SingleArmError(ValueError):
     """A fit that needs both treatment arms saw only one."""
 
 
-def step_quantile(jumps: np.ndarray, cum: np.ndarray, alpha: float) -> float:
-    """Generalised inverse of a step CDF given its jump points and cumulative mass.
+def step_quantile(jumps: np.ndarray, cums: np.ndarray, alphas):
+    """Generalised inverses of step CDFs given their jump points and cumulative mass.
 
-    Returns the smallest jump point whose cumulative mass reaches alpha; at
-    alpha = 0 that is the smallest jump point. A small slack absorbs float
-    round-off in cumulative sums that should reach exactly one.
+    Row q of ``cums`` (nondecreasing mass at each of ``jumps``) is inverted at
+    ``alphas[q]``; a single ``cums`` row is inverted at every level. Each
+    answer is the smallest jump point whose cumulative mass reaches alpha; at
+    alpha = 0 that is the smallest jump point. On a nondecreasing row the
+    count of entries below alpha is ``searchsorted(side="left")``. A small
+    slack absorbs float round-off in cumulative sums that should reach
+    exactly one.
     """
-    pos = int(np.searchsorted(cum, alpha, side="left"))
-    if pos >= cum.size:
-        if alpha <= cum[-1] + _QUANTILE_SLACK:
-            pos = cum.size - 1
-        else:
-            raise ValueError(f"alpha={alpha} above attainable CDF mass {cum[-1]}")
-    return float(jumps[pos])
+    alphas = np.asarray(alphas, dtype=float)
+    last = cums[..., -1]
+    beyond = ~(alphas <= last + _QUANTILE_SLACK)  # NaN levels included
+    if np.any(beyond):
+        alpha, mass = np.broadcast_arrays(alphas, last)
+        raise ValueError(f"alpha={alpha[beyond][0]} above attainable CDF mass {mass[beyond][0]}")
+    pos = np.count_nonzero(cums < alphas[..., None], axis=-1)
+    return jumps[np.minimum(pos, jumps.size - 1)]
 
 
 def prefix_gather(weights: np.ndarray, points: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -198,13 +203,14 @@ class CcdfEvaluator:
         table = prefix_gather(self.weight_matrix(arm, queries), jumps, ys)
         return np.clip(table, 0.0, 1.0, out=table)
 
-    def quantile(self, arm: int, alpha: float, x) -> float:
-        """Generalised inverse inf{y : F(y) >= alpha} over the jump points."""
-        if not 0.0 <= alpha <= 1.0:
+    def quantile(self, arm: int, alphas, x):
+        """Generalised inverse inf{y : F(y) >= alpha} over the jump points at
+        every level in ``alphas``, from one weight row at ``x``."""
+        alphas = np.asarray(alphas, dtype=float)
+        if not np.all((alphas >= 0.0) & (alphas <= 1.0)):
             raise ValueError("alpha must lie in [0, 1]")
         _, jumps = self._arm_rows[arm]
-        cum = np.cumsum(self.weight_row(arm, x))
-        return step_quantile(jumps, cum, alpha)
+        return step_quantile(jumps, np.cumsum(self.weight_row(arm, x)), alphas)
 
 
 def fit_propensity(dataset: Dataset, kernel: KernelSpec, xi: float = 0.05) -> PropensityEvaluator:

@@ -1,11 +1,13 @@
-"""Scalar reference forms of the pseudo-outcomes, the contrast and the separate plug-in.
+"""Scalar reference forms of the pseudo-outcomes, the contrast, the generalised
+inverse and the separate plug-in.
 
 The library forms pseudo-outcomes, smooths them and inverts the arm CDFs for
 whole batches of queries with prefix sums and matrix products. These
 references take one observation or one query at a time through the
 nuisances' scalar calls, ``propensity(x)`` and ``ccdf(arm, y, x)``, and
 weight the regression rows with ``resolve_weights``, so they share no batch
-arithmetic with the library's profiles.
+arithmetic with the library's profiles. ``step_quantile`` inverts one CDF at
+one level with ``searchsorted``, where the library counts entries row-wise.
 """
 
 import numpy as np
@@ -13,6 +15,8 @@ import numpy as np
 from cqcbench.kernels import resolve_weights
 from cqcbench.nuisance import fit_ccdf
 from cqcbench.pseudo import PseudoOutcomeKind
+
+QUANTILE_SLACK = 1e-9  # round-off allowance above the last cumulative mass
 
 
 def dr_pseudo(y: float, x, a: int, y0: float, y1: float, nuisance) -> float:
@@ -52,6 +56,22 @@ def scalar_contrast(rep, y0: float, y1: float, x) -> float:
     return float(resolve_weights(rep.outer_kernel, x, d2.x) @ np.array(phi))
 
 
+def step_quantile(jumps: np.ndarray, cum: np.ndarray, alpha: float) -> float:
+    """Generalised inverse of one step CDF given its jump points and cumulative mass.
+
+    Returns the smallest jump point whose cumulative mass reaches alpha; at
+    alpha = 0 that is the smallest jump point. Mass short of alpha by at most
+    ``QUANTILE_SLACK`` counts as reaching it at the last jump point.
+    """
+    pos = int(np.searchsorted(cum, alpha, side="left"))
+    if pos >= cum.size:
+        if alpha <= cum[-1] + QUANTILE_SLACK:
+            pos = cum.size - 1
+        else:
+            raise ValueError(f"alpha={alpha} above attainable CDF mass {cum[-1]}")
+    return float(jumps[pos])
+
+
 def separate_plugin_cqc(dataset, kernel, y0: float, x) -> float:
     """Plug-in estimate: arm-1 generalised inverse at the arm-0 CDF value.
 
@@ -60,4 +80,4 @@ def separate_plugin_cqc(dataset, kernel, y0: float, x) -> float:
     """
     ccdf = fit_ccdf(dataset, kernel)
     alpha = ccdf(0, y0, x)
-    return ccdf.quantile(1, alpha, x)
+    return step_quantile(ccdf.arm_outcomes(1), np.cumsum(ccdf.weight_row(1, x)), alpha)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scalar_oracle import step_quantile
 from cqcbench.cli import (
     DataError,
     ingest_csv,
@@ -13,7 +14,9 @@ from cqcbench.cli import (
     parse_config_file,
     write_dataset_csv,
 )
-from cqcbench.nuisance import Dataset
+from cqcbench.estimator import build_grid, cross_fit_contrast, estimate_cqc_many
+from cqcbench.kernels import KernelSpec
+from cqcbench.nuisance import Dataset, fit_ccdf
 from cqcbench.simlab import DgpSpec, sample_dgp
 
 
@@ -221,6 +224,27 @@ def test_malformed_config_is_one_line_config_error(tmp_path, capsys, argv):
     assert not {"errors.csv", "surface.csv", "cqte.csv"} & set(os.listdir(tmp_path))
 
 
+@pytest.mark.parametrize("case", ["simulate-out", "surface-out", "cqte-out", "dump-data"])
+def test_unwritable_output_path_is_one_line_config_error(tmp_path, capsys, case):
+    blocker = tmp_path / "file"
+    blocker.write_text("a regular file where a directory should be\n")
+    if case == "simulate-out":
+        argv = simulate_args(tmp_path, **{"--out": str(blocker / "sub")})
+    elif case == "dump-data":
+        argv = simulate_args(tmp_path, **{"--dump-data": str(blocker / "x.csv")})
+    else:
+        command = case.split("-")[0]
+        grids = ["--x-grid", "2"] + (["--y-grid", "2"] if command == "surface" else [])
+        argv = [
+            command, "--input", synthetic_csv(tmp_path, n=200), "--out", str(blocker / "sub"),
+            *grids, "--bandwidth-nuisance", "0.2", "--bandwidth-outer", "0.3",
+        ]
+    assert main(argv) == 1
+    target = blocker / ("x.csv" if case == "dump-data" else "sub")
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {target}") and err.count("\n") == 1
+
+
 def test_simulate_deterministic_files(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     out_a.mkdir(), out_b.mkdir()
@@ -355,6 +379,33 @@ def test_cqte_rows_and_flat_truth(tmp_path):
     lo, hi = np.mean(by_alpha[0.25]), np.mean(by_alpha[0.75])
     assert lo < med < hi
     assert abs((hi - med) + (lo - med)) < 0.5
+
+
+def test_cqte_csv_is_alpha_major_and_matches_batch_inversion(tmp_path):
+    path = synthetic_csv(tmp_path, gamma=2.0, n=300, seed=4)
+    code = main(
+        [
+            "cqte", "--input", path, "--out", str(tmp_path),
+            "--alphas", "0.3,0.6", "--x-grid", "3",
+            "--bandwidth-nuisance", "0.15", "--bandwidth-outer", "0.25", "--seed", "2",
+        ]
+    )
+    assert code == 0
+    lines = (tmp_path / "cqte.csv").read_text().strip().splitlines()
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    data = ingest_csv(path)
+    alphas = [0.3, 0.6]
+    x_vals = np.linspace(data.x[:, 0].min(), data.x[:, 0].max(), 3)
+    assert [(alpha, x) for alpha, x, _ in rows] == [(a, float(x)) for a in alphas for x in x_vals]
+    ccdf = fit_ccdf(data, KernelSpec("gaussian", 0.15))
+    cums0 = [np.cumsum(ccdf.weight_row(0, [x])) for x in x_vals]
+    y0s = np.array([step_quantile(ccdf.arm_outcomes(0), c, a) for a in alphas for c in cums0])
+    contrast = cross_fit_contrast(
+        data, 2, KernelSpec("gaussian", 0.15), KernelSpec("gaussian", 0.25)
+    )
+    xs = np.tile(x_vals.reshape(-1, 1), (len(alphas), 1))
+    g_hat, _, _ = estimate_cqc_many(contrast, build_grid(data, "treated"), y0s, xs)
+    assert [tau for _, _, tau in rows] == list(g_hat - y0s)
 
 
 def test_cqte_alpha_out_of_range(tmp_path):

@@ -12,11 +12,9 @@ from cqcbench.estimator import (
     build_grid,
     cqc_to_cqte,
     cross_fit_contrast,
-    estimate_cqc,
     estimate_cqc_many,
     fit_contrast,
     fit_oracle_contrast,
-    quantile_diff,
     surface_eval,
 )
 from cqcbench.kernels import KernelSpec
@@ -34,9 +32,6 @@ class StubContrast:
     def __init__(self, values):
         self.values = np.asarray(values, dtype=float)
 
-    def profile(self, y0, grid, x):
-        return self.values.copy()
-
     def profile_many(self, y0s, grid, xs):
         y0s = np.asarray(y0s, dtype=float).reshape(-1)
         return np.tile(self.values, (y0s.size, 1))
@@ -45,13 +40,24 @@ class StubContrast:
 class LinearContrast:
     """Profile grid - y0: root of the contrast sits exactly at y0."""
 
-    def profile(self, y0, grid, x):
-        return np.asarray(grid, dtype=float) - y0
-
     def profile_many(self, y0s, grid, xs):
         y0s = np.asarray(y0s, dtype=float).reshape(-1)
         grid = np.asarray(grid, dtype=float)
         return grid[None, :] - y0s[:, None]
+
+
+class ScaledContrast:
+    """Profile grid - y0 * (1 + x1): the root depends on both y0 and x."""
+
+    def profile_many(self, y0s, grid, xs):
+        roots = np.asarray(y0s, dtype=float).reshape(-1) * (1.0 + np.asarray(xs)[:, 0])
+        return np.asarray(grid, dtype=float)[None, :] - roots[:, None]
+
+
+def estimate_one(contrast, grid, y0=0.0, x=0.0):
+    """One-query ``estimate_cqc_many``: (g_hat, index, residual) of (y0, x)."""
+    g_hat, indices, residuals = estimate_cqc_many(contrast, grid, [y0], [[x]])
+    return g_hat[0], indices[0], residuals[0]
 
 
 def illustrative_data(n=300, gamma=2.0, seed=0):
@@ -92,37 +98,37 @@ def test_build_grid_unknown_policy():
 
 
 def test_estimate_cqc_residual_scan():
-    est = estimate_cqc(StubContrast([-0.2, -0.05, 0.1]), [1.0, 2.0, 3.0], 0.0, [0.0])
-    assert est.g_hat == 2.0
-    assert est.index == 1
-    assert est.residual == pytest.approx(0.05)
+    g_hat, index, residual = estimate_one(StubContrast([-0.2, -0.05, 0.1]), [1.0, 2.0, 3.0])
+    assert g_hat == 2.0
+    assert index == 1
+    assert residual == pytest.approx(0.05)
 
 
 def test_estimate_cqc_exact_zero():
     grid = [1.0, 2.0, 3.0]
-    est = estimate_cqc(StubContrast([-0.1, 0.0, 0.1]), grid, 0.0, [0.0])
-    assert est.g_hat == grid[1]
-    assert est.residual == 0.0
+    g_hat, _, residual = estimate_one(StubContrast([-0.1, 0.0, 0.1]), grid)
+    assert g_hat == grid[1]
+    assert residual == 0.0
 
 
 def test_estimate_cqc_tie_takes_smallest_index():
-    est = estimate_cqc(StubContrast([0.05, 0.05]), [1.0, 2.0], 0.0, [0.0])
-    assert est.g_hat == 1.0
-    assert est.index == 0
+    g_hat, index, _ = estimate_one(StubContrast([0.05, 0.05]), [1.0, 2.0])
+    assert g_hat == 1.0
+    assert index == 0
 
 
 def test_estimate_cqc_projects_before_inverting():
     # Raw profile is non-monotone; projection pools (0.3, -0.3) to zero.
-    est = estimate_cqc(StubContrast([-0.4, 0.3, -0.3, 0.5]), [1.0, 2.0, 3.0, 4.0], 0.0, [0.0])
-    assert est.g_hat == 2.0
-    assert est.residual == 0.0
+    g_hat, _, residual = estimate_one(StubContrast([-0.4, 0.3, -0.3, 0.5]), [1.0, 2.0, 3.0, 4.0])
+    assert g_hat == 2.0
+    assert residual == 0.0
 
 
 def test_estimate_cqc_rejects_unsorted_grid():
     with pytest.raises(ValueError):
-        estimate_cqc(StubContrast([0.0, 0.1]), [2.0, 1.0], 0.0, [0.0])
+        estimate_one(StubContrast([0.0, 0.1]), [2.0, 1.0])
     with pytest.raises(ValueError):
-        estimate_cqc(StubContrast([]), [], 0.0, [0.0])
+        estimate_one(StubContrast([]), [])
 
 
 def test_estimate_cqc_many_monotone_assertion():
@@ -131,6 +137,8 @@ def test_estimate_cqc_many_monotone_assertion():
         estimate_cqc_many(
             StubContrast([0.5, -0.5, 0.5]), grid, [0.0], [[0.0]], require_monotone=True
         )
+    with pytest.raises(AssertionError):
+        CqcFit(StubContrast([0.5, -0.5, 0.5]), grid, require_monotone=True)([0.0], [[0.0]])
 
 
 class TableContrast:
@@ -237,36 +245,43 @@ def test_estimate_cqc_many_with_no_queries_returns_empty_arrays():
     assert g_hat.shape == indices.shape == residuals.shape == (0,)
 
 
-def test_quantile_diff():
-    est = estimate_cqc(StubContrast([-0.1, 0.0]), [1.5, 2.0], 1.5, [0.0])
-    assert quantile_diff(est, 1.5) == pytest.approx(0.5)
-    identity = estimate_cqc(StubContrast([0.0, 0.1]), [1.5, 2.0], 1.5, [0.0])
-    assert quantile_diff(identity, 1.5) == 0.0
-
-
 def test_cqc_to_cqte_identity_map_gives_zero():
     grid = np.linspace(0.0, 1.0, 11)
     fit = CqcFit(LinearContrast(), grid)
-    for alpha in (0.1, 0.5, 0.9):
-        tau = cqc_to_cqte(fit, lambda a, x: round(a, 1), alpha, np.array([0.0]))
-        assert tau == pytest.approx(0.0, abs=1e-12)
+    tau = cqc_to_cqte(fit, lambda a, x: np.round(a, 1), [0.1, 0.5, 0.9], np.array([0.0]))
+    assert tau.shape == (3, 1)
+    np.testing.assert_allclose(tau, 0.0, atol=1e-12)
 
 
 def test_cqc_to_cqte_alpha_bounds():
     fit = CqcFit(LinearContrast(), np.linspace(0, 1, 5))
     for alpha in (0.0, 1.0, -0.2, 1.5):
         with pytest.raises(ValueError):
-            cqc_to_cqte(fit, lambda a, x: a, alpha, np.array([0.0]))
+            cqc_to_cqte(fit, lambda a, x: a, [0.5, alpha], np.array([0.0]))
 
 
-def test_surface_eval_single_cell_matches_quantile_diff():
-    grid = np.linspace(0.0, 2.0, 21)
-    stub = LinearContrast()
-    fit = CqcFit(stub, grid)
+def test_cqc_to_cqte_table_is_alphas_by_xs():
+    fit = CqcFit(ScaledContrast(), np.linspace(-3.0, 3.0, 121))
+    alphas = np.array([0.2, 0.5, 0.9])
+    xs = np.array([[0.0], [0.35], [0.7], [1.0]])
+
+    def arm0_quantile(levels, x):
+        return np.asarray(levels) * 2.0 - 1.0 + x[0] ** 2
+
+    tau = cqc_to_cqte(fit, arm0_quantile, alphas, xs)
+    assert tau.shape == (3, 4)
+    assert np.unique(tau).size == tau.size
+    for i in range(alphas.size):
+        for k in range(xs.shape[0]):
+            y0 = arm0_quantile(alphas[i : i + 1], xs[k])
+            assert tau[i, k] == fit(y0, xs[k : k + 1])[0] - y0[0]
+
+
+def test_surface_eval_single_cell_matches_fit():
+    fit = CqcFit(LinearContrast(), np.linspace(0.0, 2.0, 21))
     surface = surface_eval(fit, [0.7], [0.3])
-    est = estimate_cqc(stub, grid, 0.7, [0.3])
     assert surface.shape == (1, 1)
-    assert surface[0, 0] == pytest.approx(quantile_diff(est, 0.7))
+    assert surface[0, 0] == fit([0.7], [[0.3]])[0] - 0.7
 
 
 def test_surface_eval_identity_estimator_zero_matrix():
@@ -274,28 +289,6 @@ def test_surface_eval_identity_estimator_zero_matrix():
     fit = CqcFit(LinearContrast(), grid)
     surface = surface_eval(fit, grid[2:5], np.array([0.1, 0.9]))
     np.testing.assert_allclose(surface, 0.0, atol=1e-12)
-
-
-def test_surface_eval_monotone_y0_flag_sorts_columns():
-    class Jagged:
-        calls = 0
-
-        def profile_many(self, y0s, grid, xs):
-            # alternating roots: even queries at grid[3], odd at grid[1]
-            grid = np.asarray(grid, dtype=float)
-            rows = []
-            for q in range(len(y0s)):
-                root = 3 if q % 2 == 0 else 1
-                rows.append(grid - grid[root])
-            return np.array(rows)
-
-    fit = CqcFit(Jagged(), np.linspace(0, 1, 5))
-    rough = surface_eval(fit, np.linspace(0, 1, 4), [0.0])
-    g_rough = rough[:, 0] + np.linspace(0, 1, 4)
-    assert np.any(np.diff(g_rough) < 0)
-    smooth = surface_eval(fit, np.linspace(0, 1, 4), [0.0], monotone_y0=True)
-    g_smooth = smooth[:, 0] + np.linspace(0, 1, 4)
-    assert np.all(np.diff(g_smooth) >= 0)
 
 
 def test_fit_contrast_infinite_thresholds_give_unit_contrast():
@@ -454,13 +447,10 @@ def test_estimate_cqc_matches_batched_path():
     data = illustrative_data(200, gamma=2.0, seed=4)
     contrast = fit_contrast(data, make_split(data, 4), NK, OK)
     grid = build_grid(data, "treated")
-    single = estimate_cqc(contrast, grid, 0.4, np.array([0.5]))
-    batched_g, batched_idx, batched_res = estimate_cqc_many(
-        contrast, grid, np.array([0.4]), np.array([[0.5]])
-    )
-    assert single.g_hat == batched_g[0]
-    assert single.index == batched_idx[0]
-    assert single.residual == batched_res[0]
+    y0s = np.array([0.4, -0.2, 1.1])
+    xs = np.array([[0.5], [0.1], [0.9]])
+    batched_g, _, _ = estimate_cqc_many(contrast, grid, y0s, xs)
+    assert CqcFit(contrast, grid)(y0s, xs).tobytes() == batched_g.tobytes()
 
 
 def test_cqcfit_cache_consistent_with_direct_estimate():
@@ -468,10 +458,10 @@ def test_cqcfit_cache_consistent_with_direct_estimate():
     contrast = fit_contrast(data, make_split(data, 8), NK, OK)
     grid = build_grid(data, "treated")
     fit = CqcFit(contrast, grid)
-    first = fit.estimate(0.3, np.array([0.5]))
-    second = fit.estimate(0.3, np.array([0.5]))
-    direct = estimate_cqc(contrast, grid, 0.3, np.array([0.5]))
-    assert first == second == direct
+    first = fit([0.3], [[0.5]])
+    second = fit([0.3], [[0.5]])
+    direct, _, _ = estimate_cqc_many(contrast, grid, [0.3], [[0.5]])
+    assert first.tobytes() == second.tobytes() == direct.tobytes()
 
 
 def test_ipw_estimates_monotone_in_y0():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from scalar_oracle import step_quantile as reference_step_quantile
 from cqcbench.kernels import KernelSpec
 from cqcbench.nuisance import (
     Dataset,
@@ -10,6 +11,7 @@ from cqcbench.nuisance import (
     fit_propensity,
     make_split,
     prefix_gather,
+    step_quantile,
 )
 
 WIDE_BOX = KernelSpec("box", 100.0)  # bandwidth beyond any data diameter used here
@@ -161,12 +163,50 @@ def test_generalised_inverse_step_examples():
     assert ccdf.quantile(1, 1.0, x) == 4.0
     assert ccdf.quantile(1, 0.26, x) == 2.0
     assert ccdf.quantile(1, 0.0, x) == 1.0  # smallest jump point
+    assert np.ndim(ccdf.quantile(1, 0.5, x)) == 0
+    levels = ccdf.quantile(1, [0.5, 1.0, 0.26, 0.0], x)  # every level from one weight row
+    np.testing.assert_array_equal(levels, [2.0, 4.0, 2.0, 1.0])
 
 
 def test_generalised_inverse_alpha_out_of_range():
     ccdf = fit_ccdf(four_point_arm1_dataset(), WIDE_BOX)
     with pytest.raises(ValueError):
         ccdf.quantile(1, 1.5, np.array([0.0]))
+    with pytest.raises(ValueError):
+        ccdf.quantile(1, [0.5, -0.1], np.array([0.0]))
+
+
+def test_row_wise_step_quantile_matches_scalar_reference():
+    rng = np.random.default_rng(5)
+    m = 12
+    for k in (1, 2, 7, 40):
+        jumps = np.sort(rng.normal(size=k))
+        # Zero weights repeat cumulative entries; rows sum to one up to round-off.
+        weights = rng.exponential(size=(m, k)) * (rng.random((m, k)) < 0.7)
+        weights[:, rng.integers(0, k)] += 0.1
+        cums = np.cumsum(weights / weights.sum(axis=1, keepdims=True), axis=1)
+        last = cums[:, -1]
+        levels = (
+            cums[np.arange(m), rng.integers(0, k, m)],  # on a cumulative entry
+            np.zeros(m),
+            rng.uniform(size=m),
+            np.nextafter(cums[np.arange(m), rng.integers(0, k, m)], 2.0),
+            last + 0.5e-9,  # within the slack above the last entry
+            np.ones(m),
+        )
+        for alphas in levels:
+            expected = [reference_step_quantile(jumps, cums[q], alphas[q]) for q in range(m)]
+            assert step_quantile(jumps, cums, alphas).tobytes() == np.array(expected).tobytes()
+        for q in range(m):  # one row inverted at every level
+            alphas = np.array([level[q] for level in levels])
+            expected = [reference_step_quantile(jumps, cums[q], a) for a in alphas]
+            assert step_quantile(jumps, cums[q], alphas).tobytes() == np.array(expected).tobytes()
+        beyond = rng.uniform(size=m)
+        beyond[3] = last[3] + 2e-9  # beyond the slack
+        with pytest.raises(ValueError):
+            reference_step_quantile(jumps, cums[3], beyond[3])
+        with pytest.raises(ValueError):
+            step_quantile(jumps, cums, beyond)
 
 
 def test_generalised_inverse_round_trip_laws():
