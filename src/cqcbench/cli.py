@@ -9,9 +9,10 @@ Subcommands:
   holding other covariates at their medians.
 - ``cqte``: write quantile-treatment-effect estimates per (alpha, x1) pair.
 
-All interchange is CSV. Config files are flat ``key = value`` text; CLI flags
-override file values. Exit codes: 0 success, 1 usage/config error, 2 data
-error, 3 numerical failure.
+All interchange is CSV. Config files are flat ``key = value`` text whose keys
+are the command's flag names with underscores; CLI flags override file
+values. Exit codes: 0 success, 1 usage/config error, 2 data error, 3
+numerical failure.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ EXIT_NUMERIC = 3
 
 OUT_DIR_ENV = "CQCBENCH_OUT_DIR"
 
-ESTIMATOR_NAMES = ("dr", "ipw", "separate", "oracle")
+PSEUDO_KINDS = ("dr", "ipw")
 
 
 class ConfigError(ValueError):
@@ -60,7 +61,7 @@ class DataError(ValueError):
 
 @dataclass
 class RunConfig:
-    """Resolved settings for one command invocation."""
+    """Resolved settings for one command invocation; each field is a flag's ``dest``."""
 
     kernel: str = "gaussian"
     bandwidth_nuisance: float = 0.1
@@ -70,15 +71,15 @@ class RunConfig:
     cross_fit: bool = True
     grid: str = "treated"
     seed: int = 0
-    out_dir: str = ""
+    out: str = ""
     dgp: str | None = None
     gamma: float = 6.0
-    n_total: int = 1000
+    n: int = 1000
     replications: int = 100
     holdout: int = 200
     estimators: str = "dr,ipw,separate,oracle"
     dump_data: str | None = None
-    input_path: str | None = None
+    input: str | None = None
     y_grid: str = "25"
     x_grid: str = "25"
     alphas: str = "0.25,0.5,0.75"
@@ -90,29 +91,22 @@ class RunConfig:
             raise ConfigError("xi must lie in (0, 0.5]")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
-        if self.pseudo not in ("dr", "ipw", "oracle"):
-            raise ConfigError(f"unknown pseudo-outcome kind {self.pseudo!r}")
         _parse_grid_policy(self.grid)
-        needs_dgp = command in ("simulate", "benchmark")
-        if needs_dgp:
+        if command in ("simulate", "benchmark"):
             if self.dgp is None:
                 raise ConfigError(f"{command} requires --dgp")
-            if self.input_path is not None:
-                raise ConfigError("provide a DGP spec or an input CSV, not both")
             _as_config_error(self.dgp_spec)
             if self.replications < 2:
                 raise ConfigError("need at least 2 replications (CI undefined otherwise)")
-            if self.n_total < 4:
+            if self.n < 4:
                 raise ConfigError("need at least 4 observations (--n)")
             if self.holdout < 1:
                 raise ConfigError("need at least 1 holdout draw (--holdout)")
         else:
-            if self.input_path is None:
+            if self.input is None:
                 raise ConfigError(f"{command} requires --input")
-            if self.dgp is not None:
-                raise ConfigError("provide a DGP spec or an input CSV, not both")
-            if self.pseudo == "oracle":
-                raise ConfigError("oracle pseudo-outcomes need a simulation DGP")
+            if self.pseudo not in PSEUDO_KINDS:
+                raise ConfigError(f"unknown pseudo-outcome kind {self.pseudo!r}")
 
     def nuisance_kernel(self) -> KernelSpec:
         return KernelSpec(self.kernel, self.bandwidth_nuisance)
@@ -180,7 +174,7 @@ def _coerce_config_value(key: str, value: str, where: str):
 
 
 def _parse_grid_policy(text: str):
-    if text in ("treated", "treated_outcomes"):
+    if text == "treated":
         return "treated", None
     if text.startswith("uniform:"):
         try:
@@ -214,8 +208,9 @@ def _parse_axis(text: str, lo: float, hi: float) -> np.ndarray:
 def ingest_csv(path: str) -> Dataset:
     """Read a dataset CSV with columns y, a, x1..xd (d inferred from header).
 
-    Rows with missing, non-numeric, or non-finite fields, or with a treatment
-    value other than 0/1, are rejected with their file line numbers.
+    A header naming a column twice is rejected. Rows with missing,
+    non-numeric, or non-finite fields, or with a treatment value other than
+    0/1, are rejected with their file line numbers.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -227,6 +222,9 @@ def ingest_csv(path: str) -> Dataset:
             header = [name.strip() for name in next(reader)]
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
+        duplicates = sorted({name for name in header if header.count(name) > 1})
+        if duplicates:
+            raise DataError(f"{path}: duplicate column names {duplicates}")
         columns = {name: i for i, name in enumerate(header)}
         if "y" not in columns or "a" not in columns:
             raise DataError(f"{path}: header must contain 'y' and 'a' columns")
@@ -310,7 +308,15 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _out_path(config: RunConfig, filename: str) -> str:
-    out_dir = config.out_dir or os.environ.get(OUT_DIR_ENV, ".")
+    """Path of an output file. Its directory is created and probed here, so a
+    command with an unwritable one stops with a config error before any work.
+    """
+    out_dir = config.out or os.environ.get(OUT_DIR_ENV, ".")
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        tempfile.TemporaryFile(dir=out_dir).close()
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out_dir}: {exc}") from exc
     return os.path.join(out_dir, filename)
 
 
@@ -336,23 +342,23 @@ def _build_estimators(config: RunConfig):
         raise ConfigError("empty estimator list")
     unknown = [name for name in names if name not in registry]
     if unknown:
-        raise ConfigError(f"unknown estimators: {unknown} (choose from {ESTIMATOR_NAMES})")
+        raise ConfigError(f"unknown estimators: {unknown} (choose from {tuple(registry)})")
     return [registry[name]() for name in names]
 
 
 def cmd_simulate(config: RunConfig) -> int:
     spec = config.dgp_spec()
     if config.dump_data is not None:
-        write_dataset_csv(sample_dgp(spec, config.n_total, config.seed), config.dump_data)
+        write_dataset_csv(sample_dgp(spec, config.n, config.seed), config.dump_data)
+    path = _out_path(config, "errors.csv")
     report = run_experiment(
         spec,
         _build_estimators(config),
-        n_total=config.n_total,
+        n_total=config.n,
         replications=config.replications,
         holdout=config.holdout,
         base_seed=config.seed,
     )
-    path = _out_path(config, "errors.csv")
     _atomic_write(path, report.csv_text())
     for row in report.results:
         print(
@@ -366,7 +372,7 @@ def cmd_simulate(config: RunConfig) -> int:
 
 def _fit_dr_contrast(config: RunConfig, dataset: Dataset):
     kind = PseudoOutcomeKind(config.pseudo)
-    split = _checked_input(config.input_path, make_split, dataset, config.seed)
+    split = _checked_input(config.input, make_split, dataset, config.seed)
     if config.cross_fit:
         # Draws the same split again from the seed.
         return cross_fit_contrast(
@@ -380,7 +386,7 @@ def _fit_dr_contrast(config: RunConfig, dataset: Dataset):
 
 def _input_grid(config: RunConfig, dataset: Dataset) -> np.ndarray:
     policy, count = _parse_grid_policy(config.grid)
-    return _checked_input(config.input_path, build_grid, dataset, policy, count)
+    return _checked_input(config.input, build_grid, dataset, policy, count)
 
 
 def _surface_axes(config: RunConfig, dataset: Dataset):
@@ -394,7 +400,8 @@ def _surface_axes(config: RunConfig, dataset: Dataset):
 
 
 def cmd_surface(config: RunConfig) -> int:
-    dataset = ingest_csv(config.input_path)
+    path = _out_path(config, "surface.csv")
+    dataset = ingest_csv(config.input)
     contrast = _fit_dr_contrast(config, dataset)
     fit = CqcFit(contrast, _input_grid(config, dataset))
     ys, x_vals, xs = _surface_axes(config, dataset)
@@ -406,14 +413,14 @@ def cmd_surface(config: RunConfig) -> int:
         lines.append(
             repr(float(y)) + "," + ",".join(repr(float(v)) for v in surface[i])
         )
-    path = _out_path(config, "surface.csv")
     _atomic_write(path, "\n".join(lines) + "\n")
     print(f"wrote {path} ({ys.size} y-values x {x_vals.size} x-values)")
     return EXIT_OK
 
 
 def cmd_cqte(config: RunConfig) -> int:
-    dataset = ingest_csv(config.input_path)
+    path = _out_path(config, "cqte.csv")
+    dataset = ingest_csv(config.input)
     try:
         alphas = [float(tok) for tok in config.alphas.split(",") if tok.strip()]
     except ValueError as exc:
@@ -429,19 +436,9 @@ def cmd_cqte(config: RunConfig) -> int:
     lines = ["alpha,x,tau_hat"]
     for alpha, row in zip(alphas, tau):  # alpha-major, as cqc_to_cqte's table
         lines += [f"{alpha!r},{float(xv)!r},{float(t)!r}" for xv, t in zip(x_vals, row)]
-    path = _out_path(config, "cqte.csv")
     _atomic_write(path, "\n".join(lines) + "\n")
     print(f"wrote {path} ({len(alphas)} alphas x {x_vals.size} x-values)")
     return EXIT_OK
-
-
-_COMMANDS = {
-    "simulate": cmd_simulate,
-    "benchmark": cmd_simulate,
-    "surface": cmd_surface,
-    "fit": cmd_surface,
-    "cqte": cmd_cqte,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -451,54 +448,56 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_command(name, run, help, aliases=()):
+        p = sub.add_parser(name, aliases=list(aliases), help=help)
+        p.set_defaults(run=run)
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--kernel", choices=("box", "gaussian"), default=None)
         p.add_argument("--bandwidth-nuisance", type=float, default=None)
         p.add_argument("--bandwidth-outer", type=float, default=None)
         p.add_argument("--xi", type=float, default=None)
-        p.add_argument("--pseudo", choices=("dr", "ipw", "oracle"), default=None)
         p.add_argument(
             "--cross-fit", action=argparse.BooleanOptionalAction, default=None
         )
         p.add_argument("--grid", default=None, help="'treated' or 'uniform:N'")
-        p.add_argument("--out", dest="out_dir", default=None,
+        p.add_argument("--out", default=None,
                        help=f"output directory (default: ${OUT_DIR_ENV} or '.')")
+        return p
 
-    for name in ("simulate", "benchmark"):
-        p = sub.add_parser(name, help="Monte-Carlo benchmark on a simulation DGP")
-        add_common(p)
-        p.add_argument("--dgp", choices=FAMILIES, default=None)
-        p.add_argument("--gamma", type=float, default=None)
-        p.add_argument("--n", dest="n_total", type=int, default=None)
-        p.add_argument("--replications", type=int, default=None)
-        p.add_argument("--holdout", type=int, default=None)
-        p.add_argument("--estimators", default=None,
-                       help="comma list from dr,ipw,separate,oracle")
-        p.add_argument("--dump-data", default=None,
-                       help="also write the seed replication's dataset CSV here")
+    p = add_command("simulate", cmd_simulate, "Monte-Carlo benchmark on a simulation DGP",
+                    aliases=["benchmark"])
+    p.add_argument("--dgp", choices=FAMILIES, default=None)
+    p.add_argument("--gamma", type=float, default=None)
+    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--replications", type=int, default=None)
+    p.add_argument("--holdout", type=int, default=None)
+    p.add_argument("--estimators", default=None,
+                   help="comma list from dr,ipw,separate,oracle")
+    p.add_argument("--dump-data", default=None,
+                   help="also write the seed replication's dataset CSV here")
 
-    for name in ("surface", "fit"):
-        p = sub.add_parser(name, help="fit on a CSV and write the gap surface")
-        add_common(p)
-        p.add_argument("--input", dest="input_path", default=None)
-        p.add_argument("--y-grid", default=None, help="'N' or 'min:max:N'")
+    surface = add_command("surface", cmd_surface, "fit on a CSV and write the gap surface",
+                          aliases=["fit"])
+    surface.add_argument("--y-grid", default=None, help="'N' or 'min:max:N'")
+    cqte = add_command("cqte", cmd_cqte, "fit on a CSV and write quantile effects")
+    cqte.add_argument("--alphas", default=None, help="comma list of levels in (0,1)")
+    for p in (surface, cqte):
+        p.add_argument("--input", default=None)
+        p.add_argument("--pseudo", choices=PSEUDO_KINDS, default=None)
         p.add_argument("--x-grid", default=None, help="'N' or 'min:max:N'")
-
-    p = sub.add_parser("cqte", help="fit on a CSV and write quantile effects")
-    add_common(p)
-    p.add_argument("--input", dest="input_path", default=None)
-    p.add_argument("--alphas", default=None, help="comma list of levels in (0,1)")
-    p.add_argument("--x-grid", default=None, help="'N' or 'min:max:N'")
 
     return parser
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
+    """Defaults, then the config file, then the flags. A file key must name one
+    of the command's flags, so no setting is accepted and then ignored."""
     config = RunConfig()
-    if getattr(args, "config", None):
+    if args.config:
         for key, value in parse_config_file(args.config).items():
+            if not hasattr(args, key):
+                raise ConfigError(f"{args.config}: {args.command} has no setting {key!r}")
             setattr(config, key, value)
     for key in _CONFIG_FIELDS:
         value = getattr(args, key, None)
@@ -516,7 +515,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
     try:
         config = resolve_config(args)
-        return _COMMANDS[args.command](config)
+        return args.run(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

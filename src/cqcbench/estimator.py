@@ -20,7 +20,7 @@ import numpy as np
 
 # pava_project is unused here, but bench/test_bench.py checks this binding.
 from .isotonic import pava_project, zero_crossing  # noqa: F401
-from .kernels import KernelSpec, nw_weight_matrix
+from .kernels import KernelSpec, as_rows, nw_weight_matrix
 from .nuisance import Dataset, SplitPlan, fit_nuisance, make_split, prefix_gather
 from .pseudo import PseudoOutcomeKind
 
@@ -88,9 +88,7 @@ class ContrastFit:
     averaged (cross-fitting).
     """
 
-    kind: PseudoOutcomeKind
     replicates: tuple
-    outer_kernel: KernelSpec
     xi: float
 
     def evaluate(self, y0: float, y1: float, x) -> float:
@@ -99,9 +97,7 @@ class ContrastFit:
     def profile_many(self, y0s, grid, xs) -> np.ndarray:
         y0s = np.asarray(y0s, dtype=float).reshape(-1)
         grid = np.asarray(grid, dtype=float).reshape(-1)
-        xs = np.asarray(xs, dtype=float)
-        if xs.ndim == 1:
-            xs = xs.reshape(-1, 1)
+        xs = as_rows(xs)
         if xs.shape[0] != y0s.size:
             raise ValueError("y0s and xs must pair up one query per row")
         tables = [rep.profile_many(y0s, grid, xs) for rep in self.replicates]
@@ -110,8 +106,7 @@ class ContrastFit:
         return np.mean(tables, axis=0)
 
     def profile(self, y0: float, grid, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return self.profile_many(np.array([y0]), grid, x.reshape(1, -1))[0]
+        return self.profile_many([y0], grid, np.reshape(x, (1, -1)))[0]
 
     @property
     def value_bound(self) -> float:
@@ -133,7 +128,7 @@ def fit_contrast(
         raise ValueError("oracle contrast needs exact nuisances; use fit_oracle_contrast")
     nuis = fit_nuisance(dataset.subset(split.indices_1), nuisance_kernel, xi)
     rep = _ContrastReplicate(nuis, dataset.subset(split.indices_2), outer_kernel, kind)
-    return ContrastFit(kind=kind, replicates=(rep,), outer_kernel=outer_kernel, xi=xi)
+    return ContrastFit(replicates=(rep,), xi=xi)
 
 
 def cross_fit_contrast(
@@ -153,7 +148,7 @@ def cross_fit_contrast(
         reps.append(
             _ContrastReplicate(nuis, dataset.subset(plan.indices_2), outer_kernel, kind)
         )
-    return ContrastFit(kind=kind, replicates=tuple(reps), outer_kernel=outer_kernel, xi=xi)
+    return ContrastFit(replicates=tuple(reps), xi=xi)
 
 
 def fit_oracle_contrast(
@@ -168,12 +163,7 @@ def fit_oracle_contrast(
     regression rows, so with closed-form nuisances there is nothing to split.
     """
     rep = _ContrastReplicate(exact_nuisance, dataset, outer_kernel, PseudoOutcomeKind.ORACLE_DR)
-    return ContrastFit(
-        kind=PseudoOutcomeKind.ORACLE_DR,
-        replicates=(rep,),
-        outer_kernel=outer_kernel,
-        xi=xi,
-    )
+    return ContrastFit(replicates=(rep,), xi=xi)
 
 
 def build_grid(dataset: Dataset, policy: str = "treated", count: int | None = None) -> np.ndarray:
@@ -183,7 +173,7 @@ def build_grid(dataset: Dataset, policy: str = "treated", count: int | None = No
     collapsed); ``uniform`` spaces ``count`` points over the sample's full
     outcome range, as a fallback for sparse arms.
     """
-    if policy in ("treated", "treated_outcomes"):
+    if policy == "treated":
         treated = dataset.y[dataset.a == 1]
         if treated.size == 0:
             raise ValueError("no treated observations to build a grid from")
@@ -258,11 +248,6 @@ class CqcFit:
         return g_hat
 
 
-def _as_rows(xs) -> np.ndarray:
-    xs = np.asarray(xs, dtype=float)
-    return xs.reshape(-1, 1) if xs.ndim < 2 else xs
-
-
 def cqc_to_cqte(fit: CqcFit, arm0_quantile, alphas, xs) -> np.ndarray:
     """Quantile treatment effects over (alphas[i], xs[k]) via the estimated outcome map.
 
@@ -274,7 +259,7 @@ def cqc_to_cqte(fit: CqcFit, arm0_quantile, alphas, xs) -> np.ndarray:
     alphas = np.asarray(alphas, dtype=float).reshape(-1)
     if not np.all((alphas > 0.0) & (alphas < 1.0)):
         raise ValueError("alpha must lie in (0, 1)")
-    xs = _as_rows(xs)
+    xs = as_rows(xs)
     y0s = np.column_stack([arm0_quantile(alphas, x) for x in xs])
     g_hat = fit(y0s.reshape(-1), np.tile(xs, (alphas.size, 1)))
     return g_hat.reshape(y0s.shape) - y0s
@@ -287,7 +272,7 @@ def surface_eval(fit: CqcFit, y_grid, x_grid) -> np.ndarray:
     column's profile table is live at a time.
     """
     ys = np.asarray(y_grid, dtype=float).reshape(-1)
-    xs = _as_rows(x_grid)
+    xs = as_rows(x_grid)
     if ys.size == 0 or xs.shape[0] == 0:
         raise ValueError("surface grids must be nonempty")
     out = np.empty((ys.size, xs.shape[0]))

@@ -27,7 +27,6 @@ import numpy as np
 @dataclass(frozen=True)
 class IsotonicResult:
     projected: np.ndarray
-    input_length: int  # the length p of each projected sequence
 
 
 # Rows of a crossing search run in blocks of about this many table values
@@ -77,7 +76,7 @@ def pava_project(values) -> IsotonicResult:
     projected = v.reshape(-1, v.shape[-1]).copy()
     for i in np.flatnonzero(np.any(projected[:, :-1] > projected[:, 1:], axis=1)):
         projected[i] = np.repeat(*_stack(projected[i].tolist()))
-    return IsotonicResult(projected=projected.reshape(v.shape), input_length=v.shape[-1])
+    return IsotonicResult(projected=projected.reshape(v.shape))
 
 
 def _chord_bounds(suffix: np.ndarray, at: np.ndarray):

@@ -55,15 +55,12 @@ class KernelSpec:
         return KernelSpec(self.family, bandwidth)
 
 
-def _as_train(xs) -> np.ndarray:
-    t = np.asarray(xs, dtype=float)
-    if t.ndim == 0:
-        t = t.reshape(1, 1)
-    elif t.ndim == 1:
-        t = t.reshape(-1, 1)
-    elif t.ndim != 2:
-        raise ValueError("training covariates must form an (n, d) array")
-    return t
+def as_rows(xs) -> np.ndarray:
+    """Covariates as an (n, d) float array; a scalar or a vector is one covariate."""
+    rows = np.asarray(xs, dtype=float)
+    if rows.ndim > 2:
+        raise ValueError("covariates must form an (n, d) array")
+    return rows.reshape(-1, 1) if rows.ndim < 2 else rows
 
 
 def _kernel_from_sq(spec: KernelSpec, sq_dists: np.ndarray) -> np.ndarray:
@@ -91,8 +88,8 @@ def _sq_dist_matrix(queries: np.ndarray, train: np.ndarray) -> np.ndarray:
 
 def kernel_matrix(spec: KernelSpec, queries, train) -> np.ndarray:
     """Kernel evaluations for every (query, training point) pair."""
-    q = _as_train(queries)
-    t = _as_train(train)
+    q = as_rows(queries)
+    t = as_rows(train)
     if q.shape[1] != t.shape[1]:
         raise ValueError(f"dimension mismatch: {q.shape[1]} vs {t.shape[1]}")
     return _kernel_from_sq(spec, _sq_dist_matrix(q, t))
@@ -114,8 +111,8 @@ def resolve_weights(spec: KernelSpec, x, train_xs) -> np.ndarray:
     times until at least ``min(MIN_SUPPORT, n)`` points carry positive mass,
     then raises ``DegenerateMassError``.
     """
-    q = _as_train(x).reshape(1, -1)
-    train = _as_train(train_xs)
+    q = as_rows(x).reshape(1, -1)
+    train = as_rows(train_xs)
     target = min(MIN_SUPPORT, train.shape[0])
     widened = spec
     for doublings in range(MAX_DOUBLINGS + 1):
@@ -128,8 +125,8 @@ def resolve_weights(spec: KernelSpec, x, train_xs) -> np.ndarray:
 
 def nw_weight_matrix(spec: KernelSpec, queries, train_xs) -> np.ndarray:
     """Row-normalised NW weight matrix with the retry policy applied per row."""
-    q = _as_train(queries)
-    train = _as_train(train_xs)
+    q = as_rows(queries)
+    train = as_rows(train_xs)
     km = kernel_matrix(spec, q, train)
     for i in np.nonzero(_normalise_rows(km))[0]:
         km[i] = resolve_weights(spec, q[i], train)

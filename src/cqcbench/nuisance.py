@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, nw_weight_matrix, resolve_weights
+from .kernels import KernelSpec, as_rows, nw_weight_matrix, resolve_weights
 
 _QUANTILE_SLACK = 1e-9
 
@@ -63,8 +63,7 @@ def prefix_gather(weights: np.ndarray, points: np.ndarray, ys: np.ndarray) -> np
 class Dataset:
     """Observations (outcome, covariate vector, binary treatment).
 
-    ``x`` is coerced to an (n, d) float array; one-dimensional input is
-    treated as a single covariate.
+    ``x`` is coerced to an (n, d) float array by ``kernels.as_rows``.
     """
 
     y: np.ndarray
@@ -74,12 +73,7 @@ class Dataset:
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=float).reshape(-1)
         self.a = np.asarray(self.a)
-        x = np.asarray(self.x, dtype=float)
-        if x.ndim == 1:
-            x = x.reshape(-1, 1)
-        if x.ndim != 2:
-            raise ValueError("covariates must form an (n, d) array")
-        self.x = x
+        self.x = as_rows(self.x)
         if self.y.size == 0:
             raise ValueError("dataset must be nonempty")
         if not (self.y.size == self.x.shape[0] == self.a.shape[0]):
@@ -163,15 +157,14 @@ class CcdfEvaluator:
     def __init__(self, kernel: KernelSpec, xs, ys, arms):
         self.kernel = kernel
         self.xs = np.asarray(xs, dtype=float)
-        self.ys = np.asarray(ys, dtype=float)
-        self.arms = np.asarray(arms)
+        ys, arms = np.asarray(ys, dtype=float), np.asarray(arms)
         self._arm_rows = {}
         for arm in (0, 1):
-            idx = np.nonzero(self.arms == arm)[0]
+            idx = np.nonzero(arms == arm)[0]
             if idx.size == 0:
                 raise SingleArmError(f"no observations in arm {arm}")
-            order = np.argsort(self.ys[idx], kind="stable")
-            self._arm_rows[arm] = (idx[order], self.ys[idx][order])
+            order = np.argsort(ys[idx], kind="stable")
+            self._arm_rows[arm] = (idx[order], ys[idx][order])
 
     def arm_outcomes(self, arm: int) -> np.ndarray:
         """Outcomes of the given arm, ascending (the CDF's jump points)."""
@@ -187,14 +180,7 @@ class CcdfEvaluator:
         return nw_weight_matrix(self.kernel, queries, self.xs[idx])
 
     def __call__(self, arm: int, y: float, x) -> float:
-        # Shares the cumulative-mass path with ``quantile`` so the
-        # generalised-inverse round-trip laws hold exactly in floats.
-        _, jumps = self._arm_rows[arm]
-        pos = int(np.searchsorted(jumps, y, side="right")) - 1
-        if pos < 0:
-            return 0.0
-        cum = np.cumsum(self.weight_row(arm, x))
-        return min(float(cum[pos]), 1.0)
+        return float(self.cdf_table(arm, [y], np.reshape(x, (1, -1)))[0, 0])
 
     def cdf_table(self, arm: int, ys, queries) -> np.ndarray:
         """CDF values F(ys[l] | queries[j], arm) as a (len(queries), len(ys)) table."""
@@ -227,7 +213,6 @@ class NuisanceModel:
 
     propensity: PropensityEvaluator
     ccdf: CcdfEvaluator
-    xi: float
 
 
 def fit_nuisance(dataset: Dataset, kernel: KernelSpec, xi: float = 0.05) -> NuisanceModel:
@@ -235,5 +220,4 @@ def fit_nuisance(dataset: Dataset, kernel: KernelSpec, xi: float = 0.05) -> Nuis
     return NuisanceModel(
         propensity=fit_propensity(dataset, kernel, xi),
         ccdf=fit_ccdf(dataset, kernel),
-        xi=xi,
     )

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .kernels import DegenerateMassError, KernelSpec, nw_weight_matrix
+from .kernels import DegenerateMassError, KernelSpec, as_rows, nw_weight_matrix
 from .nuisance import Dataset
 
 FAMILIES = ("illustrative", "tendim", "linear_cqc", "uniform_h")
@@ -36,44 +36,28 @@ _TENDIM_BETA_SCALE = 0.2
 
 @dataclass
 class DgpSpec:
-    """One simulation setting: family, sine frequency, and projection seed."""
+    """One simulation setting: family, sine frequency, and projection seed.
+
+    The covariate dimension ``dim`` and the tendim projection ``beta`` follow
+    from the family and the seed.
+    """
 
     family: str
     gamma: float = 0.0
-    dim: int | None = None
-    beta: np.ndarray | None = None
     seed: int = 0
+    dim: int = field(init=False)
+    beta: np.ndarray | None = field(init=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown DGP family {self.family!r}")
         if not 0 <= self.gamma < np.inf:
             raise ValueError("gamma must be finite and nonnegative")
-        expected_dim = 10 if self.family == "tendim" else 1
-        if self.dim is None:
-            self.dim = expected_dim
-        if self.dim != expected_dim:
-            raise ValueError(f"family {self.family!r} requires dim={expected_dim}")
+        self.dim = 10 if self.family == "tendim" else 1
+        self.beta = None
         if self.family == "tendim":
-            if self.beta is None:
-                # One projection per spec seed, frozen for reproducibility.
-                self.beta = np.random.default_rng(self.seed).normal(
-                    0.0, _TENDIM_BETA_SCALE, self.dim
-                )
-            self.beta = np.asarray(self.beta, dtype=float)
-            if self.beta.shape != (self.dim,):
-                raise ValueError("beta must be a vector of length dim")
-        elif self.beta is not None:
-            raise ValueError("beta is only meaningful for the tendim family")
-
-
-def _as_rows(xs) -> np.ndarray:
-    arr = np.asarray(xs, dtype=float)
-    if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-    elif arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
-    return arr
+            # One projection per spec seed, frozen for reproducibility.
+            self.beta = np.random.default_rng(self.seed).normal(0.0, _TENDIM_BETA_SCALE, self.dim)
 
 
 def _sine_term(spec: DgpSpec, xs: np.ndarray) -> np.ndarray:
@@ -102,10 +86,10 @@ class ExactPropensity:
         self.spec = spec
 
     def many(self, xs) -> np.ndarray:
-        return 0.4 * _sine_term(self.spec, _as_rows(xs)) + 0.5
+        return 0.4 * _sine_term(self.spec, as_rows(xs)) + 0.5
 
     def __call__(self, x) -> float:
-        return float(self.many(np.atleast_1d(np.asarray(x, dtype=float)).reshape(1, -1))[0])
+        return float(self.many(np.reshape(x, (1, -1)))[0])
 
 
 class ExactCcdf:
@@ -116,22 +100,20 @@ class ExactCcdf:
 
     def cdf_table(self, arm: int, ys, queries) -> np.ndarray:
         ys = np.asarray(ys, dtype=float).reshape(-1)
-        xs = _as_rows(queries)
+        xs = as_rows(queries)
         if self.spec.family == "uniform_h":
             s = _sine_term(self.spec, xs)
             low = 2.0 * s if arm == 1 else s
             width = 2.0 if arm == 1 else 1.0
             return np.clip((ys[None, :] - low[:, None]) / width, 0.0, 1.0)
-        params = _normal_arm_params(self.spec, xs)[arm]
-        loc, scale = params
+        loc, scale = _normal_arm_params(self.spec, xs)[arm]
         return ndtr((ys[None, :] - loc[:, None]) / scale[:, None])
 
     def __call__(self, arm: int, y: float, x) -> float:
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float)).reshape(1, -1)
-        return float(self.cdf_table(arm, np.array([y]), x_arr)[0, 0])
+        return float(self.cdf_table(arm, [y], np.reshape(x, (1, -1)))[0, 0])
 
     def quantile(self, arm: int, alpha: float, x) -> float:
-        xs = np.atleast_1d(np.asarray(x, dtype=float)).reshape(1, -1)
+        xs = as_rows(np.reshape(x, (1, -1)))
         if self.spec.family == "uniform_h":
             s = float(_sine_term(self.spec, xs)[0])
             return 2.0 * s + 2.0 * alpha if arm == 1 else s + alpha
@@ -157,7 +139,7 @@ class TruthOracle:
     def g(self, ys, xs) -> np.ndarray:
         """Treated outcome at the same conditional quantile as untreated ys."""
         ys = np.asarray(ys, dtype=float)
-        rows = _as_rows(xs)
+        rows = as_rows(xs)
         if self.spec.family in ("illustrative", "uniform_h"):
             out = 2.0 * ys
         elif self.spec.family == "tendim":
@@ -171,7 +153,7 @@ class TruthOracle:
         """CDF contrast F1(y1|x) - F0(y0|x); y0/y1 broadcast against the x rows."""
         y0 = np.asarray(y0, dtype=float)
         y1 = np.asarray(y1, dtype=float)
-        rows = _as_rows(xs)
+        rows = as_rows(xs)
         if self.spec.family == "uniform_h":
             # Covariate-free by construction: the arms are scaled copies of
             # one uniform, so the contrast collapses to y1/2 - y0.
@@ -183,7 +165,7 @@ class TruthOracle:
 
     def cqte(self, alpha: float, xs) -> np.ndarray:
         """Quantile treatment effect: gap between the arms' alpha-quantiles."""
-        rows = _as_rows(xs)
+        rows = as_rows(xs)
         s = _sine_term(self.spec, rows)
         if self.spec.family == "illustrative":
             return s + ndtri(alpha)
@@ -276,8 +258,7 @@ class ErrorReport:
 
     results: list
     replications: int
-    config: dict
-    per_replication: np.ndarray = field(repr=False, default=None)
+    per_replication: np.ndarray = field(repr=False)
 
     def csv_text(self) -> str:
         lines = ["estimator,mean_abs_error,ci_low,ci_high,replications"]
@@ -355,21 +336,7 @@ def run_experiment(
                 failures=int(failure_counts[j]),
             )
         )
-    config = {
-        "family": spec.family,
-        "gamma": spec.gamma,
-        "n_total": n_total,
-        "replications": replications,
-        "holdout": holdout,
-        "base_seed": base_seed,
-        "estimators": [est.name for est in estimators],
-    }
-    return ErrorReport(
-        results=results,
-        replications=replications,
-        config=config,
-        per_replication=errors,
-    )
+    return ErrorReport(results=results, replications=replications, per_replication=errors)
 
 
 def cv_bandwidth(

@@ -1,5 +1,6 @@
 import os
 import tempfile
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from scalar_oracle import step_quantile
 from cqcbench.cli import (
     DataError,
+    RunConfig,
+    build_parser,
     ingest_csv,
     main,
     parse_config_file,
@@ -76,6 +79,10 @@ def test_ingest_missing_columns(tmp_path):
     path = write(tmp_path / "data2.csv", "y,a,x2\n1,1,0.5\n")
     with pytest.raises(DataError):
         ingest_csv(path)
+    path = write(tmp_path / "data3.csv", "y,a,x1,y\n1,1,0.5,2\n")
+    with pytest.raises(DataError, match=r"duplicate column names \['y'\]"):
+        ingest_csv(path)
+    assert main(["surface", "--input", path, "--out", str(tmp_path)]) == 2
 
 
 def test_dataset_round_trip_is_value_identical(tmp_path):
@@ -225,11 +232,16 @@ def test_malformed_config_is_one_line_config_error(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("case", ["simulate-out", "surface-out", "cqte-out", "dump-data"])
-def test_unwritable_output_path_is_one_line_config_error(tmp_path, capsys, case):
+def test_unwritable_output_path_is_one_line_config_error(tmp_path, capsys, monkeypatch, case):
     blocker = tmp_path / "file"
     blocker.write_text("a regular file where a directory should be\n")
     if case == "simulate-out":
         argv = simulate_args(tmp_path, **{"--out": str(blocker / "sub")})
+
+        def run_experiment(*args, **kwargs):
+            raise AssertionError("the experiment ran before the output directory was checked")
+
+        monkeypatch.setattr("cqcbench.cli.run_experiment", run_experiment)
     elif case == "dump-data":
         argv = simulate_args(tmp_path, **{"--dump-data": str(blocker / "x.csv")})
     else:
@@ -279,6 +291,40 @@ def test_usage_errors_exit_one(tmp_path):
     path = write(tmp_path / "d.csv", "y,a,x1\n1,1,0.5\n0,0,0.4\n2,1,0.6\n1,0,0.7\n")
     assert main(["surface", "--input", path, "--dgp", "illustrative"]) == 1
     assert main(["surface", "--input", path, "--pseudo", "oracle"]) == 1
+
+
+def test_simulate_has_no_pseudo_flag(tmp_path, capsys):
+    # simulate builds each estimator with its own pseudo-outcome, so the flag
+    # would be accepted and ignored.
+    assert main(simulate_args(tmp_path, **{"--pseudo": "ipw"})) == 1
+    assert "--pseudo" in capsys.readouterr().err
+    assert not (tmp_path / "errors.csv").exists()
+
+
+def test_every_config_field_is_a_flag_dest():
+    # A parsed command's namespace holds the dest of each of its flags.
+    parser = build_parser()
+    dests = set()
+    for command in ("simulate", "surface", "cqte"):
+        dests |= set(vars(parser.parse_args([command])))
+    assert {f.name for f in fields(RunConfig)} <= dests
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [("simulate", "pseudo"), ("simulate", "input"), ("surface", "dgp"), ("cqte", "y_grid")],
+)
+def test_config_key_of_another_command_is_config_error(tmp_path, capsys, command, key):
+    cfg = write(tmp_path / "run.cfg", f"{key} = illustrative\n")
+    if command == "simulate":
+        argv = simulate_args(tmp_path, **{"--config": cfg})
+    else:
+        argv = [command, "--input", synthetic_csv(tmp_path, n=60), "--out", str(tmp_path),
+                "--config", cfg]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and repr(key) in err and err.count("\n") == 1
+    assert not {"errors.csv", "surface.csv", "cqte.csv"} & set(os.listdir(tmp_path))
 
 
 def test_single_arm_csv_is_data_error(tmp_path):
@@ -417,8 +463,8 @@ def test_cqte_alpha_out_of_range(tmp_path):
 def test_config_file_with_flag_override(tmp_path):
     cfg = write(
         tmp_path / "run.cfg",
-        "dgp = illustrative\ngamma = 2.0\nn_total = 120\nreplications = 2\n"
-        f"holdout = 40\nseed = 3\nestimators = separate\nout_dir = {tmp_path}\n"
+        "dgp = illustrative\ngamma = 2.0\nn = 120\nreplications = 2\n"
+        f"holdout = 40\nseed = 3\nestimators = separate\nout = {tmp_path}\n"
         "bandwidth_nuisance = 0.1\nbandwidth_outer = 0.15\n",
     )
     assert main(["simulate", "--config", cfg]) == 0

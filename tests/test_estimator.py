@@ -407,12 +407,7 @@ def test_cross_fit_mean_of_stub_replicates():
         def profile_many(self, y0s, grid, xs):
             return np.full((y0s.size, grid.size), self.value)
 
-    fit = ContrastFit(
-        kind=PseudoOutcomeKind.DR,
-        replicates=(Rep(0.2), Rep(0.4)),
-        outer_kernel=OK,
-        xi=0.05,
-    )
+    fit = ContrastFit(replicates=(Rep(0.2), Rep(0.4)), xi=0.05)
     assert fit.evaluate(0, 0, [0.0]) == pytest.approx(0.3)
 
 

@@ -57,8 +57,8 @@ def test_zero_and_three_dimensional_input_raises():
 
 def test_result_reports_input_length():
     res = pava_project([2.0, 1.0, 5.0])
-    assert res.input_length == 3
-    assert res.projected.size == 3
+    assert res.projected.shape == (3,)
+    assert pava_project([[2.0, 1.0, 5.0]] * 2).projected.shape == (2, 3)
 
 
 def test_output_nondecreasing_randomised():

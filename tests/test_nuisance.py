@@ -242,6 +242,6 @@ def test_ccdf_monotone_in_y():
 def test_fit_nuisance_bundles_evaluators():
     data = four_point_arm1_dataset()
     model = fit_nuisance(data, WIDE_BOX, xi=0.05)
-    assert model.xi == 0.05
+    assert model.propensity.xi == 0.05
     assert 0.05 <= model.propensity(np.array([0.0])) <= 0.95
     assert model.ccdf(1, 2.5, np.array([0.0])) == pytest.approx(0.5)

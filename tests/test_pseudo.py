@@ -28,8 +28,8 @@ class StubCcdf:
         return self.table[(arm, y)]
 
 
-def stub_nuisance(pi, table, xi=0.05):
-    return NuisanceModel(propensity=StubPropensity(pi), ccdf=StubCcdf(table), xi=xi)
+def stub_nuisance(pi, table):
+    return NuisanceModel(propensity=StubPropensity(pi), ccdf=StubCcdf(table))
 
 
 def test_dr_pseudo_treated_hand_value():

@@ -25,12 +25,13 @@ def test_spec_validation():
         DgpSpec("mystery")
     with pytest.raises(ValueError):
         DgpSpec("illustrative", gamma=-1.0)
-    with pytest.raises(ValueError):
+    # The dimension and the tendim projection follow from the family and seed.
+    assert DgpSpec("illustrative").dim == 1 and DgpSpec("illustrative").beta is None
+    assert DgpSpec("tendim").dim == 10
+    with pytest.raises(TypeError):
         DgpSpec("illustrative", dim=10)
-    with pytest.raises(ValueError):
-        DgpSpec("tendim", dim=1)
-    with pytest.raises(ValueError):
-        DgpSpec("illustrative", beta=np.ones(10))
+    with pytest.raises(TypeError):
+        DgpSpec("tendim", beta=np.ones(10))
 
 
 def test_tendim_beta_frozen_per_seed():
