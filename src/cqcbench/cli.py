@@ -9,10 +9,11 @@ Subcommands:
   holding other covariates at their medians.
 - ``cqte``: write quantile-treatment-effect estimates per (alpha, x1) pair.
 
-All interchange is CSV. Config files are flat ``key = value`` text whose keys
-are the command's flag names with underscores; CLI flags override file
-values. Exit codes: 0 success, 1 usage/config error, 2 data error, 3
-numerical failure.
+All interchange is CSV. Each command's argparse parser is the one
+declaration of its settings. A config file's flat ``key = value`` lines are
+read by that parser as ``--key=value`` flags before the command line, so a
+flag overrides the file. Exit codes: 0 success, 1 usage/config error, 2 data
+error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -48,8 +48,6 @@ EXIT_NUMERIC = 3
 
 OUT_DIR_ENV = "CQCBENCH_OUT_DIR"
 
-PSEUDO_KINDS = ("dr", "ipw")
-
 
 class ConfigError(ValueError):
     """Bad flag, config value, or flag combination."""
@@ -59,86 +57,67 @@ class DataError(ValueError):
     """Malformed input data."""
 
 
-@dataclass
-class RunConfig:
-    """Resolved settings for one command invocation; each field is a flag's ``dest``."""
-
-    kernel: str = "gaussian"
-    bandwidth_nuisance: float = 0.1
-    bandwidth_outer: float = 0.1
-    xi: float = 0.05
-    pseudo: str = "dr"
-    cross_fit: bool = True
-    grid: str = "treated"
-    seed: int = 0
-    out: str = ""
-    dgp: str | None = None
-    gamma: float = 6.0
-    n: int = 1000
-    replications: int = 100
-    holdout: int = 200
-    estimators: str = "dr,ipw,separate,oracle"
-    dump_data: str | None = None
-    input: str | None = None
-    y_grid: str = "25"
-    x_grid: str = "25"
-    alphas: str = "0.25,0.5,0.75"
-
-    def validate(self, command: str) -> None:
-        _as_config_error(self.nuisance_kernel)
-        _as_config_error(self.outer_kernel)
-        if not 0.0 < self.xi <= 0.5:
-            raise ConfigError("xi must lie in (0, 0.5]")
-        if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
-        _parse_grid_policy(self.grid)
-        if command in ("simulate", "benchmark"):
-            if self.dgp is None:
-                raise ConfigError(f"{command} requires --dgp")
-            _as_config_error(self.dgp_spec)
-            if self.replications < 2:
-                raise ConfigError("need at least 2 replications (CI undefined otherwise)")
-            if self.n < 4:
-                raise ConfigError("need at least 4 observations (--n)")
-            if self.holdout < 1:
-                raise ConfigError("need at least 1 holdout draw (--holdout)")
-        else:
-            if self.input is None:
-                raise ConfigError(f"{command} requires --input")
-            if self.pseudo not in PSEUDO_KINDS:
-                raise ConfigError(f"unknown pseudo-outcome kind {self.pseudo!r}")
-
-    def nuisance_kernel(self) -> KernelSpec:
-        return KernelSpec(self.kernel, self.bandwidth_nuisance)
-
-    def outer_kernel(self) -> KernelSpec:
-        return KernelSpec(self.kernel, self.bandwidth_outer)
-
-    def dgp_spec(self) -> DgpSpec:
-        return DgpSpec(family=self.dgp, gamma=self.gamma, seed=self.seed)
+def validate(args: argparse.Namespace) -> None:
+    """The checks that the parser's types and choices do not make."""
+    _as_config_error(_nuisance_kernel, args)
+    _as_config_error(_outer_kernel, args)
+    if not 0.0 < args.xi <= 0.5:
+        raise ConfigError("xi must lie in (0, 0.5]")
+    if args.seed < 0:
+        raise ConfigError("seed must be nonnegative")
+    if args.run is cmd_simulate:
+        if args.dgp is None:
+            raise ConfigError(f"{args.command} requires --dgp")
+        _as_config_error(_dgp_spec, args)
+        if args.replications < 2:
+            raise ConfigError("need at least 2 replications (CI undefined otherwise)")
+        if args.n < 4:
+            raise ConfigError("need at least 4 observations (--n)")
+        if args.holdout < 1:
+            raise ConfigError("need at least 1 holdout draw (--holdout)")
+    elif args.input is None:
+        raise ConfigError(f"{args.command} requires --input")
 
 
-def _as_config_error(build):
-    """Build a library spec from config values; its ValueError is a config error."""
+def _nuisance_kernel(args: argparse.Namespace) -> KernelSpec:
+    return KernelSpec(args.kernel, args.bandwidth_nuisance)
+
+
+def _outer_kernel(args: argparse.Namespace) -> KernelSpec:
+    return KernelSpec(args.kernel, args.bandwidth_outer)
+
+
+def _dgp_spec(args: argparse.Namespace) -> DgpSpec:
+    return DgpSpec(family=args.dgp, gamma=args.gamma, seed=args.seed)
+
+
+def _as_config_error(build, *args):
+    """Build a library spec from settings; its ValueError is a config error."""
     try:
-        return build()
+        return build(*args)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-_CONFIG_FIELDS = {f.name: f.type for f in fields(RunConfig)}
-_BOOL_TRUE = ("1", "true", "yes", "on")
-_BOOL_FALSE = ("0", "false", "no", "off")
+# The one boolean flag takes no value: a file's word for it picks its form.
+_CROSS_FIT_FLAGS = {
+    **dict.fromkeys(("1", "true", "yes", "on"), "--cross-fit"),
+    **dict.fromkeys(("0", "false", "no", "off"), "--no-cross-fit"),
+}
 
 
-def parse_config_file(path: str) -> dict:
-    """Flat ``key = value`` config text; '#' starts a comment."""
-    values: dict = {}
+def _config_argv(parser: argparse.ArgumentParser, command: str, path: str) -> list[str]:
+    """A config file's ``key = value`` lines as ``--key=value`` flags of ``command``.
+
+    '#' starts a comment. Each flag is parsed alone first, so an error names
+    its file line and key.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    argv = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -146,45 +125,48 @@ def parse_config_file(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        key = key.strip().replace("-", "_")
-        value = value.strip()
-        if key not in _CONFIG_FIELDS:
-            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = _coerce_config_value(key, value, where=f"{path}:{lineno}")
-    return values
+        key, value = key.strip().replace("-", "_"), value.strip()
+        flag = f"--{key.replace('_', '-')}={value}"
+        try:
+            if key == "config":
+                raise ConfigError("a config file cannot name another")
+            if key == "cross_fit":
+                if value.lower() not in _CROSS_FIT_FLAGS:
+                    raise ConfigError(f"not a boolean: {value!r}")
+                flag = _CROSS_FIT_FLAGS[value.lower()]
+            parser.parse_args([command, flag])
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {key!r}: {exc}") from exc
+        argv.append(flag)
+    return argv
 
 
-def _coerce_config_value(key: str, value: str, where: str):
-    kind = _CONFIG_FIELDS[key]
-    try:
-        if kind == "bool":
-            lowered = value.lower()
-            if lowered in _BOOL_TRUE:
-                return True
-            if lowered in _BOOL_FALSE:
-                return False
-            raise ValueError(f"not a boolean: {value!r}")
-        if kind == "int":
-            return int(value)
-        if kind == "float":
-            return float(value)
-        return value
-    except ValueError as exc:
-        raise ConfigError(f"{where}: bad value for {key}: {exc}") from exc
-
-
-def _parse_grid_policy(text: str):
+def _grid_policy(text: str):
+    """``--grid`` value: 'treated' or 'uniform:N'."""
     if text == "treated":
         return "treated", None
     if text.startswith("uniform:"):
         try:
             count = int(text.split(":", 1)[1])
-        except ValueError as exc:
-            raise ConfigError(f"bad grid spec {text!r}") from exc
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad grid spec {text!r}") from None
         if count < 1:
-            raise ConfigError("uniform grid needs a positive point count")
+            raise argparse.ArgumentTypeError("uniform grid needs a positive point count")
         return "uniform", count
-    raise ConfigError(f"bad grid spec {text!r} (use 'treated' or 'uniform:N')")
+    raise argparse.ArgumentTypeError(f"bad grid spec {text!r} (use 'treated' or 'uniform:N')")
+
+
+def _alpha_list(text: str) -> list[float]:
+    """``--alphas`` value: a comma list of levels in (0, 1)."""
+    try:
+        alphas = [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad alpha list {text!r}") from None
+    if not alphas:
+        raise argparse.ArgumentTypeError("empty alpha list")
+    if any(not 0.0 < a < 1.0 for a in alphas):
+        raise argparse.ArgumentTypeError("alpha values must lie in (0, 1)")
+    return alphas
 
 
 def _parse_axis(text: str, lo: float, hi: float) -> np.ndarray:
@@ -307,11 +289,11 @@ def _atomic_write(path: str, text: str) -> None:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-def _out_path(config: RunConfig, filename: str) -> str:
+def _out_path(args: argparse.Namespace, filename: str) -> str:
     """Path of an output file. Its directory is created and probed here, so a
     command with an unwritable one stops with a config error before any work.
     """
-    out_dir = config.out or os.environ.get(OUT_DIR_ENV, ".")
+    out_dir = args.out or os.environ.get(OUT_DIR_ENV, ".")
     try:
         os.makedirs(out_dir, exist_ok=True)
         tempfile.TemporaryFile(dir=out_dir).close()
@@ -320,44 +302,48 @@ def _out_path(config: RunConfig, filename: str) -> str:
     return os.path.join(out_dir, filename)
 
 
-def _build_estimators(config: RunConfig):
-    nk, ok = config.nuisance_kernel(), config.outer_kernel()
-    policy, count = _parse_grid_policy(config.grid)
+def _build_estimators(args: argparse.Namespace):
+    nk, ok = _nuisance_kernel(args), _outer_kernel(args)
+    policy, count = args.grid
     registry = {
         "dr": lambda: DrEstimator(
-            nk, ok, xi=config.xi, cross_fit=config.cross_fit,
+            nk, ok, xi=args.xi, cross_fit=args.cross_fit,
             grid_policy=policy, grid_count=count,
         ),
         "ipw": lambda: IpwEstimator(
-            nk, ok, xi=config.xi, cross_fit=config.cross_fit,
+            nk, ok, xi=args.xi, cross_fit=args.cross_fit,
             grid_policy=policy, grid_count=count,
         ),
         "separate": lambda: SeparateEstimator(nk),
         "oracle": lambda: OracleEstimator(
-            ok, xi=config.xi, grid_policy=policy, grid_count=count
+            ok, xi=args.xi, grid_policy=policy, grid_count=count
         ),
     }
-    names = [name.strip() for name in config.estimators.split(",") if name.strip()]
+    names = [name.strip() for name in args.estimators.split(",") if name.strip()]
     if not names:
         raise ConfigError("empty estimator list")
     unknown = [name for name in names if name not in registry]
     if unknown:
         raise ConfigError(f"unknown estimators: {unknown} (choose from {tuple(registry)})")
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ConfigError(f"estimators named more than once: {repeated}")
     return [registry[name]() for name in names]
 
 
-def cmd_simulate(config: RunConfig) -> int:
-    spec = config.dgp_spec()
-    if config.dump_data is not None:
-        write_dataset_csv(sample_dgp(spec, config.n, config.seed), config.dump_data)
-    path = _out_path(config, "errors.csv")
+def cmd_simulate(args: argparse.Namespace) -> int:
+    spec = _dgp_spec(args)
+    estimators = _build_estimators(args)
+    path = _out_path(args, "errors.csv")
+    if args.dump_data is not None:
+        write_dataset_csv(sample_dgp(spec, args.n, args.seed), args.dump_data)
     report = run_experiment(
         spec,
-        _build_estimators(config),
-        n_total=config.n,
-        replications=config.replications,
-        holdout=config.holdout,
-        base_seed=config.seed,
+        estimators,
+        n_total=args.n,
+        replications=args.replications,
+        holdout=args.holdout,
+        base_seed=args.seed,
     )
     _atomic_write(path, report.csv_text())
     for row in report.results:
@@ -370,41 +356,39 @@ def cmd_simulate(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _fit_dr_contrast(config: RunConfig, dataset: Dataset):
-    kind = PseudoOutcomeKind(config.pseudo)
-    split = _checked_input(config.input, make_split, dataset, config.seed)
-    if config.cross_fit:
+def _fit_dr_contrast(args: argparse.Namespace, dataset: Dataset):
+    kind = PseudoOutcomeKind(args.pseudo)
+    split = _checked_input(args.input, make_split, dataset, args.seed)
+    if args.cross_fit:
         # Draws the same split again from the seed.
         return cross_fit_contrast(
-            dataset, config.seed, config.nuisance_kernel(), config.outer_kernel(),
-            kind=kind, xi=config.xi,
+            dataset, args.seed, _nuisance_kernel(args), _outer_kernel(args),
+            kind=kind, xi=args.xi,
         )
     return fit_contrast(
-        dataset, split, config.nuisance_kernel(), config.outer_kernel(), kind=kind, xi=config.xi,
+        dataset, split, _nuisance_kernel(args), _outer_kernel(args), kind=kind, xi=args.xi,
     )
 
 
-def _input_grid(config: RunConfig, dataset: Dataset) -> np.ndarray:
-    policy, count = _parse_grid_policy(config.grid)
-    return _checked_input(config.input, build_grid, dataset, policy, count)
+def _input_grid(args: argparse.Namespace, dataset: Dataset) -> np.ndarray:
+    return _checked_input(args.input, build_grid, dataset, *args.grid)
 
 
-def _surface_axes(config: RunConfig, dataset: Dataset):
-    ys = _parse_axis(config.y_grid, float(dataset.y.min()), float(dataset.y.max()))
+def _x_axis(args: argparse.Namespace, dataset: Dataset):
+    """The x1 values and their query rows, other covariates at their medians."""
     x1 = dataset.x[:, 0]
-    x_vals = _parse_axis(config.x_grid, float(x1.min()), float(x1.max()))
-    medians = np.median(dataset.x, axis=0)
-    xs = np.tile(medians, (x_vals.size, 1))
+    x_vals = _parse_axis(args.x_grid, float(x1.min()), float(x1.max()))
+    xs = np.tile(np.median(dataset.x, axis=0), (x_vals.size, 1))
     xs[:, 0] = x_vals
-    return ys, x_vals, xs
+    return x_vals, xs
 
 
-def cmd_surface(config: RunConfig) -> int:
-    path = _out_path(config, "surface.csv")
-    dataset = ingest_csv(config.input)
-    contrast = _fit_dr_contrast(config, dataset)
-    fit = CqcFit(contrast, _input_grid(config, dataset))
-    ys, x_vals, xs = _surface_axes(config, dataset)
+def cmd_surface(args: argparse.Namespace) -> int:
+    path = _out_path(args, "surface.csv")
+    dataset = ingest_csv(args.input)
+    fit = CqcFit(_fit_dr_contrast(args, dataset), _input_grid(args, dataset))
+    ys = _parse_axis(args.y_grid, float(dataset.y.min()), float(dataset.y.max()))
+    x_vals, xs = _x_axis(args, dataset)
     surface = surface_eval(fit, ys, xs)
     if not np.isfinite(surface).all():
         raise FloatingPointError("surface contains non-finite entries")
@@ -418,31 +402,33 @@ def cmd_surface(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_cqte(config: RunConfig) -> int:
-    path = _out_path(config, "cqte.csv")
-    dataset = ingest_csv(config.input)
-    try:
-        alphas = [float(tok) for tok in config.alphas.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad alpha list {config.alphas!r}") from exc
-    if not alphas:
-        raise ConfigError("empty alpha list")
-    if any(not 0.0 < a < 1.0 for a in alphas):
-        raise ConfigError("alpha values must lie in (0, 1)")
-    fit = CqcFit(_fit_dr_contrast(config, dataset), _input_grid(config, dataset))
-    arm0 = fit_ccdf(dataset, config.nuisance_kernel())
-    _, x_vals, xs = _surface_axes(config, dataset)
-    tau = cqc_to_cqte(fit, lambda levels, x: arm0.quantile(0, levels, x), alphas, xs)
+def cmd_cqte(args: argparse.Namespace) -> int:
+    path = _out_path(args, "cqte.csv")
+    dataset = ingest_csv(args.input)
+    fit = CqcFit(_fit_dr_contrast(args, dataset), _input_grid(args, dataset))
+    arm0 = fit_ccdf(dataset, _nuisance_kernel(args))
+    x_vals, xs = _x_axis(args, dataset)
+    tau = cqc_to_cqte(fit, lambda levels, x: arm0.quantile(0, levels, x), args.alphas, xs)
     lines = ["alpha,x,tau_hat"]
-    for alpha, row in zip(alphas, tau):  # alpha-major, as cqc_to_cqte's table
+    for alpha, row in zip(args.alphas, tau):  # alpha-major, as cqc_to_cqte's table
         lines += [f"{alpha!r},{float(xv)!r},{float(t)!r}" for xv, t in zip(x_vals, row)]
     _atomic_write(path, "\n".join(lines) + "\n")
-    print(f"wrote {path} ({len(alphas)} alphas x {x_vals.size} x-values)")
+    print(f"wrote {path} ({len(args.alphas)} alphas x {x_vals.size} x-values)")
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Flags are written in full, and a usage error is a one-line config error."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cqcbench",
         description="Equal-quantile outcome map estimation: benchmark and fit tools.",
     )
@@ -452,70 +438,61 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, aliases=list(aliases), help=help)
         p.set_defaults(run=run)
         p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--kernel", choices=("box", "gaussian"), default=None)
-        p.add_argument("--bandwidth-nuisance", type=float, default=None)
-        p.add_argument("--bandwidth-outer", type=float, default=None)
-        p.add_argument("--xi", type=float, default=None)
-        p.add_argument(
-            "--cross-fit", action=argparse.BooleanOptionalAction, default=None
-        )
-        p.add_argument("--grid", default=None, help="'treated' or 'uniform:N'")
-        p.add_argument("--out", default=None,
-                       help=f"output directory (default: ${OUT_DIR_ENV} or '.')")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--kernel", choices=("box", "gaussian"), default="gaussian")
+        p.add_argument("--bandwidth-nuisance", type=float, default=0.1)
+        p.add_argument("--bandwidth-outer", type=float, default=0.1)
+        p.add_argument("--xi", type=float, default=0.05)
+        p.add_argument("--cross-fit", action=argparse.BooleanOptionalAction, default=True)
+        p.add_argument("--grid", type=_grid_policy, default="treated",
+                       help="'treated' or 'uniform:N'")
+        p.add_argument("--out", help=f"output directory (default: ${OUT_DIR_ENV} or '.')")
         return p
 
     p = add_command("simulate", cmd_simulate, "Monte-Carlo benchmark on a simulation DGP",
                     aliases=["benchmark"])
-    p.add_argument("--dgp", choices=FAMILIES, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--replications", type=int, default=None)
-    p.add_argument("--holdout", type=int, default=None)
-    p.add_argument("--estimators", default=None,
+    p.add_argument("--dgp", choices=FAMILIES)
+    p.add_argument("--gamma", type=float, default=6.0)
+    p.add_argument("--n", type=int, default=1000)
+    p.add_argument("--replications", type=int, default=100)
+    p.add_argument("--holdout", type=int, default=200)
+    p.add_argument("--estimators", default="dr,ipw,separate,oracle",
                    help="comma list from dr,ipw,separate,oracle")
-    p.add_argument("--dump-data", default=None,
-                   help="also write the seed replication's dataset CSV here")
+    p.add_argument("--dump-data", help="also write the seed replication's dataset CSV here")
 
     surface = add_command("surface", cmd_surface, "fit on a CSV and write the gap surface",
                           aliases=["fit"])
-    surface.add_argument("--y-grid", default=None, help="'N' or 'min:max:N'")
+    surface.add_argument("--y-grid", default="25", help="'N' or 'min:max:N'")
     cqte = add_command("cqte", cmd_cqte, "fit on a CSV and write quantile effects")
-    cqte.add_argument("--alphas", default=None, help="comma list of levels in (0,1)")
+    cqte.add_argument("--alphas", type=_alpha_list, default="0.25,0.5,0.75",
+                      help="comma list of levels in (0,1)")
     for p in (surface, cqte):
-        p.add_argument("--input", default=None)
-        p.add_argument("--pseudo", choices=PSEUDO_KINDS, default=None)
-        p.add_argument("--x-grid", default=None, help="'N' or 'min:max:N'")
+        p.add_argument("--input")
+        p.add_argument("--pseudo", choices=("dr", "ipw"), default="dr")
+        p.add_argument("--x-grid", default="25", help="'N' or 'min:max:N'")
 
     return parser
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults, then the config file, then the flags. A file key must name one
-    of the command's flags, so no setting is accepted and then ignored."""
-    config = RunConfig()
+def resolve_config(argv: list[str]) -> argparse.Namespace:
+    """Parse a command line. A ``--config`` file's flags go after the command
+    and before the command line's own, so a command-line flag wins."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.config:
-        for key, value in parse_config_file(args.config).items():
-            if not hasattr(args, key):
-                raise ConfigError(f"{args.config}: {args.command} has no setting {key!r}")
-            setattr(config, key, value)
-    for key in _CONFIG_FIELDS:
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(config, key, value)
-    config.validate(args.command)
-    return config
+        args = parser.parse_args(
+            [argv[0], *_config_argv(parser, args.command, args.config), *argv[1:]]
+        )
+    validate(args)
+    return args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = resolve_config(sys.argv[1:] if argv is None else list(argv))
+        return args.run(args)
+    except SystemExit as exc:  # --help
         return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
-    try:
-        config = resolve_config(args)
-        return args.run(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

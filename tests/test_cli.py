@@ -1,6 +1,6 @@
 import os
+import re
 import tempfile
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 
 from scalar_oracle import step_quantile
 from cqcbench.cli import (
+    ConfigError,
     DataError,
-    RunConfig,
-    build_parser,
     ingest_csv,
     main,
-    parse_config_file,
+    resolve_config,
     write_dataset_csv,
 )
 from cqcbench.estimator import build_grid, cross_fit_contrast, estimate_cqc_many
@@ -131,16 +130,15 @@ def test_config_file_parsing(tmp_path):
         "# benchmark settings\nseed = 7\ngamma = 2.5\ncross_fit = false\n"
         "dgp = illustrative\n",
     )
-    values = parse_config_file(path)
-    assert values == {"seed": 7, "gamma": 2.5, "cross_fit": False, "dgp": "illustrative"}
+    args = resolve_config(["simulate", "--config", path])
+    assert (args.seed, args.gamma, args.cross_fit, args.dgp) == (7, 2.5, False, "illustrative")
+    assert (args.n, args.kernel) == (1000, "gaussian")  # keys not in the file keep their defaults
 
 
 def test_config_file_unknown_key(tmp_path):
-    path = write(tmp_path / "run.cfg", "volume = 11\n")
-    from cqcbench.cli import ConfigError
-
-    with pytest.raises(ConfigError):
-        parse_config_file(path)
+    path = write(tmp_path / "run.cfg", "seed = 7\nvolume = 11\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(path)}:2: 'volume': "):
+        resolve_config(["simulate", "--config", path])
 
 
 def simulate_args(tmp_path, **overrides):
@@ -243,6 +241,12 @@ def test_unwritable_output_path_is_one_line_config_error(tmp_path, capsys, monke
 
         monkeypatch.setattr("cqcbench.cli.run_experiment", run_experiment)
     elif case == "dump-data":
+        # A blocked --out stops the run before a writable --dump-data is written.
+        dump = tmp_path / "dump.csv"
+        argv = simulate_args(tmp_path, **{"--out": str(blocker / "sub"), "--dump-data": str(dump)})
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"config error: cannot write {blocker / 'sub'}")
+        assert not dump.exists()
         argv = simulate_args(tmp_path, **{"--dump-data": str(blocker / "x.csv")})
     else:
         command = case.split("-")[0]
@@ -282,15 +286,60 @@ def test_simulate_dump_data_round_trips(tmp_path):
     np.testing.assert_array_equal(data.a, reference.a)
 
 
-def test_usage_errors_exit_one(tmp_path):
-    assert main(["simulate"]) == 1  # no DGP
-    assert main(["surface"]) == 1  # no input
-    assert main(["frobnicate"]) == 1  # unknown command
-    assert main(["simulate", "--dgp", "illustrative", "--xi", "0.7"]) == 1
-    assert main(["simulate", "--dgp", "nope"]) == 1
-    path = write(tmp_path / "d.csv", "y,a,x1\n1,1,0.5\n0,0,0.4\n2,1,0.6\n1,0,0.7\n")
-    assert main(["surface", "--input", path, "--dgp", "illustrative"]) == 1
-    assert main(["surface", "--input", path, "--pseudo", "oracle"]) == 1
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate"],
+        ["surface"],
+        ["frobnicate"],
+        ["simulate", "--dgp", "illustrative", "--xi", "0.7"],
+        ["simulate", "--dgp", "nope"],
+        ["simulate", "--dgp", "illustrative", "--n", "abc"],
+        ["simulate", "--dgp", "illustrative", "--volume", "11"],
+        ["simulate", "--dgp", "illustrative", "--hold", "5"],
+        ["surface", "--input", "d.csv", "--dgp", "illustrative"],
+        ["surface", "--input", "d.csv", "--pseudo", "oracle"],
+    ],
+    ids=[
+        "simulate-no-dgp", "surface-no-input", "unknown-command", "xi-too-large", "dgp-nope",
+        "n-abc", "unknown-flag", "abbreviated-flag", "flag-of-another-command",
+        "pseudo-oracle",
+    ],
+)
+def test_usage_errors_exit_one(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+
+
+def test_help_exits_zero(capsys):
+    assert main(["simulate", "--help"]) == 0
+    assert "--dgp" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["seed = abc", "kernel = epan", "cross_fit = maybe", "holdo = 5", "config = x.cfg"],
+    ids=["seed-abc", "kernel-epan", "cross-fit-maybe", "abbreviated-key", "config-key"],
+)
+def test_config_file_error_names_line_and_key(tmp_path, capsys, line):
+    cfg = write(tmp_path / "run.cfg", f"# settings\ndgp = illustrative\n{line}\n")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    key = line.split(" = ")[0]
+    assert err.startswith(f"config error: {cfg}:3: {key!r}: ") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == ["run.cfg"]
+
+
+def test_config_cross_fit_off_is_no_cross_fit_flag(tmp_path):
+    cfg = write(tmp_path / "run.cfg", "cross_fit = off\n")
+    base = ["simulate", "--dgp", "illustrative"]
+    from_file = vars(resolve_config(base + ["--config", cfg]))
+    from_flag = vars(resolve_config(base + ["--no-cross-fit"]))
+    assert (from_file.pop("config"), from_flag.pop("config")) == (cfg, None)
+    assert from_file == from_flag and from_flag["cross_fit"] is False
+    assert resolve_config(base + ["--config", cfg, "--cross-fit"]).cross_fit is True
 
 
 def test_simulate_has_no_pseudo_flag(tmp_path, capsys):
@@ -301,13 +350,11 @@ def test_simulate_has_no_pseudo_flag(tmp_path, capsys):
     assert not (tmp_path / "errors.csv").exists()
 
 
-def test_every_config_field_is_a_flag_dest():
-    # A parsed command's namespace holds the dest of each of its flags.
-    parser = build_parser()
-    dests = set()
-    for command in ("simulate", "surface", "cqte"):
-        dests |= set(vars(parser.parse_args([command])))
-    assert {f.name for f in fields(RunConfig)} <= dests
+def test_repeated_estimator_is_config_error(tmp_path, capsys):
+    assert main(simulate_args(tmp_path, **{"--estimators": "dr,dr,separate"})) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "['dr']" in err and err.count("\n") == 1
+    assert not (tmp_path / "errors.csv").exists()
 
 
 @pytest.mark.parametrize(
