@@ -103,12 +103,11 @@ class OracleEstimator:
     def __init__(
         self,
         outer_kernel: KernelSpec,
-        xi: float = 0.05,
+        xi: float = 0.05,  # unused: exact propensities are never clipped
         grid_policy: str = "treated",
         grid_count: int | None = None,
     ):
         self.outer_kernel = outer_kernel
-        self.xi = xi
         self.grid_policy = grid_policy
         self.grid_count = grid_count
 
@@ -116,5 +115,5 @@ class OracleEstimator:
         if truth is None:
             raise ValueError("oracle estimator needs exact nuisances from a simulation")
         grid = build_grid(dataset, self.grid_policy, self.grid_count)
-        contrast = fit_oracle_contrast(dataset, truth, self.outer_kernel, xi=self.xi)
+        contrast = fit_oracle_contrast(dataset, truth, self.outer_kernel)
         return CqcFit(contrast, grid)

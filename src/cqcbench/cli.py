@@ -38,7 +38,6 @@ from .estimator import (
 from .baselines import DrEstimator, IpwEstimator, OracleEstimator, SeparateEstimator
 from .kernels import DegenerateMassError, KernelSpec
 from .nuisance import Dataset, SingleArmError, fit_ccdf, make_split
-from .pseudo import PseudoOutcomeKind
 from .simlab import FAMILIES, DgpSpec, run_experiment, sample_dgp
 
 EXIT_OK = 0
@@ -169,21 +168,35 @@ def _alpha_list(text: str) -> list[float]:
     return alphas
 
 
-def _parse_axis(text: str, lo: float, hi: float) -> np.ndarray:
-    """Axis spec: either a point count over [lo, hi] or 'min:max:count'."""
+def _axis_spec(text: str):
+    """``--y-grid``/``--x-grid`` value: 'N' or 'min:max:N', as (min, max, N).
+
+    The bounds of the 'N' form are None: its points span the data's range.
+    """
     parts = text.split(":")
     if len(parts) not in (1, 3):
-        raise ConfigError(f"bad axis spec {text!r} (use 'N' or 'min:max:N')")
+        raise argparse.ArgumentTypeError(f"bad axis spec {text!r} (use 'N' or 'min:max:N')")
     try:
-        if len(parts) == 3:
-            lo, hi = float(parts[0]), float(parts[1])
+        lo, hi = (float(parts[0]), float(parts[1])) if len(parts) == 3 else (None, None)
         count = int(parts[-1])
-    except ValueError as exc:
-        raise ConfigError(f"bad axis spec {text!r}") from exc
-    if not math.isfinite(hi - lo):  # NaN or infinite bounds, or a span that overflows
-        raise ConfigError(f"bad axis spec {text!r}: bounds and their span must be finite")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad axis spec {text!r}") from None
+    if lo is not None and not math.isfinite(hi - lo):  # NaN or infinite, or a span that overflows
+        raise argparse.ArgumentTypeError(
+            f"bad axis spec {text!r}: bounds and their span must be finite"
+        )
     if count < 1:
-        raise ConfigError(f"bad axis spec {text!r}: need at least 1 point")
+        raise argparse.ArgumentTypeError(f"bad axis spec {text!r}: need at least 1 point")
+    return lo, hi, count
+
+
+def _axis(spec, values: np.ndarray) -> np.ndarray:
+    """An axis's points; an 'N' axis spans the range of ``values``."""
+    lo, hi, count = spec
+    if lo is None:
+        lo, hi = float(values.min()), float(values.max())
+        if not math.isfinite(hi - lo):
+            raise ConfigError(f"the data's range overflows; give the axis as 'min:max:{count}'")
     return np.linspace(lo, hi, count)
 
 
@@ -315,9 +328,7 @@ def _build_estimators(args: argparse.Namespace):
             grid_policy=policy, grid_count=count,
         ),
         "separate": lambda: SeparateEstimator(nk),
-        "oracle": lambda: OracleEstimator(
-            ok, xi=args.xi, grid_policy=policy, grid_count=count
-        ),
+        "oracle": lambda: OracleEstimator(ok, grid_policy=policy, grid_count=count),
     }
     names = [name.strip() for name in args.estimators.split(",") if name.strip()]
     if not names:
@@ -357,17 +368,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _fit_dr_contrast(args: argparse.Namespace, dataset: Dataset):
-    kind = PseudoOutcomeKind(args.pseudo)
-    split = _checked_input(args.input, make_split, dataset, args.seed)
-    if args.cross_fit:
-        # Draws the same split again from the seed.
-        return cross_fit_contrast(
-            dataset, args.seed, _nuisance_kernel(args), _outer_kernel(args),
-            kind=kind, xi=args.xi,
-        )
-    return fit_contrast(
-        dataset, split, _nuisance_kernel(args), _outer_kernel(args), kind=kind, xi=args.xi,
-    )
+    """The contrast fit; a dataset that it cannot split or fit is a data error."""
+    kernels = (_nuisance_kernel(args), _outer_kernel(args))
+
+    def fit():
+        if args.cross_fit:
+            return cross_fit_contrast(dataset, args.seed, *kernels, args.pseudo, args.xi)
+        split = make_split(dataset, args.seed)
+        return fit_contrast(dataset, split, *kernels, args.pseudo, args.xi)
+
+    return _checked_input(args.input, fit)
 
 
 def _input_grid(args: argparse.Namespace, dataset: Dataset) -> np.ndarray:
@@ -376,8 +386,7 @@ def _input_grid(args: argparse.Namespace, dataset: Dataset) -> np.ndarray:
 
 def _x_axis(args: argparse.Namespace, dataset: Dataset):
     """The x1 values and their query rows, other covariates at their medians."""
-    x1 = dataset.x[:, 0]
-    x_vals = _parse_axis(args.x_grid, float(x1.min()), float(x1.max()))
+    x_vals = _axis(args.x_grid, dataset.x[:, 0])
     xs = np.tile(np.median(dataset.x, axis=0), (x_vals.size, 1))
     xs[:, 0] = x_vals
     return x_vals, xs
@@ -387,7 +396,7 @@ def cmd_surface(args: argparse.Namespace) -> int:
     path = _out_path(args, "surface.csv")
     dataset = ingest_csv(args.input)
     fit = CqcFit(_fit_dr_contrast(args, dataset), _input_grid(args, dataset))
-    ys = _parse_axis(args.y_grid, float(dataset.y.min()), float(dataset.y.max()))
+    ys = _axis(args.y_grid, dataset.y)
     x_vals, xs = _x_axis(args, dataset)
     surface = surface_eval(fit, ys, xs)
     if not np.isfinite(surface).all():
@@ -462,14 +471,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     surface = add_command("surface", cmd_surface, "fit on a CSV and write the gap surface",
                           aliases=["fit"])
-    surface.add_argument("--y-grid", default="25", help="'N' or 'min:max:N'")
+    surface.add_argument("--y-grid", type=_axis_spec, default="25", help="'N' or 'min:max:N'")
     cqte = add_command("cqte", cmd_cqte, "fit on a CSV and write quantile effects")
     cqte.add_argument("--alphas", type=_alpha_list, default="0.25,0.5,0.75",
                       help="comma list of levels in (0,1)")
     for p in (surface, cqte):
         p.add_argument("--input")
         p.add_argument("--pseudo", choices=("dr", "ipw"), default="dr")
-        p.add_argument("--x-grid", default="25", help="'N' or 'min:max:N'")
+        p.add_argument("--x-grid", type=_axis_spec, default="25", help="'N' or 'min:max:N'")
 
     return parser
 

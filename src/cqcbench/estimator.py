@@ -89,7 +89,6 @@ class ContrastFit:
     """
 
     replicates: tuple
-    xi: float
 
     def evaluate(self, y0: float, y1: float, x) -> float:
         return float(self.profile(y0, np.array([y1]), x)[0])
@@ -108,11 +107,6 @@ class ContrastFit:
     def profile(self, y0: float, grid, x) -> np.ndarray:
         return self.profile_many([y0], grid, np.reshape(x, (1, -1)))[0]
 
-    @property
-    def value_bound(self) -> float:
-        """Hard bound on |h_hat| implied by propensity clipping."""
-        return 1.0 / self.xi + 1.0
-
 
 def fit_contrast(
     dataset: Dataset,
@@ -124,11 +118,9 @@ def fit_contrast(
 ) -> ContrastFit:
     """Single-direction contrast fit: nuisances on split 1, regression on split 2."""
     kind = PseudoOutcomeKind(kind)
-    if kind is PseudoOutcomeKind.ORACLE_DR:
-        raise ValueError("oracle contrast needs exact nuisances; use fit_oracle_contrast")
     nuis = fit_nuisance(dataset.subset(split.indices_1), nuisance_kernel, xi)
     rep = _ContrastReplicate(nuis, dataset.subset(split.indices_2), outer_kernel, kind)
-    return ContrastFit(replicates=(rep,), xi=xi)
+    return ContrastFit(replicates=(rep,))
 
 
 def cross_fit_contrast(
@@ -148,22 +140,18 @@ def cross_fit_contrast(
         reps.append(
             _ContrastReplicate(nuis, dataset.subset(plan.indices_2), outer_kernel, kind)
         )
-    return ContrastFit(replicates=tuple(reps), xi=xi)
+    return ContrastFit(replicates=tuple(reps))
 
 
-def fit_oracle_contrast(
-    dataset: Dataset,
-    exact_nuisance,
-    outer_kernel: KernelSpec,
-    xi: float = 0.05,
-) -> ContrastFit:
+def fit_oracle_contrast(dataset: Dataset, exact_nuisance, outer_kernel: KernelSpec) -> ContrastFit:
     """Contrast fit with exact nuisances; the whole sample feeds the regression.
 
     Splitting exists only to de-correlate estimated nuisances from the
     regression rows, so with closed-form nuisances there is nothing to split.
+    The pseudo-outcome is the doubly robust one.
     """
-    rep = _ContrastReplicate(exact_nuisance, dataset, outer_kernel, PseudoOutcomeKind.ORACLE_DR)
-    return ContrastFit(replicates=(rep,), xi=xi)
+    rep = _ContrastReplicate(exact_nuisance, dataset, outer_kernel, PseudoOutcomeKind.DR)
+    return ContrastFit(replicates=(rep,))
 
 
 def build_grid(dataset: Dataset, policy: str = "treated", count: int | None = None) -> np.ndarray:

@@ -1,17 +1,18 @@
 """Simulation DGPs with closed-form truths, and the Monte-Carlo benchmark runner.
 
-Four data-generating families, all sharing the propensity 0.4*sin(g*pi*u)+0.5
-where u is the covariate (or a fixed random projection of it in the
-ten-dimensional family) and g is a frequency knob that makes the nuisance
-functions wigglier without changing the target outcome map:
+Each family writes arm a's outcome as loc_a(x) + scale_a(x) * Z, with Z
+standard normal except in ``uniform_h``, and has the propensity 0.4*s + 0.5.
+Here s = sin(g*pi*u), u is the covariate (a fixed random projection of it in
+the ten-dimensional family) and the frequency g makes the nuisances wigglier
+without changing the target outcome map. The (loc, scale) per arm are:
 
-- ``illustrative``: Gaussian arms N(sin, 1) and N(2*sin, 4); the equal-quantile
-  map is y -> 2y for every covariate value.
-- ``tendim``: ten covariates, identical Gaussian arms; the map is the identity.
-- ``linear_cqc``: Gaussian arms whose map is (y + 0.5)(0.5x + 1.5), linear in
-  both arguments.
-- ``uniform_h``: uniform arms chosen so the CDF contrast itself collapses to
-  the covariate-free form y1/2 - y0.
+- ``illustrative``: (s, 1) and (2s, 2); the map is y -> 2y.
+- ``tendim``: ten covariates, (s, 1) in both arms; the map is the identity.
+- ``linear_cqc``: (s / c, 1) and (s + c/2, c) with c = 0.5*x + 1.5; the map
+  is (y + 0.5) * c, linear in both arguments.
+- ``uniform_h``: the illustrative parameters with Z ~ Uniform(0, 1), so the
+  CDF contrast is the covariate-free y1/2 - y0 wherever both thresholds lie
+  inside their arms' supports.
 
 The one-dimensional covariate is drawn Uniform(0, 1); plots and experiments
 span exactly that range.
@@ -20,6 +21,7 @@ span exactly that range.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,18 +67,27 @@ def _sine_term(spec: DgpSpec, xs: np.ndarray) -> np.ndarray:
     return np.sin(spec.gamma * np.pi * u)
 
 
-def _normal_arm_params(spec: DgpSpec, xs: np.ndarray):
-    """(loc, scale) per arm for the Gaussian families."""
+def _arm_params(spec: DgpSpec, xs: np.ndarray):
+    """((loc0, scale0), (loc1, scale1)): arm a's outcome is loc + scale * Z."""
     s = _sine_term(spec, xs)
-    if spec.family == "illustrative":
-        return (s, np.ones_like(s)), (2.0 * s, np.full_like(s, 2.0))
+    ones = np.ones_like(s)
     if spec.family == "tendim":
-        return (s, np.ones_like(s)), (s, np.ones_like(s))
+        return (s, ones), (s, ones)
     if spec.family == "linear_cqc":
         x1 = xs[:, 0]
         slope = 0.5 * x1 + 1.5
-        return (s / slope, np.ones_like(s)), (s + 0.25 * x1 + 0.75, slope)
-    raise ValueError(f"{spec.family!r} is not a Gaussian family")
+        return (s / slope, ones), (s + 0.25 * x1 + 0.75, slope)
+    return (s, ones), (2.0 * s, np.full_like(s, 2.0))  # illustrative, uniform_h
+
+
+# The distribution of Z: its CDF, its quantile function and a sampler (rng, n).
+_Base = namedtuple("_Base", "cdf quantile draw")
+_NORMAL = _Base(ndtr, ndtri, lambda rng, n: rng.standard_normal(n))
+_UNIFORM = _Base(lambda z: np.clip(z, 0.0, 1.0), lambda u: u, lambda rng, n: rng.uniform(size=n))
+
+
+def _base(spec: DgpSpec) -> _Base:
+    return _UNIFORM if spec.family == "uniform_h" else _NORMAL
 
 
 class ExactPropensity:
@@ -100,25 +111,15 @@ class ExactCcdf:
 
     def cdf_table(self, arm: int, ys, queries) -> np.ndarray:
         ys = np.asarray(ys, dtype=float).reshape(-1)
-        xs = as_rows(queries)
-        if self.spec.family == "uniform_h":
-            s = _sine_term(self.spec, xs)
-            low = 2.0 * s if arm == 1 else s
-            width = 2.0 if arm == 1 else 1.0
-            return np.clip((ys[None, :] - low[:, None]) / width, 0.0, 1.0)
-        loc, scale = _normal_arm_params(self.spec, xs)[arm]
-        return ndtr((ys[None, :] - loc[:, None]) / scale[:, None])
+        loc, scale = _arm_params(self.spec, as_rows(queries))[arm]
+        return _base(self.spec).cdf((ys[None, :] - loc[:, None]) / scale[:, None])
 
     def __call__(self, arm: int, y: float, x) -> float:
         return float(self.cdf_table(arm, [y], np.reshape(x, (1, -1)))[0, 0])
 
     def quantile(self, arm: int, alpha: float, x) -> float:
-        xs = as_rows(np.reshape(x, (1, -1)))
-        if self.spec.family == "uniform_h":
-            s = float(_sine_term(self.spec, xs)[0])
-            return 2.0 * s + 2.0 * alpha if arm == 1 else s + alpha
-        loc, scale = _normal_arm_params(self.spec, xs)[arm]
-        return float(loc[0] + scale[0] * ndtri(alpha))
+        loc, scale = _arm_params(self.spec, as_rows(np.reshape(x, (1, -1))))[arm]
+        return float(loc[0] + scale[0] * _base(self.spec).quantile(alpha))
 
 
 @dataclass
@@ -132,9 +133,6 @@ class TruthOracle:
     spec: DgpSpec
     propensity: ExactPropensity
     ccdf: ExactCcdf
-
-    def quantile(self, arm: int, alpha: float, x) -> float:
-        return self.ccdf.quantile(arm, alpha, x)
 
     def g(self, ys, xs) -> np.ndarray:
         """Treated outcome at the same conditional quantile as untreated ys."""
@@ -151,30 +149,14 @@ class TruthOracle:
 
     def h(self, y0, y1, xs) -> np.ndarray:
         """CDF contrast F1(y1|x) - F0(y0|x); y0/y1 broadcast against the x rows."""
-        y0 = np.asarray(y0, dtype=float)
-        y1 = np.asarray(y1, dtype=float)
-        rows = as_rows(xs)
-        if self.spec.family == "uniform_h":
-            # Covariate-free by construction: the arms are scaled copies of
-            # one uniform, so the contrast collapses to y1/2 - y0.
-            out = np.asarray(0.5 * y1 - y0, dtype=float)
-            shape = np.broadcast_shapes(out.shape, (rows.shape[0],))
-            return np.broadcast_to(out, shape).copy()
-        (loc0, scale0), (loc1, scale1) = _normal_arm_params(self.spec, rows)
-        return ndtr((y1 - loc1) / scale1) - ndtr((y0 - loc0) / scale0)
+        (loc0, scale0), (loc1, scale1) = _arm_params(self.spec, as_rows(xs))
+        cdf = _base(self.spec).cdf
+        return cdf((y1 - loc1) / scale1) - cdf((y0 - loc0) / scale0)
 
     def cqte(self, alpha: float, xs) -> np.ndarray:
         """Quantile treatment effect: gap between the arms' alpha-quantiles."""
-        rows = as_rows(xs)
-        s = _sine_term(self.spec, rows)
-        if self.spec.family == "illustrative":
-            return s + ndtri(alpha)
-        if self.spec.family == "tendim":
-            return np.zeros(rows.shape[0])
-        if self.spec.family == "uniform_h":
-            return s + alpha
-        (loc0, scale0), (loc1, scale1) = _normal_arm_params(self.spec, rows)
-        z = ndtri(alpha)
+        (loc0, scale0), (loc1, scale1) = _arm_params(self.spec, as_rows(xs))
+        z = _base(self.spec).quantile(alpha)
         return (loc1 + scale1 * z) - (loc0 + scale0 * z)
 
 
@@ -183,14 +165,15 @@ def truth(spec: DgpSpec) -> TruthOracle:
     return TruthOracle(spec=spec, propensity=ExactPropensity(spec), ccdf=ExactCcdf(spec))
 
 
-def _draw_outcomes(spec: DgpSpec, xs: np.ndarray, arms: np.ndarray, rng) -> np.ndarray:
-    if spec.family == "uniform_h":
-        s = _sine_term(spec, xs)
-        u = rng.uniform(size=xs.shape[0])
-        return np.where(arms == 1, 2.0 * s + 2.0 * u, s + u)
-    (loc0, scale0), (loc1, scale1) = _normal_arm_params(spec, xs)
-    z = rng.standard_normal(xs.shape[0])
-    return np.where(arms == 1, loc1 + scale1 * z, loc0 + scale0 * z)
+def _draw_at(spec: DgpSpec, xs: np.ndarray, rng, treat: bool = True):
+    """Treatments (from the exact propensity, or none), then outcomes, at covariates xs."""
+    size = xs.shape[0]
+    arms = np.zeros(size, dtype=np.int64)
+    if treat:
+        arms = (rng.uniform(size=size) < ExactPropensity(spec).many(xs)).astype(np.int64)
+    (loc0, scale0), (loc1, scale1) = _arm_params(spec, xs)
+    z = _base(spec).draw(rng, size)
+    return np.where(arms == 1, loc1 + scale1 * z, loc0 + scale0 * z), arms
 
 
 def _draw_covariates(spec: DgpSpec, size: int, rng) -> np.ndarray:
@@ -205,9 +188,7 @@ def sample_dgp(spec: DgpSpec, n_total: int, seed: int) -> Dataset:
         raise ValueError("need at least 4 observations")
     rng = np.random.default_rng(seed)
     xs = _draw_covariates(spec, n_total, rng)
-    pi = 0.4 * _sine_term(spec, xs) + 0.5
-    arms = (rng.uniform(size=n_total) < pi).astype(np.int64)
-    ys = _draw_outcomes(spec, xs, arms, rng)
+    ys, arms = _draw_at(spec, xs, rng)
     return Dataset(ys, xs, arms)
 
 
@@ -219,18 +200,14 @@ def sample_holdout(spec: DgpSpec, size: int, seed: int):
     """
     rng = np.random.default_rng(seed)
     xs = _draw_covariates(spec, size, rng)
-    ys = _draw_outcomes(spec, xs, np.zeros(size, dtype=np.int64), rng)
+    ys, _ = _draw_at(spec, xs, rng, treat=False)
     return ys, xs
 
 
 def draw_given_x(spec: DgpSpec, x, size: int, seed: int):
     """Draw (y, a) pairs conditional on a fixed covariate value."""
-    rng = np.random.default_rng(seed)
     xs = np.tile(np.atleast_1d(np.asarray(x, dtype=float)), (size, 1))
-    pi = 0.4 * _sine_term(spec, xs) + 0.5
-    arms = (rng.uniform(size=size) < pi).astype(np.int64)
-    ys = _draw_outcomes(spec, xs, arms, rng)
-    return ys, arms
+    return _draw_at(spec, xs, np.random.default_rng(seed))
 
 
 @dataclass(frozen=True)

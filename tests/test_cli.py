@@ -332,6 +332,21 @@ def test_config_file_error_names_line_and_key(tmp_path, capsys, line):
     assert os.listdir(tmp_path) == ["run.cfg"]
 
 
+def test_bad_axis_is_config_error_before_input_is_read(tmp_path, capsys):
+    missing = str(tmp_path / "missing.csv")
+    assert main(["surface", "--input", missing, "--y-grid", "0", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def test_config_file_bad_axis_names_line_and_key(tmp_path, capsys):
+    cfg = write(tmp_path / "run.cfg", "x_grid = 5\ny_grid = 0\n")
+    argv = ["surface", "--input", str(tmp_path / "missing.csv"), "--config", cfg]
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cfg}:2: 'y_grid': ") and err.count("\n") == 1
+
+
 def test_config_cross_fit_off_is_no_cross_fit_flag(tmp_path):
     cfg = write(tmp_path / "run.cfg", "cross_fit = off\n")
     base = ["simulate", "--dgp", "illustrative"]

@@ -312,9 +312,10 @@ def test_fit_contrast_rejects_oracle_kind():
 
 def test_contrast_values_respect_clipping_bound():
     data = illustrative_data(200, gamma=6.0)
-    contrast = fit_contrast(data, make_split(data, 1), NK, OK, xi=0.05)
+    xi = 0.05
+    contrast = fit_contrast(data, make_split(data, 1), NK, OK, xi=xi)
     rng = np.random.default_rng(0)
-    bound = contrast.value_bound
+    bound = 1.0 / xi + 1.0
     for _ in range(50):
         y0, y1 = sorted(rng.normal(scale=2, size=2))
         value = contrast.evaluate(y0, y1, rng.uniform(0, 1, 1))
@@ -407,7 +408,7 @@ def test_cross_fit_mean_of_stub_replicates():
         def profile_many(self, y0s, grid, xs):
             return np.full((y0s.size, grid.size), self.value)
 
-    fit = ContrastFit(replicates=(Rep(0.2), Rep(0.4)), xi=0.05)
+    fit = ContrastFit(replicates=(Rep(0.2), Rep(0.4)))
     assert fit.evaluate(0, 0, [0.0]) == pytest.approx(0.3)
 
 

@@ -99,9 +99,28 @@ def test_truth_uniform_contrast_value():
 
 
 def test_truth_uniform_contrast_constant_across_x():
+    # Inside both arms' supports, [s, s+1] and [2s, 2s+2], the contrast is
+    # F1(2s + 1.0) - F0(s + 0.2) = 0.5 - 0.2 at every x.
     oracle = truth(DgpSpec("uniform_h", gamma=6.0))
-    values = oracle.h(0.2, 1.0, np.linspace(0, 1, 10))
-    assert len(set(values.tolist())) == 1
+    xs = np.linspace(0, 1, 10)
+    s = np.sin(6.0 * np.pi * xs)
+    np.testing.assert_allclose(oracle.h(s + 0.2, 2.0 * s + 1.0, xs), 0.3, atol=1e-12)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_truth_contrast_is_the_exact_cdf_contrast(family):
+    # Thresholds inside and outside each arm's support, at x = 0.3 and more.
+    spec = DgpSpec(family, gamma=1.0 if family == "tendim" else 6.0, seed=1)
+    oracle = truth(spec)
+    if family == "tendim":
+        xs = np.random.default_rng(0).uniform(-1, 1, (7, 10))
+    else:
+        xs = np.array([[0.0], [0.3], [0.45], [0.7], [1.0]])
+    for y0, y1 in [(-1.0, 3.0), (0.2, 1.0), (3.0, -1.0), (-4.0, -4.0), (0.5, 5.0)]:
+        expected = (
+            oracle.ccdf.cdf_table(1, [y1], xs)[:, 0] - oracle.ccdf.cdf_table(0, [y0], xs)[:, 0]
+        )
+        np.testing.assert_allclose(oracle.h(y0, y1, xs), expected, rtol=0, atol=1e-15)
 
 
 def test_truth_propensity_range():
@@ -117,8 +136,8 @@ def test_truth_quantile_matches_scipy():
     oracle = truth(DgpSpec("illustrative", gamma=2.0))
     x = np.array([0.3])
     s = np.sin(2.0 * np.pi * 0.3)
-    assert oracle.quantile(0, 0.8, x) == pytest.approx(s + ndtri(0.8))
-    assert oracle.quantile(1, 0.8, x) == pytest.approx(2 * s + 2 * ndtri(0.8))
+    assert oracle.ccdf.quantile(0, 0.8, x) == pytest.approx(s + ndtri(0.8))
+    assert oracle.ccdf.quantile(1, 0.8, x) == pytest.approx(2 * s + 2 * ndtri(0.8))
 
 
 def test_truth_cqte_symmetry_flat_gamma():
