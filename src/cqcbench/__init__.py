@@ -40,7 +40,6 @@ from .simlab import (
     ErrorReport,
     EstimatorResult,
     TruthOracle,
-    cv_bandwidth,
     run_experiment,
     sample_dgp,
     sample_holdout,

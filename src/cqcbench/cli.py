@@ -306,7 +306,7 @@ def _out_path(args: argparse.Namespace, filename: str) -> str:
     """Path of an output file. Its directory is created and probed here, so a
     command with an unwritable one stops with a config error before any work.
     """
-    out_dir = args.out or os.environ.get(OUT_DIR_ENV, ".")
+    out_dir = args.out or os.environ.get(OUT_DIR_ENV) or "."
     try:
         os.makedirs(out_dir, exist_ok=True)
         tempfile.TemporaryFile(dir=out_dir).close()

@@ -90,9 +90,6 @@ class ContrastFit:
 
     replicates: tuple
 
-    def evaluate(self, y0: float, y1: float, x) -> float:
-        return float(self.profile(y0, np.array([y1]), x)[0])
-
     def profile_many(self, y0s, grid, xs) -> np.ndarray:
         y0s = np.asarray(y0s, dtype=float).reshape(-1)
         grid = np.asarray(grid, dtype=float).reshape(-1)
@@ -103,9 +100,6 @@ class ContrastFit:
         if len(tables) == 1:
             return tables[0]
         return np.mean(tables, axis=0)
-
-    def profile(self, y0: float, grid, x) -> np.ndarray:
-        return self.profile_many([y0], grid, np.reshape(x, (1, -1)))[0]
 
 
 def fit_contrast(
@@ -157,20 +151,21 @@ def fit_oracle_contrast(dataset: Dataset, exact_nuisance, outer_kernel: KernelSp
 def build_grid(dataset: Dataset, policy: str = "treated", count: int | None = None) -> np.ndarray:
     """Sorted, strictly increasing evaluation grid of candidate treated outcomes.
 
-    ``treated`` uses every treated outcome in the sample (duplicates
-    collapsed); ``uniform`` spaces ``count`` points over the sample's full
-    outcome range, as a fallback for sparse arms.
+    ``treated`` uses every distinct treated outcome; ``uniform`` spaces
+    ``count`` points over the outcome range, as a fallback for sparse arms.
+    Adding +0.0 maps -0.0 to 0.0, so the grid does not depend on row order.
     """
     if policy == "treated":
-        treated = dataset.y[dataset.a == 1]
-        if treated.size == 0:
+        points = dataset.y[dataset.a == 1]
+        if points.size == 0:
             raise ValueError("no treated observations to build a grid from")
-        return np.unique(treated)
-    if policy == "uniform":
+    elif policy == "uniform":
         if count is None or count < 1:
             raise ValueError("uniform grid needs a positive point count")
-        return np.unique(np.linspace(dataset.y.min(), dataset.y.max(), count))
-    raise ValueError(f"unknown grid policy {policy!r}")
+        points = np.linspace(dataset.y.min(), dataset.y.max(), count)
+    else:
+        raise ValueError(f"unknown grid policy {policy!r}")
+    return np.unique(points + 0.0)
 
 
 def _check_grid(grid: np.ndarray) -> np.ndarray:

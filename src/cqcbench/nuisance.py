@@ -93,9 +93,6 @@ class Dataset:
     def arm_indices(self, arm: int) -> np.ndarray:
         return np.nonzero(self.a == arm)[0]
 
-    def arm_count(self, arm: int) -> int:
-        return int((self.a == arm).sum())
-
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices)
         return Dataset(self.y[idx], self.x[idx], self.a[idx])
@@ -138,9 +135,6 @@ class PropensityEvaluator:
         if not (0 < self.treatments.sum() < self.treatments.size):
             raise SingleArmError("propensity fit needs both treatment arms")
 
-    def __call__(self, x) -> float:
-        return float(self.many(np.reshape(x, (1, -1)))[0])
-
     def many(self, xs) -> np.ndarray:
         w = nw_weight_matrix(self.kernel, xs, self.xs)
         return np.clip(w @ self.treatments, self.xi, 1.0 - self.xi)
@@ -178,9 +172,6 @@ class CcdfEvaluator:
     def weight_matrix(self, arm: int, queries) -> np.ndarray:
         idx, _ = self._arm_rows[arm]
         return nw_weight_matrix(self.kernel, queries, self.xs[idx])
-
-    def __call__(self, arm: int, y: float, x) -> float:
-        return float(self.cdf_table(arm, [y], np.reshape(x, (1, -1)))[0, 0])
 
     def cdf_table(self, arm: int, ys, queries) -> np.ndarray:
         """CDF values F(ys[l] | queries[j], arm) as a (len(queries), len(ys)) table."""

@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .kernels import DegenerateMassError, KernelSpec, as_rows, nw_weight_matrix
+# nw_weight_matrix is unused here, but bench/test_bench.py checks this binding.
+from .kernels import as_rows, nw_weight_matrix  # noqa: F401
 from .nuisance import Dataset
 
 FAMILIES = ("illustrative", "tendim", "linear_cqc", "uniform_h")
@@ -99,9 +100,6 @@ class ExactPropensity:
     def many(self, xs) -> np.ndarray:
         return 0.4 * _sine_term(self.spec, as_rows(xs)) + 0.5
 
-    def __call__(self, x) -> float:
-        return float(self.many(np.reshape(x, (1, -1)))[0])
-
 
 class ExactCcdf:
     """Closed-form per-arm conditional CDFs with the fitted evaluator's interface."""
@@ -114,12 +112,13 @@ class ExactCcdf:
         loc, scale = _arm_params(self.spec, as_rows(queries))[arm]
         return _base(self.spec).cdf((ys[None, :] - loc[:, None]) / scale[:, None])
 
-    def __call__(self, arm: int, y: float, x) -> float:
-        return float(self.cdf_table(arm, [y], np.reshape(x, (1, -1)))[0, 0])
-
-    def quantile(self, arm: int, alpha: float, x) -> float:
+    def quantile(self, arm: int, alphas, x):
+        """Arm quantiles loc + scale * Z_alpha at every level in ``alphas``, at one x."""
+        alphas = np.asarray(alphas, dtype=float)
+        if not np.all((alphas >= 0.0) & (alphas <= 1.0)):
+            raise ValueError("alpha must lie in [0, 1]")
         loc, scale = _arm_params(self.spec, as_rows(np.reshape(x, (1, -1))))[arm]
-        return float(loc[0] + scale[0] * _base(self.spec).quantile(alpha))
+        return loc[0] + scale[0] * _base(self.spec).quantile(alphas)
 
 
 @dataclass
@@ -314,57 +313,3 @@ def run_experiment(
             )
         )
     return ErrorReport(results=results, replications=replications, per_replication=errors)
-
-
-def cv_bandwidth(
-    dataset: Dataset,
-    family: str,
-    candidates,
-    folds: int,
-    seed: int,
-    target: str = "outcome",
-) -> float:
-    """Pick the bandwidth minimising k-fold squared NW prediction error.
-
-    ``target`` selects the regression being tuned: the outcome (CDF-style
-    smoothing) or the treatment indicator (propensity smoothing). Ties go to
-    the smaller bandwidth; exact duplicates keep the first occurrence. A
-    candidate that leaves some fold with unrecoverable kernel mass is
-    discarded.
-    """
-    candidates = [float(b) for b in candidates]
-    if len(candidates) < 2:
-        raise ValueError("need at least 2 candidate bandwidths")
-    if folds < 2:
-        raise ValueError("need at least 2 folds")
-    if folds > dataset.n:
-        raise ValueError("more folds than observations")
-    if target == "outcome":
-        values = dataset.y
-    elif target == "treatment":
-        values = dataset.a.astype(float)
-    else:
-        raise ValueError("target must be 'outcome' or 'treatment'")
-    perm = np.random.default_rng(seed).permutation(dataset.n)
-    fold_ids = [perm[k::folds] for k in range(folds)]
-    best_bw = None
-    best_sse = None
-    for bw in candidates:
-        spec = KernelSpec(family, bw)
-        sse = 0.0
-        for held in fold_ids:
-            rest = np.setdiff1d(perm, held)
-            try:
-                weights = nw_weight_matrix(spec, dataset.x[held], dataset.x[rest])
-            except DegenerateMassError:
-                sse = float("inf")
-                break
-            preds = weights @ values[rest]
-            sse += float(((values[held] - preds) ** 2).sum())
-        if (
-            best_sse is None
-            or sse < best_sse
-            or (sse == best_sse and bw < best_bw)
-        ):
-            best_bw, best_sse = bw, sse
-    return best_bw

@@ -3,11 +3,12 @@ inverse and the separate plug-in.
 
 The library forms pseudo-outcomes, smooths them and inverts the arm CDFs for
 whole batches of queries with prefix sums and matrix products. These
-references take one observation or one query at a time through the
-nuisances' scalar calls, ``propensity(x)`` and ``ccdf(arm, y, x)``, and
-weight the regression rows with ``resolve_weights``, so they share no batch
-arithmetic with the library's profiles. ``step_quantile`` inverts one CDF at
-one level with ``searchsorted``, where the library counts entries row-wise.
+references take one observation or one query at a time, call the nuisances'
+batch evaluators ``propensity.many`` and ``ccdf.cdf_table`` at one point each
+(``_pi`` and ``_cdf``), and weight the regression rows with
+``resolve_weights``, so they share no batch arithmetic with the library's
+profiles. ``step_quantile`` inverts one CDF at one level with
+``searchsorted``, where the library counts entries row-wise.
 """
 
 import numpy as np
@@ -19,22 +20,32 @@ from cqcbench.pseudo import PseudoOutcomeKind
 QUANTILE_SLACK = 1e-9  # round-off allowance above the last cumulative mass
 
 
+def _pi(propensity, x) -> float:
+    """The propensity at one covariate row."""
+    return float(propensity.many(np.reshape(x, (1, -1)))[0])
+
+
+def _cdf(ccdf, arm: int, y: float, x) -> float:
+    """F_arm(y | x) at one threshold and one covariate row."""
+    return float(ccdf.cdf_table(arm, [y], np.reshape(x, (1, -1)))[0, 0])
+
+
 def dr_pseudo(y: float, x, a: int, y0: float, y1: float, nuisance) -> float:
     """Doubly robust pseudo-outcome under a fitted (or exact) nuisance model.
 
     The indicator threshold follows the observation's own arm: y1 when
     treated, y0 when untreated.
     """
-    pi = nuisance.propensity(x)
+    pi = _pi(nuisance.propensity, x)
     y_a = y1 if a == 1 else y0
-    f_own = nuisance.ccdf(a, y_a, x)
+    f_own = _cdf(nuisance.ccdf, a, y_a, x)
     residual = ((a - pi) / (pi * (1.0 - pi))) * (float(y <= y_a) - f_own)
-    return residual + nuisance.ccdf(1, y1, x) - nuisance.ccdf(0, y0, x)
+    return residual + _cdf(nuisance.ccdf, 1, y1, x) - _cdf(nuisance.ccdf, 0, y0, x)
 
 
 def ipw_pseudo(y: float, x, a: int, y0: float, y1: float, propensity) -> float:
     """Inverse-propensity-weighted pseudo-outcome (no CDF residualisation)."""
-    pi = propensity(x)
+    pi = _pi(propensity, x)
     y_a = y1 if a == 1 else y0
     return ((a - pi) / (pi * (1.0 - pi))) * float(y <= y_a)
 
@@ -79,5 +90,5 @@ def separate_plugin_cqc(dataset, kernel, y0: float, x) -> float:
     always an observed treated outcome.
     """
     ccdf = fit_ccdf(dataset, kernel)
-    alpha = ccdf(0, y0, x)
+    alpha = _cdf(ccdf, 0, y0, x)
     return step_quantile(ccdf.arm_outcomes(1), np.cumsum(ccdf.weight_row(1, x)), alpha)

@@ -55,7 +55,7 @@ def test_criterion_1_pseudo_outcome_conditionally_unbiased():
     ys, arms = draw_given_x(spec, x, 100_000, seed=314)
 
     x_row = np.array([[x]])
-    pi = float(oracle.propensity(np.array([x])))
+    pi = float(oracle.propensity.many(x_row)[0])
     f0 = float(oracle.ccdf.cdf_table(0, [y0], x_row)[0, 0])
     f1 = float(oracle.ccdf.cdf_table(1, [y1], x_row)[0, 0])
     coef = (arms - pi) / (pi * (1.0 - pi))
@@ -286,9 +286,7 @@ def test_criterion_8_constant_contrast_family():
             contrast = fit_contrast(
                 data, make_split(data, 8000 + seed), nk, ok_kernel, xi=XI
             )
-            fitted = [
-                contrast.evaluate(0.2, 1.0, np.array([xv])) for xv in xs10
-            ]
+            fitted = contrast.profile_many(np.full(xs10.size, 0.2), [1.0], xs10)[:, 0]
             per_seed.append(np.std(fitted))
         spreads[n_total] = float(np.mean(per_seed))
     shrinks = spreads[2000] < spreads[500]
@@ -334,18 +332,16 @@ def test_criterion_9_determinism_and_round_trips(tmp_path):
     data = sample_dgp(spec, 300, seed=12)
     ccdf = fit_ccdf(data, nk)
     x_probe = np.array([0.4])
-    cdf_path = [ccdf(1, y, x_probe) for y in np.linspace(-4, 4, 200)]
+    cdf_path = ccdf.cdf_table(1, np.linspace(-4, 4, 200), x_probe[None])[0]
     ccdf_monotone = bool(np.all(np.diff(cdf_path) >= 0))
     table = ccdf.cdf_table(1, np.linspace(-4, 4, 200), np.array([[0.2], [0.8]]))
     table_monotone = bool(np.all(np.diff(table, axis=1) >= -1e-15))
 
     contrast = fit_contrast(data, make_split(data, 12), nk, ok_kernel)
     grid = build_grid(data, "treated")
-    projected_monotone = True
-    for y0, xv in [(-0.5, 0.2), (0.3, 0.5), (1.1, 0.8)]:
-        profile = contrast.profile(y0, grid, np.array([xv]))
-        projected = pava_project(profile).projected
-        projected_monotone &= bool(np.all(np.diff(projected) >= 0))
+    profiles = contrast.profile_many([-0.5, 0.3, 1.1], grid, [[0.2], [0.5], [0.8]])
+    projected = pava_project(profiles).projected
+    projected_monotone = bool(np.all(np.diff(projected, axis=1) >= 0))
 
     ipw_contrast = fit_contrast(data, make_split(data, 12), nk, ok_kernel, kind="ipw")
     ipw_ok = True

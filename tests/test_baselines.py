@@ -60,7 +60,7 @@ def test_ipw_profile_projection_is_noop():
     data = sample_dgp(DgpSpec("illustrative", gamma=2.0), 200, seed=5)
     contrast = fit_contrast(data, make_split(data, 5), NK, OK, kind="ipw")
     grid = build_grid(data, "treated")
-    profile = contrast.profile(0.2, grid, np.array([0.5]))
+    profile = contrast.profile_many([0.2], grid, [[0.5]])[0]
     assert np.all(np.diff(profile) >= -1e-9)
     np.testing.assert_array_equal(pava_project(profile).projected, profile)
 

@@ -545,6 +545,14 @@ def test_out_dir_env_var(tmp_path, monkeypatch):
     assert (tmp_path / "envout" / "errors.csv").exists()
 
 
+def test_empty_out_dir_env_var_means_unset(tmp_path, monkeypatch):
+    monkeypatch.setenv("CQCBENCH_OUT_DIR", "")
+    monkeypatch.chdir(tmp_path)
+    argv = simulate_args(tmp_path, **{"--out": None})
+    assert main(argv) == 0
+    assert (tmp_path / "errors.csv").exists()
+
+
 def test_outputs_written_atomically(tmp_path):
     assert main(simulate_args(tmp_path)) == 0
     leftovers = [name for name in os.listdir(tmp_path) if name.startswith(".tmp-")]

@@ -97,6 +97,28 @@ def test_build_grid_unknown_policy():
         build_grid(data, "loglinear")
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    rows=st.lists(
+        st.tuples(st.floats(-1e3, 1e3, allow_nan=False), st.integers(0, 1)),
+        min_size=1,
+        max_size=40,
+    ).filter(lambda rows: any(a for _, a in rows)),
+    count=st.integers(min_value=1, max_value=50),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(rows=[(0.0, 1), (-0.0, 1)], count=3, seed=0)
+@example(rows=[(-0.0, 0), (0.0, 1), (-1.0, 1)], count=3, seed=0)
+def test_build_grid_ignores_row_order(rows, count, seed):
+    ys, arms = (np.array(column) for column in zip(*rows))
+    dataset = Dataset(ys, np.zeros((ys.size, 1)), arms)
+    for order in (np.random.default_rng(seed).permutation(ys.size), np.arange(ys.size)[::-1]):
+        permuted = dataset.subset(order)
+        for policy in ("treated", "uniform"):
+            grid = build_grid(dataset, policy, count)
+            assert build_grid(permuted, policy, count).tobytes() == grid.tobytes()
+
+
 def test_estimate_cqc_residual_scan():
     g_hat, index, residual = estimate_one(StubContrast([-0.2, -0.05, 0.1]), [1.0, 2.0, 3.0])
     assert g_hat == 2.0
@@ -277,6 +299,26 @@ def test_cqc_to_cqte_table_is_alphas_by_xs():
             assert tau[i, k] == fit(y0, xs[k : k + 1])[0] - y0[0]
 
 
+@pytest.mark.parametrize(
+    "family, gamma",
+    [("illustrative", 2.0), ("illustrative", 6.0), ("linear_cqc", 2.0), ("uniform_h", 2.0)],
+)
+def test_exact_cqte_route_matches_truth(family, gamma):
+    # g(Q0(alpha|x) | x) - Q0(alpha|x) with the exact map and exact arm-0
+    # quantiles is the gap between the arms' alpha-quantiles.
+    oracle = truth(DgpSpec(family, gamma=gamma))
+    alphas = np.array([0.25, 0.5, 0.75])
+    xs = np.linspace(0.05, 0.95, 7)
+    tau = cqc_to_cqte(
+        lambda y0s, xs: oracle.g(y0s, xs),
+        lambda a, x: oracle.ccdf.quantile(0, a, x),
+        alphas,
+        xs,
+    )
+    expected = np.vstack([oracle.cqte(alpha, xs) for alpha in alphas])
+    np.testing.assert_allclose(tau, expected, rtol=0, atol=1e-12)
+
+
 def test_surface_eval_single_cell_matches_fit():
     fit = CqcFit(LinearContrast(), np.linspace(0.0, 2.0, 21))
     surface = surface_eval(fit, [0.7], [0.3])
@@ -294,7 +336,7 @@ def test_surface_eval_identity_estimator_zero_matrix():
 def test_fit_contrast_infinite_thresholds_give_unit_contrast():
     data = illustrative_data(200)
     contrast = fit_contrast(data, make_split(data, 3), NK, OK)
-    value = contrast.evaluate(-np.inf, np.inf, np.array([0.5]))
+    value = contrast.profile_many([-np.inf], [np.inf], [[0.5]])[0, 0]
     assert value == pytest.approx(1.0)
 
 
@@ -318,7 +360,7 @@ def test_contrast_values_respect_clipping_bound():
     bound = 1.0 / xi + 1.0
     for _ in range(50):
         y0, y1 = sorted(rng.normal(scale=2, size=2))
-        value = contrast.evaluate(y0, y1, rng.uniform(0, 1, 1))
+        value = contrast.profile_many([y0], [y1], rng.uniform(0, 1, 1))[0, 0]
         assert abs(value) <= bound
 
 
@@ -328,7 +370,7 @@ def test_profile_many_matches_scalar_evaluate():
     for kind in (PseudoOutcomeKind.DR, PseudoOutcomeKind.IPW):
         contrast = fit_contrast(data, make_split(data, 5), NK, OK, kind=kind)
         x = np.array([0.35])
-        profile = contrast.profile(0.2, grid, x)
+        profile = contrast.profile_many([0.2], grid, x)[0]
         scalars = np.array([scalar_contrast(contrast.replicates[0], 0.2, g, x) for g in grid])
         np.testing.assert_allclose(profile, scalars, atol=1e-10)
         dense = dense_profile_many(contrast.replicates[0], np.array([0.2]), grid, x.reshape(1, 1))
@@ -395,7 +437,7 @@ def test_cross_fit_is_mean_of_replicates():
     contrast = cross_fit_contrast(data, 7, NK, OK)
     assert len(contrast.replicates) == 2
     x = np.array([0.6])
-    value = contrast.evaluate(0.1, 1.0, x)
+    value = contrast.profile_many([0.1], [1.0], x)[0, 0]
     parts = [replicate_value(rep, 0.1, 1.0, x) for rep in contrast.replicates]
     assert value == pytest.approx(np.mean(parts), abs=1e-15)
 
@@ -409,7 +451,7 @@ def test_cross_fit_mean_of_stub_replicates():
             return np.full((y0s.size, grid.size), self.value)
 
     fit = ContrastFit(replicates=(Rep(0.2), Rep(0.4)))
-    assert fit.evaluate(0, 0, [0.0]) == pytest.approx(0.3)
+    assert fit.profile_many([0], [0], [0.0])[0, 0] == pytest.approx(0.3)
 
 
 def test_cross_fit_error_no_worse_than_worst_replicate():
@@ -421,7 +463,7 @@ def test_cross_fit_error_no_worse_than_worst_replicate():
         y0, y1 = sorted(rng.normal(size=2))
         x = rng.uniform(0, 1, 1)
         target = float(oracle.h(y0, y1, x.reshape(1, -1))[0])
-        combined = abs(contrast.evaluate(y0, y1, x) - target)
+        combined = abs(contrast.profile_many([y0], [y1], x)[0, 0] - target)
         parts = [abs(replicate_value(rep, y0, y1, x) - target) for rep in contrast.replicates]
         assert combined <= max(parts) + 1e-12
 
@@ -476,7 +518,7 @@ def test_oracle_contrast_uses_full_sample():
     contrast = fit_oracle_contrast(data, truth(spec), OK)
     assert contrast.replicates[0].data2.n == data.n
     # gamma=0 truth: both CDFs are 1/2 at zero, so the contrast vanishes.
-    assert contrast.evaluate(0.0, 0.0, np.array([0.5])) == pytest.approx(0.0, abs=0.12)
+    assert contrast.profile_many([0.0], [0.0], [[0.5]])[0, 0] == pytest.approx(0.0, abs=0.12)
 
 
 def test_cqcfit_rejects_bad_grid():

@@ -42,7 +42,7 @@ def test_dataset_validation():
 def test_dataset_arm_bookkeeping():
     data = four_point_arm1_dataset()
     assert data.n == 5 and data.d == 1
-    assert data.arm_count(1) == 4
+    assert data.arm_indices(1).size == 4
     np.testing.assert_array_equal(data.arm_indices(0), [4])
 
 
@@ -92,14 +92,13 @@ def test_propensity_clamps_low_and_high():
     # put the only treated row far away so it carries no box mass at x=0
     data.x[5] = 50.0
     prop = fit_propensity(data, KernelSpec("box", 1.0), xi=0.05)
-    assert prop(np.array([0.0])) == pytest.approx(0.05)
-    assert prop(np.array([50.0])) == pytest.approx(0.95)
+    assert prop.many(np.array([[0.0], [50.0]])) == pytest.approx([0.05, 0.95])
 
 
 def test_propensity_equal_weights_hand_average():
     data = Dataset(np.zeros(4), np.zeros((4, 1)), np.array([1, 0, 1, 0]))
     prop = fit_propensity(data, WIDE_BOX, xi=0.05)
-    assert prop(np.array([0.0])) == pytest.approx(0.5)
+    assert prop.many(np.array([[0.0]]))[0] == pytest.approx(0.5)
 
 
 def test_propensity_single_arm_raises():
@@ -122,17 +121,17 @@ def test_propensity_outputs_stay_clipped():
 
 def test_ccdf_step_values():
     ccdf = fit_ccdf(four_point_arm1_dataset(), WIDE_BOX)
-    x = np.array([0.0])
-    assert ccdf(1, 0.5, x) == 0.0  # below all arm-1 outcomes
-    assert ccdf(1, 9.0, x) == 1.0  # above all arm-1 outcomes
-    assert ccdf(1, 2.5, x) == pytest.approx(0.5)
+    below, above, middle = ccdf.cdf_table(1, [0.5, 9.0, 2.5], np.array([[0.0]]))[0]
+    assert below == 0.0  # below all arm-1 outcomes
+    assert above == 1.0  # above all arm-1 outcomes
+    assert middle == pytest.approx(0.5)
 
 
 def test_ccdf_right_continuous_step_at_jump():
     ccdf = fit_ccdf(four_point_arm1_dataset(), WIDE_BOX)
-    x = np.array([0.0])
-    assert ccdf(1, 2.0, x) == pytest.approx(0.5)  # includes the jump at 2
-    assert ccdf(1, 2.0 - 1e-9, x) == pytest.approx(0.25)
+    at_jump, before_jump = ccdf.cdf_table(1, [2.0, 2.0 - 1e-9], np.array([[0.0]]))[0]
+    assert at_jump == pytest.approx(0.5)  # includes the jump at 2
+    assert before_jump == pytest.approx(0.25)
 
 
 def test_ccdf_single_arm_raises():
@@ -150,10 +149,10 @@ def test_ccdf_wide_bandwidth_equals_empirical_cdf():
     )
     ccdf = fit_ccdf(data, WIDE_BOX)
     arm1 = np.sort(data.y[data.a == 1])
-    for x in (np.array([0.1]), np.array([0.9])):
-        for q in (-0.5, 0.0, 0.7):
-            empirical = np.mean(arm1 <= q)
-            assert ccdf(1, q, x) == pytest.approx(empirical, abs=1e-12)
+    qs = np.array([-0.5, 0.0, 0.7])
+    empirical = np.mean(arm1[None, :] <= qs[:, None], axis=1)
+    for row in ccdf.cdf_table(1, qs, np.array([[0.1], [0.9]])):
+        assert row == pytest.approx(empirical, abs=1e-12)
 
 
 def test_generalised_inverse_step_examples():
@@ -218,11 +217,12 @@ def test_generalised_inverse_round_trip_laws():
     )
     ccdf = fit_ccdf(data, KernelSpec("gaussian", 0.3))
     x = np.array([0.4])
-    for alpha in np.linspace(0.0, 1.0, 11):
-        y = ccdf.quantile(1, alpha, x)
-        assert ccdf(1, y, x) >= alpha - 1e-12
-    for y in ccdf.arm_outcomes(1):
-        assert ccdf.quantile(1, ccdf(1, y, x), x) <= y + 1e-12
+    alphas = np.linspace(0.0, 1.0, 11)
+    ys = ccdf.quantile(1, alphas, x)
+    assert np.all(ccdf.cdf_table(1, ys, x[None])[0] >= alphas - 1e-12)
+    jumps = ccdf.arm_outcomes(1)
+    levels = ccdf.cdf_table(1, jumps, x[None])[0]
+    assert np.all(ccdf.quantile(1, levels, x) <= jumps + 1e-12)
 
 
 def test_ccdf_monotone_in_y():
@@ -243,5 +243,6 @@ def test_fit_nuisance_bundles_evaluators():
     data = four_point_arm1_dataset()
     model = fit_nuisance(data, WIDE_BOX, xi=0.05)
     assert model.propensity.xi == 0.05
-    assert 0.05 <= model.propensity(np.array([0.0])) <= 0.95
-    assert model.ccdf(1, 2.5, np.array([0.0])) == pytest.approx(0.5)
+    x_row = np.array([[0.0]])
+    assert 0.05 <= model.propensity.many(x_row)[0] <= 0.95
+    assert model.ccdf.cdf_table(1, [2.5], x_row)[0, 0] == pytest.approx(0.5)

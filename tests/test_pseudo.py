@@ -14,8 +14,8 @@ class StubPropensity:
     def __init__(self, value):
         self.value = value
 
-    def __call__(self, x):
-        return self.value
+    def many(self, xs):
+        return np.full(len(xs), self.value)
 
 
 class StubCcdf:
@@ -24,8 +24,8 @@ class StubCcdf:
     def __init__(self, table):
         self.table = table
 
-    def __call__(self, arm, y, x):
-        return self.table[(arm, y)]
+    def cdf_table(self, arm, ys, xs):
+        return np.array([[self.table[(arm, y)] for y in ys]] * len(xs))
 
 
 def stub_nuisance(pi, table):

@@ -4,11 +4,10 @@ from scipy.special import ndtri
 
 from cqcbench.baselines import DrEstimator, OracleEstimator, SeparateEstimator
 from cqcbench.kernels import KernelSpec
-from cqcbench.nuisance import Dataset
+from cqcbench.nuisance import fit_ccdf
 from cqcbench.simlab import (
     FAMILIES,
     DgpSpec,
-    cv_bandwidth,
     draw_given_x,
     run_experiment,
     sample_dgp,
@@ -140,6 +139,20 @@ def test_truth_quantile_matches_scipy():
     assert oracle.ccdf.quantile(1, 0.8, x) == pytest.approx(2 * s + 2 * ndtri(0.8))
 
 
+@pytest.mark.parametrize("source", ["fitted", "exact"])
+def test_ccdf_quantile_contract_is_shared(source):
+    spec = DgpSpec("illustrative", gamma=2.0)
+    if source == "fitted":
+        ccdf = fit_ccdf(sample_dgp(spec, 200, seed=1), NK)
+    else:
+        ccdf = truth(spec).ccdf
+    x = np.array([0.3])
+    assert ccdf.quantile(0, [0.25, 0.5, 0.75], x).shape == (3,)
+    assert np.ndim(ccdf.quantile(0, 0.5, x)) == 0
+    with pytest.raises(ValueError):
+        ccdf.quantile(0, 1.5, x)
+
+
 def test_truth_cqte_symmetry_flat_gamma():
     oracle = truth(DgpSpec("illustrative", gamma=0.0))
     xs = np.array([[0.2], [0.8]])
@@ -186,7 +199,7 @@ def test_holdout_draws_from_untreated_conditional():
 def test_draw_given_x_fixes_covariate():
     ys, arms = draw_given_x(DgpSpec("illustrative", gamma=6.0), 0.3, 2000, seed=6)
     assert ys.shape == (2000,)
-    pi = float(truth(DgpSpec("illustrative", gamma=6.0)).propensity(np.array([0.3])))
+    pi = float(truth(DgpSpec("illustrative", gamma=6.0)).propensity.many([[0.3]])[0])
     assert arms.mean() == pytest.approx(pi, abs=4.0 / np.sqrt(2000))
 
 
@@ -278,48 +291,3 @@ def test_oracle_error_gamma_invariant_for_doubling_map():
         halves.append(report.results[0].ci_half_width)
     pooled_se = np.hypot(halves[0] / 1.96, halves[1] / 1.96)
     assert abs(means[0] - means[1]) < 3.0 * pooled_se
-
-
-def test_cv_bandwidth_prefers_matched_scale():
-    # Noisy enough that near-interpolation loses, wavy enough that the
-    # global mean loses: only the matched bandwidth fits both ways.
-    rng = np.random.default_rng(0)
-    xs = rng.uniform(0, 1, 300)
-    ys = np.sin(2 * np.pi * xs) + rng.normal(scale=0.3, size=300)
-    data = Dataset(ys, xs, (rng.uniform(size=300) < 0.5).astype(int))
-    chosen = cv_bandwidth(data, "gaussian", [0.002, 0.08, 5.0], folds=5, seed=1)
-    assert chosen == 0.08
-
-
-def test_cv_bandwidth_tie_rules():
-    rng = np.random.default_rng(1)
-    data = Dataset(
-        rng.normal(size=40), rng.uniform(0, 1, 40), (rng.uniform(size=40) < 0.5).astype(int)
-    )
-    # duplicate candidates give identical scores; the first occurrence wins
-    chosen = cv_bandwidth(data, "gaussian", [0.3, 0.3, 0.3], folds=4, seed=2)
-    assert chosen == 0.3
-
-
-def test_cv_bandwidth_validation():
-    rng = np.random.default_rng(2)
-    data = Dataset(
-        rng.normal(size=10), rng.uniform(0, 1, 10), (rng.uniform(size=10) < 0.5).astype(int)
-    )
-    with pytest.raises(ValueError):
-        cv_bandwidth(data, "gaussian", [0.1], folds=2, seed=0)
-    with pytest.raises(ValueError):
-        cv_bandwidth(data, "gaussian", [0.1, 0.2], folds=1, seed=0)
-    with pytest.raises(ValueError):
-        cv_bandwidth(data, "gaussian", [0.1, 0.2], folds=11, seed=0)
-    with pytest.raises(ValueError):
-        cv_bandwidth(data, "gaussian", [0.1, 0.2], folds=2, seed=0, target="spline")
-
-
-def test_cv_bandwidth_treatment_target_runs():
-    spec = DgpSpec("illustrative", gamma=2.0)
-    data = sample_dgp(spec, 200, seed=4)
-    chosen = cv_bandwidth(
-        data, "gaussian", [0.05, 0.5], folds=4, seed=3, target="treatment"
-    )
-    assert chosen in (0.05, 0.5)
