@@ -27,11 +27,26 @@ from .pseudo import PseudoOutcomeKind
 _MONOTONE_TOL = 1e-9
 
 
+def _runs(xs: np.ndarray):
+    """(first row of each run of equal consecutive rows, each row's run index).
+
+    Both are ``slice(None)`` when every row differs from the one before it,
+    so that indexing with them copies nothing.
+    """
+    starts = np.any(xs[1:] != xs[:-1], axis=1)
+    if starts.all():
+        return slice(None), slice(None)
+    return np.flatnonzero(np.r_[True, starts]), np.cumsum(np.r_[0, starts])
+
+
 class _ContrastReplicate:
     """One nuisance-then-regress pass: fixed regression rows, fixed nuisances.
 
     ``nuisance`` may be a fitted model or an exact (closed-form) one; it must
-    expose ``propensity.many(xs)`` and ``ccdf.cdf_table(a, ys, xs)``.
+    expose ``propensity.many(xs)``, ``ccdf.cdf_table(arm, ys, xs)`` and
+    ``ccdf.mixer(arm, xs)``, whose ``mix(u, ys)`` is ``u @ cdf_table(arm, ys,
+    xs)`` without the clip to [0, 1]. The DR kind builds its arm-1 mixer at
+    the regression rows once, on construction.
     """
 
     def __init__(self, nuisance, data2: Dataset, outer_kernel: KernelSpec, kind: PseudoOutcomeKind):
@@ -44,40 +59,44 @@ class _ContrastReplicate:
         self._c = (self._a - pi) / (pi * (1.0 - pi))
         treated = data2.arm_indices(1)
         self._treated = treated[np.argsort(data2.y[treated], kind="stable")]
-        self._tables = {}  # arm -> (ys, F_arm(ys | data2.x)) of the last ys asked for
+        dr = self.kind is PseudoOutcomeKind.DR
+        self._mix1 = nuisance.ccdf.mixer(1, data2.x) if dr else None
+        self._f0 = None  # (y0s, F0(y0s | data2.x)) of the last y0s asked for
 
-    def _cdf_rows(self, arm: int, ys: np.ndarray) -> np.ndarray:
-        # F_arm(ys | regression rows) does not depend on the query covariates,
-        # so the last table per arm is kept for repeated calls with the same
-        # ys (a surface profiles x by x on one grid and one set of y0s).
-        cached = self._tables.get(arm)
-        if cached is None or not np.array_equal(cached[0], ys):
-            cached = (ys.copy(), self.nuisance.ccdf.cdf_table(arm, ys, self.data2.x))
-            self._tables[arm] = cached
-        return cached[1]
+    def _f0_rows(self, y0s: np.ndarray) -> np.ndarray:
+        # F0(y0s | regression rows) does not depend on the query covariates, so
+        # the last table is kept for repeated calls with the same y0s (a
+        # surface profiles x by x on one set of y0s).
+        if self._f0 is None or not np.array_equal(self._f0[0], y0s):
+            self._f0 = (y0s.copy(), self.nuisance.ccdf.cdf_table(0, y0s, self.data2.x))
+        return self._f0[1]
 
     def profile_many(self, y0s: np.ndarray, grid: np.ndarray, xs: np.ndarray) -> np.ndarray:
         """Contrast profiles h_hat(y0s[q], grid[l] | xs[q]) as an (m, p) table.
 
         The treated-indicator term sum_j w_j a_j c_j 1{y_j <= grid[l]} is a
-        prefix sum over the treated rows in outcome order.
+        prefix sum over the treated rows in outcome order. It and the DR F1
+        term depend on x only, so they are computed once per run of equal
+        consecutive rows of ``xs``; only the y0 term is computed per query.
         """
         d2 = self.data2
-        w_out = nw_weight_matrix(self.outer_kernel, xs, d2.x)
+        first, run = _runs(xs)
+        w_out = nw_weight_matrix(self.outer_kernel, xs[first], d2.x)
         rows1 = self._treated
-        treated_term = prefix_gather(w_out[:, rows1] * self._c[rows1], d2.y[rows1], grid)
+        x_part = prefix_gather(w_out[:, rows1] * self._c[rows1], d2.y[rows1], grid)
+        if self._mix1 is not None:
+            # sum_j w_j (1 - a_j c_j) F1(grid | x_j): the F1 part of the treated
+            # term, -a_j c_j F1, merged with the DR correction's +F1.
+            x_part += self._mix1(w_out * (1.0 - self._a * self._c), grid)
         ind0 = (d2.y[:, None] <= y0s[None, :]).astype(float)
         un = (1.0 - self._a) * self._c
         if self.kind is PseudoOutcomeKind.IPW:
-            s0 = np.einsum("qj,jq->q", w_out, un[:, None] * ind0)
-            return treated_term + s0[:, None]
-        f0_q = self._cdf_rows(0, y0s)
-        t0 = un[:, None] * (ind0 - f0_q) - f0_q
-        s0 = np.einsum("qj,jq->q", w_out, t0)
-        # sum_j w_j (1 - a_j c_j) F1(grid | x_j): the F1 part of the treated
-        # term, -a_j c_j F1, merged with the DR correction's +F1.
-        f1_term = (w_out * (1.0 - self._a * self._c)) @ self._cdf_rows(1, grid)
-        return treated_term + f1_term + s0[:, None]
+            t0 = un[:, None] * ind0
+        else:
+            f0_q = self._f0_rows(y0s)
+            t0 = un[:, None] * (ind0 - f0_q) - f0_q
+        s0 = np.einsum("qj,jq->q", w_out[run], t0)
+        return x_part[run] + s0[:, None]
 
 
 @dataclass
@@ -237,15 +256,17 @@ def cqc_to_cqte(fit: CqcFit, arm0_quantile, alphas, xs) -> np.ndarray:
     ``arm0_quantile(alphas, x)`` supplies the untreated conditional quantiles
     (fitted or exact) at every level for one covariate row. Cell [i, k] of the
     (len(alphas), len(xs)) result is g_hat at y0 = the alphas[i]-quantile at
-    xs[k], minus y0; all cells are estimated in one level-major ``fit`` call.
+    xs[k], minus y0. All cells are estimated in one ``fit`` call in x-major
+    order, so each x's levels form one run of equal covariate rows.
     """
     alphas = np.asarray(alphas, dtype=float).reshape(-1)
     if not np.all((alphas > 0.0) & (alphas < 1.0)):
         raise ValueError("alpha must lie in (0, 1)")
     xs = as_rows(xs)
-    y0s = np.column_stack([arm0_quantile(alphas, x) for x in xs])
-    g_hat = fit(y0s.reshape(-1), np.tile(xs, (alphas.size, 1)))
-    return g_hat.reshape(y0s.shape) - y0s
+    y0s = np.array([arm0_quantile(alphas, x) for x in xs], dtype=float)
+    y0s = y0s.reshape(xs.shape[0], alphas.size)
+    g_hat = fit(y0s.reshape(-1), np.repeat(xs, alphas.size, axis=0))
+    return (g_hat.reshape(y0s.shape) - y0s).T
 
 
 def surface_eval(fit: CqcFit, y_grid, x_grid) -> np.ndarray:

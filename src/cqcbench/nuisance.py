@@ -180,6 +180,21 @@ class CcdfEvaluator:
         table = prefix_gather(self.weight_matrix(arm, queries), jumps, ys)
         return np.clip(table, 0.0, 1.0, out=table)
 
+    def mixer(self, arm: int, queries):
+        """``mix(u, ys)``: the unclipped ``u @ cdf_table(arm, ys, queries)``.
+
+        The arm's weight matrix at ``queries`` is computed once and kept, and
+        each call is the prefix gather of ``u @ weights``, so its inner size is
+        the arm's row count rather than ``len(ys)``.
+        """
+        _, jumps = self._arm_rows[arm]
+        weights = self.weight_matrix(arm, queries)
+
+        def mix(u, ys):
+            return prefix_gather(u @ weights, jumps, np.asarray(ys, dtype=float).reshape(-1))
+
+        return mix
+
     def quantile(self, arm: int, alphas, x):
         """Generalised inverse inf{y : F(y) >= alpha} over the jump points at
         every level in ``alphas``, from one weight row at ``x``."""

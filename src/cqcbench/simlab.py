@@ -112,6 +112,10 @@ class ExactCcdf:
         loc, scale = _arm_params(self.spec, as_rows(queries))[arm]
         return _base(self.spec).cdf((ys[None, :] - loc[:, None]) / scale[:, None])
 
+    def mixer(self, arm: int, queries):
+        """``mix(u, ys)``: ``u @ cdf_table(arm, ys, queries)``, as the fitted evaluator's."""
+        return lambda u, ys: u @ self.cdf_table(arm, ys, queries)
+
     def quantile(self, arm: int, alphas, x):
         """Arm quantiles loc + scale * Z_alpha at every level in ``alphas``, at one x."""
         alphas = np.asarray(alphas, dtype=float)
@@ -288,7 +292,8 @@ def run_experiment(
                 predictor = est.fit(data, rep_seed, truth=oracle)
                 g_hat = np.asarray(predictor(hold_y, hold_x), dtype=float)
                 errors[r, j] = float(np.mean(np.abs(g_hat - g_star)))
-                # A fit keeps its CDF tables; free them before the next fit.
+                # A fit keeps its weight matrices and CDF tables; free them
+                # before the next fit.
                 del predictor
             except Exception:
                 failure_counts[j] += 1

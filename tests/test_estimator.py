@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contrast_oracle import dense_cdf_table, dense_profile_many
-from isotonic_oracle import per_row_inversion
+from isotonic_oracle import numpy_stack_pava, per_row_inversion
 from scalar_oracle import scalar_contrast
 from cqcbench.estimator import (
     ContrastFit,
@@ -275,6 +275,12 @@ def test_cqc_to_cqte_identity_map_gives_zero():
     np.testing.assert_allclose(tau, 0.0, atol=1e-12)
 
 
+def test_cqc_to_cqte_with_no_x_rows_is_empty():
+    fit = CqcFit(LinearContrast(), np.linspace(0, 1, 5))
+    tau = cqc_to_cqte(fit, lambda a, x: a, [0.25, 0.5], np.empty((0, 1)))
+    assert tau.shape == (2, 0)
+
+
 def test_cqc_to_cqte_alpha_bounds():
     fit = CqcFit(LinearContrast(), np.linspace(0, 1, 5))
     for alpha in (0.0, 1.0, -0.2, 1.5):
@@ -424,12 +430,49 @@ def test_prefix_sum_tables_match_dense_oracle(n, seed, levels, bandwidth):
         grid = np.sort(_on_and_between(data.y[data.a == 1], rng))  # repeats kept
         y0s = _on_and_between(data.y[data.a == 0], rng)
         xs = rng.uniform(-0.2, 1.2, (y0s.size, 1))
-        for g in (grid, grid, grid[1:]):  # the replicate keeps its last F1 table
+        for g in (grid, grid, grid[1:]):  # one arm-1 mixer serves every grid
             np.testing.assert_allclose(
                 rep.profile_many(y0s, g, xs),
                 dense_profile_many(rep, y0s, g, xs),
                 rtol=0, atol=1e-12,
             )
+
+
+@pytest.mark.parametrize("kind", ["dr", "ipw", "oracle"])
+def test_query_answer_does_not_depend_on_its_batch(kind):
+    # One query answered alone, inside a batch of distinct x, and inside a run
+    # of equal x rows. GEMM shapes differ between the three, so profile rows
+    # agree to rounding, and g_hat may differ only where the crossing is a
+    # near-tie: the alternative index's projected value is within the same
+    # rounding bound of the smallest |projected value|.
+    spec = DgpSpec("illustrative", gamma=6.0)
+    data = sample_dgp(spec, 600, seed=9)
+    if kind == "oracle":
+        contrast = fit_oracle_contrast(data, truth(spec), OK)
+    else:
+        contrast = cross_fit_contrast(data, 9, NK, OK, kind=kind)
+    grid = build_grid(data, "treated")
+    y0s, xs = sample_holdout(spec, 40, seed=10)
+    run_y0s = np.linspace(-3.0, 3.0, 21)
+    run_y0s[8] = y0s[7]
+    run_xs = np.vstack([xs[:3], np.tile(xs[7], (15, 1)), xs[3:6]])  # rows 3-17 share x
+    batches = {
+        "alone": (y0s[7:8], xs[7:8], 0),
+        "distinct": (y0s, xs, 7),
+        "run": (run_y0s, run_xs, 8),
+    }
+    tol = 1e-12
+    rows, answers = {}, {}
+    for name, (ys, rows_x, q) in batches.items():
+        rows[name] = contrast.profile_many(ys, grid, rows_x)[q]
+        answers[name] = estimate_cqc_many(contrast, grid, ys, rows_x)[0][q]
+    projected = numpy_stack_pava(rows["alone"])
+    residual = np.abs(projected).min()
+    for name in ("distinct", "run"):
+        np.testing.assert_allclose(rows[name], rows["alone"], rtol=0, atol=tol)
+        if answers[name] != answers["alone"]:
+            index = np.searchsorted(grid, answers[name])
+            assert abs(projected[index]) <= residual + 2 * tol
 
 
 def test_cross_fit_is_mean_of_replicates():

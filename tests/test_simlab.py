@@ -153,6 +153,25 @@ def test_ccdf_quantile_contract_is_shared(source):
         ccdf.quantile(0, 1.5, x)
 
 
+@pytest.mark.parametrize("source", ["fitted", "exact"])
+def test_ccdf_mixer_is_weighted_sum_of_cdf_table(source):
+    spec = DgpSpec("illustrative", gamma=2.0)
+    data = sample_dgp(spec, 200, seed=3)
+    ccdf = fit_ccdf(data, NK) if source == "fitted" else truth(spec).ccdf
+    rng = np.random.default_rng(5)
+    rows = rng.uniform(0.0, 1.0, (40, 1))
+    u = rng.normal(size=(6, rows.shape[0]))  # signed mixing weights
+    for arm in (0, 1):
+        points = np.sort(data.y[data.a == arm])
+        # Jump points with repeats, between them, and beyond both ends.
+        ys = np.concatenate([points[:5], points[:5], points[::7] + 1e-3, [points[0] - 1, points[-1] + 1]])
+        mix = ccdf.mixer(arm, rows)
+        for grid in (np.sort(ys), ys):
+            np.testing.assert_allclose(
+                mix(u, grid), u @ ccdf.cdf_table(arm, grid, rows), rtol=0, atol=1e-12
+            )
+
+
 def test_truth_cqte_symmetry_flat_gamma():
     oracle = truth(DgpSpec("illustrative", gamma=0.0))
     xs = np.array([[0.2], [0.8]])
