@@ -31,6 +31,7 @@ from .estimator import (
     cross_fit_contrast,
     estimate_cqc_many,
     fit_contrast,
+    fit_cqc,
     fit_oracle_contrast,
     surface_eval,
 )

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .estimator import CqcFit, build_grid, cross_fit_contrast, fit_contrast, fit_oracle_contrast
+from .estimator import CqcFit, build_grid, fit_cqc, fit_oracle_contrast
 from .kernels import KernelSpec
-from .nuisance import Dataset, fit_ccdf, make_split, step_quantile
+from .nuisance import Dataset, fit_ccdf, step_quantile
 from .pseudo import PseudoOutcomeKind
 
 
@@ -48,32 +48,17 @@ class DrEstimator:
         outer_kernel: KernelSpec,
         xi: float = 0.05,
         cross_fit: bool = False,
-        grid_policy: str = "treated",
         grid_count: int | None = None,
     ):
         self.nuisance_kernel = nuisance_kernel
         self.outer_kernel = outer_kernel
         self.xi = xi
         self.cross_fit = cross_fit
-        self.grid_policy = grid_policy
         self.grid_count = grid_count
 
     def fit(self, dataset: Dataset, seed: int, truth=None) -> CqcFit:
-        grid = build_grid(dataset, self.grid_policy, self.grid_count)
-        if self.cross_fit:
-            contrast = cross_fit_contrast(
-                dataset, seed, self.nuisance_kernel, self.outer_kernel, self.kind, self.xi
-            )
-        else:
-            contrast = fit_contrast(
-                dataset,
-                make_split(dataset, seed),
-                self.nuisance_kernel,
-                self.outer_kernel,
-                self.kind,
-                self.xi,
-            )
-        return CqcFit(contrast, grid, require_monotone=self.kind is PseudoOutcomeKind.IPW)
+        return fit_cqc(dataset, seed, self.nuisance_kernel, self.outer_kernel,
+                       self.kind, self.xi, self.cross_fit, self.grid_count)
 
 
 class IpwEstimator(DrEstimator):
@@ -104,16 +89,14 @@ class OracleEstimator:
         self,
         outer_kernel: KernelSpec,
         xi: float = 0.05,  # unused: exact propensities are never clipped
-        grid_policy: str = "treated",
         grid_count: int | None = None,
     ):
         self.outer_kernel = outer_kernel
-        self.grid_policy = grid_policy
         self.grid_count = grid_count
 
     def fit(self, dataset: Dataset, seed: int, truth=None) -> CqcFit:
         if truth is None:
             raise ValueError("oracle estimator needs exact nuisances from a simulation")
-        grid = build_grid(dataset, self.grid_policy, self.grid_count)
+        grid = build_grid(dataset, self.grid_count)
         contrast = fit_oracle_contrast(dataset, truth, self.outer_kernel)
         return CqcFit(contrast, grid)

@@ -27,17 +27,10 @@ import tempfile
 
 import numpy as np
 
-from .estimator import (
-    CqcFit,
-    build_grid,
-    cqc_to_cqte,
-    cross_fit_contrast,
-    fit_contrast,
-    surface_eval,
-)
+from .estimator import cqc_to_cqte, fit_cqc, surface_eval
 from .baselines import DrEstimator, IpwEstimator, OracleEstimator, SeparateEstimator
 from .kernels import DegenerateMassError, KernelSpec
-from .nuisance import Dataset, SingleArmError, fit_ccdf, make_split
+from .nuisance import Dataset, SingleArmError, fit_ccdf
 from .simlab import FAMILIES, DgpSpec, run_experiment, sample_dgp
 
 EXIT_OK = 0
@@ -140,10 +133,10 @@ def _config_argv(parser: argparse.ArgumentParser, command: str, path: str) -> li
     return argv
 
 
-def _grid_policy(text: str):
-    """``--grid`` value: 'treated' or 'uniform:N'."""
+def _grid_count(text: str) -> int | None:
+    """``--grid`` value: 'treated' (None) or 'uniform:N' (N), the grid's point count."""
     if text == "treated":
-        return "treated", None
+        return None
     if text.startswith("uniform:"):
         try:
             count = int(text.split(":", 1)[1])
@@ -151,7 +144,7 @@ def _grid_policy(text: str):
             raise argparse.ArgumentTypeError(f"bad grid spec {text!r}") from None
         if count < 1:
             raise argparse.ArgumentTypeError("uniform grid needs a positive point count")
-        return "uniform", count
+        return count
     raise argparse.ArgumentTypeError(f"bad grid spec {text!r} (use 'treated' or 'uniform:N')")
 
 
@@ -317,18 +310,12 @@ def _out_path(args: argparse.Namespace, filename: str) -> str:
 
 def _build_estimators(args: argparse.Namespace):
     nk, ok = _nuisance_kernel(args), _outer_kernel(args)
-    policy, count = args.grid
+    shared = dict(xi=args.xi, cross_fit=args.cross_fit, grid_count=args.grid)
     registry = {
-        "dr": lambda: DrEstimator(
-            nk, ok, xi=args.xi, cross_fit=args.cross_fit,
-            grid_policy=policy, grid_count=count,
-        ),
-        "ipw": lambda: IpwEstimator(
-            nk, ok, xi=args.xi, cross_fit=args.cross_fit,
-            grid_policy=policy, grid_count=count,
-        ),
+        "dr": lambda: DrEstimator(nk, ok, **shared),
+        "ipw": lambda: IpwEstimator(nk, ok, **shared),
         "separate": lambda: SeparateEstimator(nk),
-        "oracle": lambda: OracleEstimator(ok, grid_policy=policy, grid_count=count),
+        "oracle": lambda: OracleEstimator(ok, grid_count=args.grid),
     }
     names = [name.strip() for name in args.estimators.split(",") if name.strip()]
     if not names:
@@ -367,21 +354,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _fit_dr_contrast(args: argparse.Namespace, dataset: Dataset):
-    """The contrast fit; a dataset that it cannot split or fit is a data error."""
-    kernels = (_nuisance_kernel(args), _outer_kernel(args))
-
-    def fit():
-        if args.cross_fit:
-            return cross_fit_contrast(dataset, args.seed, *kernels, args.pseudo, args.xi)
-        split = make_split(dataset, args.seed)
-        return fit_contrast(dataset, split, *kernels, args.pseudo, args.xi)
-
-    return _checked_input(args.input, fit)
-
-
-def _input_grid(args: argparse.Namespace, dataset: Dataset) -> np.ndarray:
-    return _checked_input(args.input, build_grid, dataset, *args.grid)
+def _fit(args: argparse.Namespace, dataset: Dataset):
+    """The estimator's fit; a dataset that it cannot split or fit is a data error."""
+    return _checked_input(
+        args.input, fit_cqc, dataset, args.seed, _nuisance_kernel(args), _outer_kernel(args),
+        args.pseudo, args.xi, args.cross_fit, args.grid,
+    )
 
 
 def _x_axis(args: argparse.Namespace, dataset: Dataset):
@@ -395,7 +373,7 @@ def _x_axis(args: argparse.Namespace, dataset: Dataset):
 def cmd_surface(args: argparse.Namespace) -> int:
     path = _out_path(args, "surface.csv")
     dataset = ingest_csv(args.input)
-    fit = CqcFit(_fit_dr_contrast(args, dataset), _input_grid(args, dataset))
+    fit = _fit(args, dataset)
     ys = _axis(args.y_grid, dataset.y)
     x_vals, xs = _x_axis(args, dataset)
     surface = surface_eval(fit, ys, xs)
@@ -414,7 +392,7 @@ def cmd_surface(args: argparse.Namespace) -> int:
 def cmd_cqte(args: argparse.Namespace) -> int:
     path = _out_path(args, "cqte.csv")
     dataset = ingest_csv(args.input)
-    fit = CqcFit(_fit_dr_contrast(args, dataset), _input_grid(args, dataset))
+    fit = _fit(args, dataset)
     arm0 = fit_ccdf(dataset, _nuisance_kernel(args))
     x_vals, xs = _x_axis(args, dataset)
     tau = cqc_to_cqte(fit, lambda levels, x: arm0.quantile(0, levels, x), args.alphas, xs)
@@ -453,8 +431,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--bandwidth-outer", type=float, default=0.1)
         p.add_argument("--xi", type=float, default=0.05)
         p.add_argument("--cross-fit", action=argparse.BooleanOptionalAction, default=True)
-        p.add_argument("--grid", type=_grid_policy, default="treated",
-                       help="'treated' or 'uniform:N'")
+        p.add_argument("--grid", type=_grid_count, default="treated",
+                       help="'treated' (every distinct treated outcome) or 'uniform:N' "
+                            "(N points over the outcome range)")
         p.add_argument("--out", help=f"output directory (default: ${OUT_DIR_ENV} or '.')")
         return p
 

@@ -130,7 +130,6 @@ def fit_contrast(
     xi: float = 0.05,
 ) -> ContrastFit:
     """Single-direction contrast fit: nuisances on split 1, regression on split 2."""
-    kind = PseudoOutcomeKind(kind)
     nuis = fit_nuisance(dataset.subset(split.indices_1), nuisance_kernel, xi)
     rep = _ContrastReplicate(nuis, dataset.subset(split.indices_2), outer_kernel, kind)
     return ContrastFit(replicates=(rep,))
@@ -145,14 +144,9 @@ def cross_fit_contrast(
     xi: float = 0.05,
 ) -> ContrastFit:
     """Contrast fit averaged over the two role assignments of a random split."""
-    kind = PseudoOutcomeKind(kind)
     split = make_split(dataset, seed)
-    reps = []
-    for plan in (split, split.swapped()):
-        nuis = fit_nuisance(dataset.subset(plan.indices_1), nuisance_kernel, xi)
-        reps.append(
-            _ContrastReplicate(nuis, dataset.subset(plan.indices_2), outer_kernel, kind)
-        )
+    reps = [fit_contrast(dataset, plan, nuisance_kernel, outer_kernel, kind, xi).replicates[0]
+            for plan in (split, split.swapped())]
     return ContrastFit(replicates=tuple(reps))
 
 
@@ -167,23 +161,21 @@ def fit_oracle_contrast(dataset: Dataset, exact_nuisance, outer_kernel: KernelSp
     return ContrastFit(replicates=(rep,))
 
 
-def build_grid(dataset: Dataset, policy: str = "treated", count: int | None = None) -> np.ndarray:
+def build_grid(dataset: Dataset, count: int | None = None) -> np.ndarray:
     """Sorted, strictly increasing evaluation grid of candidate treated outcomes.
 
-    ``treated`` uses every distinct treated outcome; ``uniform`` spaces
-    ``count`` points over the outcome range, as a fallback for sparse arms.
-    Adding +0.0 maps -0.0 to 0.0, so the grid does not depend on row order.
+    ``None`` uses every distinct treated outcome; a ``count`` spaces that many
+    points over the outcome range, as a fallback for sparse arms. Adding +0.0
+    maps -0.0 to 0.0, so the grid does not depend on row order.
     """
-    if policy == "treated":
+    if count is None:
         points = dataset.y[dataset.a == 1]
         if points.size == 0:
             raise ValueError("no treated observations to build a grid from")
-    elif policy == "uniform":
-        if count is None or count < 1:
-            raise ValueError("uniform grid needs a positive point count")
-        points = np.linspace(dataset.y.min(), dataset.y.max(), count)
+    elif count < 1:
+        raise ValueError("uniform grid needs a positive point count")
     else:
-        raise ValueError(f"unknown grid policy {policy!r}")
+        points = np.linspace(dataset.y.min(), dataset.y.max(), count)
     return np.unique(points + 0.0)
 
 
@@ -248,6 +240,27 @@ class CqcFit:
             self.contrast, self.grid, y0s, xs, require_monotone=self.require_monotone
         )
         return g_hat
+
+
+def fit_cqc(
+    dataset: Dataset,
+    seed: int,
+    nuisance_kernel: KernelSpec,
+    outer_kernel: KernelSpec,
+    kind: PseudoOutcomeKind,
+    xi: float,
+    cross_fit: bool,
+    grid_count: int | None,
+) -> CqcFit:
+    """The estimator: a contrast fit (cross-fitted, or on ``make_split(dataset,
+    seed)``), then ``build_grid``. IPW profiles must be monotone before projection."""
+    if cross_fit:
+        contrast = cross_fit_contrast(dataset, seed, nuisance_kernel, outer_kernel, kind, xi)
+    else:
+        split = make_split(dataset, seed)
+        contrast = fit_contrast(dataset, split, nuisance_kernel, outer_kernel, kind, xi)
+    grid = build_grid(dataset, grid_count)
+    return CqcFit(contrast, grid, require_monotone=PseudoOutcomeKind(kind) is PseudoOutcomeKind.IPW)
 
 
 def cqc_to_cqte(fit: CqcFit, arm0_quantile, alphas, xs) -> np.ndarray:

@@ -48,8 +48,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in KERNEL_FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
-        if not self.bandwidth > 0:
-            raise ValueError("bandwidth must be positive")
+        if not (self.bandwidth > 0 and self.bandwidth**2 > 0):
+            raise ValueError("bandwidth must be positive, with a nonzero square")
 
     def with_bandwidth(self, bandwidth: float) -> "KernelSpec":
         return KernelSpec(self.family, bandwidth)
@@ -65,10 +65,12 @@ def as_rows(xs) -> np.ndarray:
 
 def _kernel_from_sq(spec: KernelSpec, sq_dists: np.ndarray) -> np.ndarray:
     # Overwrites ``sq_dists`` with the kernel values. (-a)/b == a/(-b) exactly,
-    # so dividing by -2h^2 gives the bits of exp(-a / (2h^2)).
+    # so dividing by -2h^2 gives the bits of exp(-a / (2h^2)). A tiny h
+    # overflows the quotient to -inf, whose exp 0 is zero mass for the retry.
     if spec.family == "box":
         return np.less_equal(sq_dists, spec.bandwidth**2, out=sq_dists)
-    np.divide(sq_dists, -2.0 * spec.bandwidth**2, out=sq_dists)
+    with np.errstate(over="ignore"):
+        np.divide(sq_dists, -2.0 * spec.bandwidth**2, out=sq_dists)
     return np.exp(sq_dists, out=sq_dists)
 
 

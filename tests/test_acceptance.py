@@ -338,7 +338,7 @@ def test_criterion_9_determinism_and_round_trips(tmp_path):
     table_monotone = bool(np.all(np.diff(table, axis=1) >= -1e-15))
 
     contrast = fit_contrast(data, make_split(data, 12), nk, ok_kernel)
-    grid = build_grid(data, "treated")
+    grid = build_grid(data)
     profiles = contrast.profile_many([-0.5, 0.3, 1.1], grid, [[0.2], [0.5], [0.8]])
     projected = pava_project(profiles).projected
     projected_monotone = bool(np.all(np.diff(projected, axis=1) >= 0))

@@ -50,7 +50,7 @@ def test_separate_plugin_output_is_observed_treated_outcome():
 
 def test_ipw_cqc_runs_end_to_end():
     data = sample_dgp(DgpSpec("illustrative", gamma=2.0), 200, seed=3)
-    grid = build_grid(data, "treated")
+    grid = build_grid(data)
     predictor = IpwEstimator(NK, OK, xi=0.05).fit(data, seed=3)
     value = predictor(np.array([0.2]), np.array([[0.5]]))[0]
     assert grid.min() <= value <= grid.max()
@@ -59,7 +59,7 @@ def test_ipw_cqc_runs_end_to_end():
 def test_ipw_profile_projection_is_noop():
     data = sample_dgp(DgpSpec("illustrative", gamma=2.0), 200, seed=5)
     contrast = fit_contrast(data, make_split(data, 5), NK, OK, kind="ipw")
-    grid = build_grid(data, "treated")
+    grid = build_grid(data)
     profile = contrast.profile_many([0.2], grid, [[0.5]])[0]
     assert np.all(np.diff(profile) >= -1e-9)
     np.testing.assert_array_equal(pava_project(profile).projected, profile)

@@ -16,7 +16,14 @@ from cqcbench.cli import (
     resolve_config,
     write_dataset_csv,
 )
-from cqcbench.estimator import build_grid, cross_fit_contrast, estimate_cqc_many
+from cqcbench.baselines import DrEstimator, IpwEstimator
+from cqcbench.estimator import (
+    ContrastFit,
+    build_grid,
+    cross_fit_contrast,
+    estimate_cqc_many,
+    surface_eval,
+)
 from cqcbench.kernels import KernelSpec
 from cqcbench.nuisance import Dataset, fit_ccdf
 from cqcbench.simlab import DgpSpec, sample_dgp
@@ -512,8 +519,60 @@ def test_cqte_csv_is_alpha_major_and_matches_batch_inversion(tmp_path):
         data, 2, KernelSpec("gaussian", 0.15), KernelSpec("gaussian", 0.25)
     )
     xs = np.tile(x_vals.reshape(-1, 1), (len(alphas), 1))
-    g_hat, _, _ = estimate_cqc_many(contrast, build_grid(data, "treated"), y0s, xs)
+    g_hat, _, _ = estimate_cqc_many(contrast, build_grid(data), y0s, xs)
     assert [tau for _, _, tau in rows] == list(g_hat - y0s)
+
+
+@pytest.mark.parametrize("grid, grid_count", [("treated", None), ("uniform:40", 40)])
+@pytest.mark.parametrize("cross_fit", [True, False])
+@pytest.mark.parametrize("pseudo, estimator", [("dr", DrEstimator), ("ipw", IpwEstimator)])
+def test_surface_csv_is_the_estimators_surface(tmp_path, pseudo, estimator, cross_fit, grid, grid_count):
+    path = synthetic_csv(tmp_path, gamma=2.0, n=300, seed=4)
+    flags = ["--bandwidth-nuisance", "0.15", "--bandwidth-outer", "0.25", "--seed", "3"]
+    code = main(
+        ["surface", "--input", path, "--out", str(tmp_path), "--y-grid", "4", "--x-grid", "3",
+         "--pseudo", pseudo, "--grid", grid, "--cross-fit" if cross_fit else "--no-cross-fit", *flags]
+    )
+    assert code == 0
+    data = ingest_csv(path)
+    fit = estimator(
+        KernelSpec("gaussian", 0.15), KernelSpec("gaussian", 0.25),
+        xi=0.05, cross_fit=cross_fit, grid_count=grid_count,
+    ).fit(data, 3)
+    ys = np.linspace(data.y.min(), data.y.max(), 4)
+    x_vals = np.linspace(data.x[:, 0].min(), data.x[:, 0].max(), 3)
+    surface = surface_eval(fit, ys, x_vals.reshape(-1, 1))
+    lines = ["y," + ",".join(repr(float(v)) for v in x_vals)]
+    lines += [repr(float(y)) + "," + ",".join(repr(float(v)) for v in row) for y, row in zip(ys, surface)]
+    assert (tmp_path / "surface.csv").read_text() == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("pseudo, code", [("ipw", 3), ("dr", 0)])
+def test_cli_asserts_monotone_profiles_for_ipw_only(tmp_path, capsys, monkeypatch, pseudo, code):
+    def descending(self, y0s, grid, xs):
+        return np.tile(np.linspace(1.0, -1.0, np.size(grid)), (np.size(y0s), 1))
+
+    monkeypatch.setattr(ContrastFit, "profile_many", descending)
+    path = synthetic_csv(tmp_path, n=200)
+    argv = ["surface", "--input", path, "--out", str(tmp_path), "--y-grid", "3", "--x-grid", "2"]
+    assert main([*argv, "--pseudo", pseudo]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("numerical failure:") and err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "bandwidth, code, prefix",
+    [("1e-200", 1, "config error:"), ("1e-155", 3, "numerical failure:")],
+)
+def test_tiny_outer_bandwidth_is_one_line_error(tmp_path, capsys, bandwidth, code, prefix):
+    # 1e-200 squares to 0; at 1e-155 every kernel weight underflows to 0.
+    path = synthetic_csv(tmp_path, n=200)
+    argv = ["surface", "--input", path, "--out", str(tmp_path), "--bandwidth-outer", bandwidth]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1
 
 
 def test_cqte_alpha_out_of_range(tmp_path):

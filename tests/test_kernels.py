@@ -27,6 +27,22 @@ def test_kernel_spec_validation():
         KernelSpec("gaussian", -1.0)
 
 
+@pytest.mark.parametrize("family", ["box", "gaussian"])
+def test_bandwidth_whose_square_is_zero_is_rejected(family):
+    # 1e-200 squares to 0, so a Gaussian query on a training point would get
+    # the weight 0 / -0 = NaN.
+    with pytest.raises(ValueError, match="square"):
+        nw_weight_matrix(KernelSpec(family, 1e-200), [[0.5]], [[0.5], [0.1], [0.9]])
+
+
+@pytest.mark.filterwarnings("error")
+def test_tiny_gaussian_bandwidth_is_zero_mass_without_warnings():
+    # -d^2 / (2h^2) overflows to -inf at h = 1e-155; exp gives zero mass, and
+    # the retry policy gives up.
+    with pytest.raises(DegenerateMassError):
+        nw_weight_matrix(KernelSpec("gaussian", 1e-155), [[0.3]], [[0.5], [0.1], [0.9]])
+
+
 def kernel_value(spec, x, x2) -> float:
     return kernel_matrix(spec, [x], [x2])[0, 0]
 
