@@ -20,7 +20,9 @@ import numpy as np
 
 # pava_project is unused here, but bench/test_bench.py checks this binding.
 from .isotonic import pava_project, zero_crossing  # noqa: F401
-from .kernels import KernelSpec, as_rows, nw_weight_matrix
+from .kernels import (
+    KernelSpec, as_rows, gather_columns, kernel_matrix, nw_weight_matrix, transpose_strips,
+)
 from .nuisance import Dataset, SplitPlan, fit_nuisance, make_split, prefix_gather
 from .pseudo import PseudoOutcomeKind
 
@@ -43,24 +45,25 @@ class _ContrastReplicate:
     """One nuisance-then-regress pass: fixed regression rows, fixed nuisances.
 
     ``nuisance`` may be a fitted model or an exact (closed-form) one; it must
-    expose ``propensity.many(xs)``, ``ccdf.cdf_table(arm, ys, xs)`` and
-    ``ccdf.mixer(arm, xs)``, whose ``mix(u, ys)`` is ``u @ cdf_table(arm, ys,
-    xs)`` without the clip to [0, 1]. The DR kind builds its arm-1 mixer at
-    the regression rows once, on construction.
+    expose ``ccdf.cdf_table(arm, ys, xs)``. ``pi`` is its propensity at the
+    regression rows, and for the DR kind ``mix1`` is its ``ccdf.mixer(1,
+    data2.x)``, whose ``mix(u, ys)`` is ``u @ cdf_table(1, ys, data2.x)``
+    without the clip to [0, 1] (None for IPW). ``_replicate`` evaluates both;
+    ``cross_fit_contrast`` evaluates them for two replicates at once.
     """
 
-    def __init__(self, nuisance, data2: Dataset, outer_kernel: KernelSpec, kind: PseudoOutcomeKind):
+    def __init__(self, nuisance, data2: Dataset, outer_kernel: KernelSpec, kind: PseudoOutcomeKind,
+                 pi: np.ndarray, mix1):
         self.nuisance = nuisance
         self.data2 = data2
         self.outer_kernel = outer_kernel
-        self.kind = PseudoOutcomeKind(kind)
+        self.kind = kind
         self._a = data2.a.astype(float)
-        pi = np.asarray(nuisance.propensity.many(data2.x), dtype=float)
+        pi = np.asarray(pi, dtype=float)
         self._c = (self._a - pi) / (pi * (1.0 - pi))
         treated = data2.arm_indices(1)
         self._treated = treated[np.argsort(data2.y[treated], kind="stable")]
-        dr = self.kind is PseudoOutcomeKind.DR
-        self._mix1 = nuisance.ccdf.mixer(1, data2.x) if dr else None
+        self._mix1 = mix1
         self._f0 = None  # (y0s, F0(y0s | data2.x)) of the last y0s asked for
 
     def _f0_rows(self, y0s: np.ndarray) -> np.ndarray:
@@ -99,6 +102,14 @@ class _ContrastReplicate:
         return x_part[run] + s0[:, None]
 
 
+def _replicate(nuisance, data2: Dataset, outer_kernel: KernelSpec, kind: PseudoOutcomeKind):
+    """A replicate whose nuisance evaluates its own propensity and arm-1 mixer;
+    it must also expose ``propensity.many(xs)`` and ``ccdf.mixer(arm, xs)``."""
+    pi = nuisance.propensity.many(data2.x)
+    mix1 = nuisance.ccdf.mixer(1, data2.x) if kind is PseudoOutcomeKind.DR else None
+    return _ContrastReplicate(nuisance, data2, outer_kernel, kind, pi, mix1)
+
+
 @dataclass
 class ContrastFit:
     """Evaluator for the regressed pseudo-outcome contrast h_hat(y0, y1 | x).
@@ -130,8 +141,9 @@ def fit_contrast(
     xi: float = 0.05,
 ) -> ContrastFit:
     """Single-direction contrast fit: nuisances on split 1, regression on split 2."""
+    kind = PseudoOutcomeKind(kind)
     nuis = fit_nuisance(dataset.subset(split.indices_1), nuisance_kernel, xi)
-    rep = _ContrastReplicate(nuis, dataset.subset(split.indices_2), outer_kernel, kind)
+    rep = _replicate(nuis, dataset.subset(split.indices_2), outer_kernel, kind)
     return ContrastFit(replicates=(rep,))
 
 
@@ -143,11 +155,36 @@ def cross_fit_contrast(
     kind: PseudoOutcomeKind = PseudoOutcomeKind.DR,
     xi: float = 0.05,
 ) -> ContrastFit:
-    """Contrast fit averaged over the two role assignments of a random split."""
+    """Contrast fit averaged over the two role assignments of a random split.
+
+    Both replicates' nuisances are NW regressions between the same two halves,
+    so one kernel matrix K (regression half 2 by nuisance half 1) and its
+    transpose give both propensities and both arm-1 weight matrices, with the
+    bits of ``fit_contrast`` on each role assignment: (a - b)^2 == (b - a)^2,
+    and every matrix is C-ordered, as its row sums need. The order below
+    keeps live at most K and its transpose, or the transpose and the two
+    arm-1 weight matrices; arm-0 weights stay with ``cdf_table`` at predict
+    time.
+    """
+    kind = PseudoOutcomeKind(kind)
     split = make_split(dataset, seed)
-    reps = [fit_contrast(dataset, plan, nuisance_kernel, outer_kernel, kind, xi).replicates[0]
-            for plan in (split, split.swapped())]
-    return ContrastFit(replicates=tuple(reps))
+    d1, d2 = dataset.subset(split.indices_1), dataset.subset(split.indices_2)
+    nuis1, nuis2 = fit_nuisance(d1, nuisance_kernel, xi), fit_nuisance(d2, nuisance_kernel, xi)
+    # pi2, mix2 are evaluated at d2's rows (replicate 1); pi1, mix1 at d1's.
+    k = kernel_matrix(nuisance_kernel, d2.x, d1.x)
+    kt = transpose_strips(k)
+    pi2 = nuis1.propensity.many(d2.x, k)
+    del k
+    mix2 = mix1 = None
+    if kind is PseudoOutcomeKind.DR:
+        mix2 = nuis1.ccdf.mixer(1, d2.x, transpose_strips(kt, nuis1.ccdf.arm_rows(1)))
+        mix1 = nuis2.ccdf.mixer(1, d1.x, gather_columns(kt, nuis2.ccdf.arm_rows(1)))
+    pi1 = nuis2.propensity.many(d1.x, kt)
+    del kt
+    return ContrastFit(replicates=(
+        _ContrastReplicate(nuis1, d2, outer_kernel, kind, pi2, mix2),
+        _ContrastReplicate(nuis2, d1, outer_kernel, kind, pi1, mix1),
+    ))
 
 
 def fit_oracle_contrast(dataset: Dataset, exact_nuisance, outer_kernel: KernelSpec) -> ContrastFit:
@@ -157,7 +194,7 @@ def fit_oracle_contrast(dataset: Dataset, exact_nuisance, outer_kernel: KernelSp
     regression rows, so with closed-form nuisances there is nothing to split.
     The pseudo-outcome is the doubly robust one.
     """
-    rep = _ContrastReplicate(exact_nuisance, dataset, outer_kernel, PseudoOutcomeKind.DR)
+    rep = _replicate(exact_nuisance, dataset, outer_kernel, PseudoOutcomeKind.DR)
     return ContrastFit(replicates=(rep,))
 
 

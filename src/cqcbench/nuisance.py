@@ -135,8 +135,11 @@ class PropensityEvaluator:
         if not (0 < self.treatments.sum() < self.treatments.size):
             raise SingleArmError("propensity fit needs both treatment arms")
 
-    def many(self, xs) -> np.ndarray:
-        w = nw_weight_matrix(self.kernel, xs, self.xs)
+    def many(self, xs, km=None) -> np.ndarray:
+        """Clamped propensities at ``xs``. ``km``, if given, is the caller's
+        unnormalised kernel matrix between ``xs`` and the training rows; it is
+        normalised in place."""
+        w = nw_weight_matrix(self.kernel, xs, self.xs, km)
         return np.clip(w @ self.treatments, self.xi, 1.0 - self.xi)
 
 
@@ -164,14 +167,18 @@ class CcdfEvaluator:
         """Outcomes of the given arm, ascending (the CDF's jump points)."""
         return self._arm_rows[arm][1]
 
+    def arm_rows(self, arm: int) -> np.ndarray:
+        """Training-row indices of the given arm, in jump-point order."""
+        return self._arm_rows[arm][0]
+
     def weight_row(self, arm: int, x) -> np.ndarray:
         """Policy-resolved weights over the arm's rows, in jump-point order."""
         idx, _ = self._arm_rows[arm]
         return resolve_weights(self.kernel, x, self.xs[idx])
 
-    def weight_matrix(self, arm: int, queries) -> np.ndarray:
+    def weight_matrix(self, arm: int, queries, km=None) -> np.ndarray:
         idx, _ = self._arm_rows[arm]
-        return nw_weight_matrix(self.kernel, queries, self.xs[idx])
+        return nw_weight_matrix(self.kernel, queries, self.xs[idx], km)
 
     def cdf_table(self, arm: int, ys, queries) -> np.ndarray:
         """CDF values F(ys[l] | queries[j], arm) as a (len(queries), len(ys)) table."""
@@ -180,15 +187,17 @@ class CcdfEvaluator:
         table = prefix_gather(self.weight_matrix(arm, queries), jumps, ys)
         return np.clip(table, 0.0, 1.0, out=table)
 
-    def mixer(self, arm: int, queries):
+    def mixer(self, arm: int, queries, km=None):
         """``mix(u, ys)``: the unclipped ``u @ cdf_table(arm, ys, queries)``.
 
         The arm's weight matrix at ``queries`` is computed once and kept, and
         each call is the prefix gather of ``u @ weights``, so its inner size is
-        the arm's row count rather than ``len(ys)``.
+        the arm's row count rather than ``len(ys)``. ``km``, if given, is the
+        caller's unnormalised kernel matrix between ``queries`` and the arm's
+        rows in ``arm_rows`` order; it becomes the weight matrix in place.
         """
         _, jumps = self._arm_rows[arm]
-        weights = self.weight_matrix(arm, queries)
+        weights = self.weight_matrix(arm, queries, km)
 
         def mix(u, ys):
             return prefix_gather(u @ weights, jumps, np.asarray(ys, dtype=float).reshape(-1))

@@ -1,4 +1,5 @@
-"""Dense-indicator reference forms of the CDF and contrast-profile tables.
+"""Dense-indicator reference forms of the CDF and contrast-profile tables, and
+the cross-fit built from two independently fitted replicates.
 
 The library evaluates step CDFs and the contrast's treated-indicator term as
 prefix sums gathered at insertion points. These references build the full
@@ -14,8 +15,19 @@ re-evaluated on the regression rows.
 
 import numpy as np
 
+from cqcbench.estimator import ContrastFit, fit_contrast
 from cqcbench.kernels import nw_weight_matrix
+from cqcbench.nuisance import make_split
 from cqcbench.pseudo import PseudoOutcomeKind
+
+
+def independent_cross_fit(dataset, seed, nuisance_kernel, outer_kernel, kind, xi=0.05) -> ContrastFit:
+    """``cross_fit_contrast`` as two ``fit_contrast`` calls, one per role
+    assignment, each evaluating its own nuisance kernels."""
+    split = make_split(dataset, seed)
+    reps = [fit_contrast(dataset, plan, nuisance_kernel, outer_kernel, kind, xi).replicates[0]
+            for plan in (split, split.swapped())]
+    return ContrastFit(replicates=tuple(reps))
 
 
 def dense_cdf_table(ccdf, arm, ys, queries) -> np.ndarray:

@@ -575,6 +575,15 @@ def test_tiny_outer_bandwidth_is_one_line_error(tmp_path, capsys, bandwidth, cod
     assert err.startswith(prefix) and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flag", ["--bandwidth-nuisance", "--bandwidth-outer"])
+def test_bandwidth_whose_square_overflows_is_config_error(tmp_path, capsys, flag):
+    path = synthetic_csv(tmp_path, n=200)
+    assert main(["surface", "--input", path, "--out", str(tmp_path), flag, "1e200"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert not (tmp_path / "surface.csv").exists()
+
+
 def test_cqte_alpha_out_of_range(tmp_path):
     path = synthetic_csv(tmp_path)
     assert main(["cqte", "--input", path, "--alphas", "0.5,1.5"]) == 1

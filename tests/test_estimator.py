@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from contrast_oracle import dense_cdf_table, dense_profile_many
+from contrast_oracle import dense_cdf_table, dense_profile_many, independent_cross_fit
 from isotonic_oracle import numpy_stack_pava, per_row_inversion
 from scalar_oracle import scalar_contrast
 from cqcbench.estimator import (
@@ -18,7 +20,8 @@ from cqcbench.estimator import (
     fit_oracle_contrast,
     surface_eval,
 )
-from cqcbench.kernels import KernelSpec
+from cqcbench import kernels
+from cqcbench.kernels import KernelSpec, as_rows
 from cqcbench.nuisance import Dataset, SingleArmError, SplitPlan, fit_ccdf, make_split
 from cqcbench.pseudo import PseudoOutcomeKind
 from cqcbench.simlab import DgpSpec, sample_dgp, sample_holdout, truth
@@ -552,6 +555,81 @@ def test_cross_fit_deterministic_to_the_bit():
         g_hat, _, _ = estimate_cqc_many(contrast, grid, queries_y, queries_x)
         results.append(g_hat)
     np.testing.assert_array_equal(results[0], results[1])
+
+
+# (d, nuisance bandwidth, outer bandwidth) per kernel family.
+_SHARED_KERNEL_CASES = {
+    ("box", 1): (0.1, 0.15), ("gaussian", 1): (0.1, 0.15),
+    ("box", 10): (1.8, 2.2), ("gaussian", 10): (0.8, 1.5),
+}
+
+
+def _assert_profiles_match_independent_replicates(data, seed, nk, ok, kind, xs):
+    rng = np.random.default_rng(seed)
+    y0s = rng.normal(size=xs.shape[0])
+    grid = build_grid(data)
+    shared = cross_fit_contrast(data, seed, nk, ok, kind).profile_many(y0s, grid, xs)
+    oracle = independent_cross_fit(data, seed, nk, ok, kind).profile_many(y0s, grid, xs)
+    assert shared.tobytes() == oracle.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["dr", "ipw"])
+@pytest.mark.parametrize("family, d", list(_SHARED_KERNEL_CASES))
+def test_shared_nuisance_kernel_matches_independent_replicates(family, d, kind):
+    spec = DgpSpec("tendim", gamma=1.0, seed=3) if d == 10 else DgpSpec("illustrative", gamma=2.0)
+    data = sample_dgp(spec, 401, seed=d)
+    _, xs = sample_holdout(spec, 25, seed=d + 1)
+    nuisance_bw, outer_bw = _SHARED_KERNEL_CASES[family, d]
+    _assert_profiles_match_independent_replicates(
+        data, 5, KernelSpec(family, nuisance_bw), KernelSpec(family, outer_bw), kind, xs)
+
+
+@pytest.mark.parametrize("kind", ["dr", "ipw"])
+def test_shared_nuisance_kernel_matches_independent_replicates_on_retry_rows(monkeypatch, kind):
+    # Isolated covariates have no nuisance mass within the box radius in the
+    # other half, so their propensity and arm-1 rows take the retry policy.
+    base = illustrative_data(300, seed=4)
+    outliers = np.array([3.0, 5.0, 7.0, 9.0, 11.0, 13.0])
+    data = Dataset(np.r_[base.y, outliers], np.r_[base.x[:, 0], outliers], np.r_[base.a, [0, 1] * 3])
+    nk, ok = KernelSpec("box", 0.05), KernelSpec("box", 0.1)
+    split = make_split(data, 6)
+    halves = [data.subset(idx) for idx in (split.indices_1, split.indices_2)]
+    retry_sizes = []
+    resolve = kernels.resolve_weights
+
+    def recording_resolve(spec, x, train_xs):
+        retry_sizes.append(as_rows(train_xs).shape[0])
+        return resolve(spec, x, train_xs)
+
+    monkeypatch.setattr(kernels, "resolve_weights", recording_resolve)
+    cross_fit_contrast(data, 6, nk, ok, kind)
+    expected = {half.n for half in halves}
+    if kind == "dr":
+        expected |= {half.arm_indices(1).size for half in halves}
+    assert expected <= set(retry_sizes)
+    monkeypatch.undo()
+    _assert_profiles_match_independent_replicates(data, 6, nk, ok, kind, np.c_[[0.5, 3.0, 9.0, 20.0]])
+
+
+@pytest.mark.parametrize("kind", ["dr", "ipw"])
+def test_cross_fit_memory_stays_within_two_half_matrices(kind):
+    # K and its transpose are two (n/2)^2 matrices. The DR fit keeps both
+    # arm-1 weight matrices, which are live with the transpose while the
+    # second propensity consumes it: two matrices at a treated share of one
+    # half. The slack covers the split's copies of the data, O(n d).
+    n = 3000
+    data = sample_dgp(DgpSpec("tendim", gamma=1.0, seed=3), n, seed=0)
+    split = make_split(data, 0)
+    n1, n2 = split.indices_1.size, split.indices_2.size
+    t1, t2 = (int(data.a[idx].sum()) for idx in (split.indices_1, split.indices_2))
+    second = max(n1 * n2, n2 * t1 + n1 * t2) if kind == "dr" else n1 * n2
+    tracemalloc.start()
+    try:
+        cross_fit_contrast(data, 0, KernelSpec("gaussian", 0.8), KernelSpec("gaussian", 1.5), kind)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (n1 * n2 + second) * 8 + 4 * n * (data.d + 1) * 8
 
 
 def test_estimate_cqc_matches_batched_path():

@@ -2,15 +2,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from kernel_oracle import full_tensor_kernel_matrix, full_tensor_sq_dists
+from kernel_oracle import full_tensor_kernel_matrix, full_tensor_sq_dists, masked_normalise_rows
 
 from cqcbench.kernels import (
     _BLOCK_VALUES,
+    _STRIP_ROWS,
     DegenerateMassError,
     KernelSpec,
+    gather_columns,
     kernel_matrix,
     nw_weight_matrix,
     resolve_weights,
+    transpose_strips,
+    _normalise_rows,
     _sq_dist_matrix,
 )
 
@@ -33,6 +37,21 @@ def test_bandwidth_whose_square_is_zero_is_rejected(family):
     # the weight 0 / -0 = NaN.
     with pytest.raises(ValueError, match="square"):
         nw_weight_matrix(KernelSpec(family, 1e-200), [[0.5]], [[0.5], [0.1], [0.9]])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bandwidth", [1e200, 1.8e154, np.float64(1e200), float("inf")])
+def test_bandwidth_whose_square_overflows_is_rejected(bandwidth):
+    # A Python float's ** raises OverflowError above sqrt(max float).
+    with pytest.raises(ValueError, match="finite square"):
+        KernelSpec("gaussian", bandwidth)
+
+
+def test_largest_bandwidth_with_a_finite_square_is_accepted():
+    # The Gaussian divisor -2h^2 overflows to -inf here, so every weight is
+    # exp(-0) = 1: the wide-bandwidth limit.
+    spec = KernelSpec("gaussian", 1.3e154)
+    np.testing.assert_array_equal(nw_weight_matrix(spec, [[0.0]], [[0.5], [9.0]]), [[0.5, 0.5]])
 
 
 @pytest.mark.filterwarnings("error")
@@ -213,3 +232,55 @@ def test_weight_matrix_memory_stays_within_two_matrices():
     finally:
         tracemalloc.stop()
     assert peak < 2 * m * n * 8
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("shape", [(3, 5), (_STRIP_ROWS, 7), (2 * _STRIP_ROWS + 3, 40), (1, 0)])
+def test_column_gather_and_strip_transpose_match_numpy(order, shape):
+    rng = np.random.default_rng(shape[0])
+    m = np.asarray(rng.normal(size=shape), order=order)
+    transposed = transpose_strips(m)
+    assert transposed.flags.c_contiguous
+    assert transposed.shape == m.T.shape and transposed.tobytes() == np.ascontiguousarray(m.T).tobytes()
+    empty = np.array([], dtype=np.intp)
+    for idx in (np.arange(shape[1])[::-2], rng.integers(0, max(shape[1], 1), size=shape[1]), empty):
+        gathered = gather_columns(m, idx)
+        expected = np.ascontiguousarray(m[:, idx])
+        assert gathered.flags.c_contiguous and gathered.shape == expected.shape
+        assert gathered.tobytes() == expected.tobytes()
+    for rows in (np.arange(shape[0])[::-2], rng.integers(0, shape[0], size=2 * shape[0]), empty):
+        transposed = transpose_strips(m, rows)
+        expected = np.ascontiguousarray(m[rows].T)
+        assert transposed.flags.c_contiguous and transposed.shape == expected.shape
+        assert transposed.tobytes() == expected.tobytes()
+
+
+def test_normalise_rows_matches_masked_division():
+    rng = np.random.default_rng(8)
+    km = rng.uniform(size=(6, 9))
+    km[1] = 0.0  # zero mass: left as zeros, flagged
+    km[2, 4] = np.nan  # NaN total: divided like any other row, not flagged
+    km[3] = 0.0
+    km[3, 0] = np.inf  # infinite total
+    km[4, :] = 1e-320  # subnormal mass
+    expected = km.copy()
+    with np.errstate(invalid="ignore"):  # NaN and inf / inf
+        bad = _normalise_rows(km)
+        assert bad.tolist() == masked_normalise_rows(expected).tolist() == [False, True] + [False] * 4
+    assert km.tobytes() == expected.tobytes()
+
+
+def test_weight_matrix_normalises_a_given_kernel_matrix_in_place():
+    rng = np.random.default_rng(4)
+    xs = rng.uniform(-1, 1, (50, 2))
+    queries = rng.uniform(-1, 1, (7, 2))
+    queries[2] = [5.0, 5.0]  # empty box ball: the retry row
+    spec = KernelSpec("box", 0.4)
+    km = kernel_matrix(spec, queries, xs)
+    weights = nw_weight_matrix(spec, queries, xs, km)
+    assert weights is km
+    assert weights.tobytes() == nw_weight_matrix(spec, queries, xs).tobytes()
+    with pytest.raises(ValueError, match="C-ordered"):
+        nw_weight_matrix(spec, queries, xs, np.asfortranarray(kernel_matrix(spec, queries, xs)))
+    with pytest.raises(ValueError, match="C-ordered"):
+        nw_weight_matrix(spec, queries, xs, kernel_matrix(spec, queries[1:], xs))
