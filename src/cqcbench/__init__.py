@@ -16,7 +16,6 @@ from .nuisance import (
     NuisanceModel,
     PropensityEvaluator,
     SingleArmError,
-    SplitPlan,
     fit_ccdf,
     fit_nuisance,
     fit_propensity,

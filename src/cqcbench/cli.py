@@ -50,37 +50,16 @@ class DataError(ValueError):
 
 
 def validate(args: argparse.Namespace) -> None:
-    """The checks that the parser's types and choices do not make."""
-    _as_config_error(_nuisance_kernel, args)
-    _as_config_error(_outer_kernel, args)
-    if not 0.0 < args.xi <= 0.5:
-        raise ConfigError("xi must lie in (0, 0.5]")
-    if args.seed < 0:
-        raise ConfigError("seed must be nonnegative")
+    """The checks that the parser's types and choices do not make. The specs built
+    are kept as ``args.nuisance_kernel``, ``args.outer_kernel`` and (simulate) ``args.spec``."""
+    args.nuisance_kernel = _as_config_error(KernelSpec, args.kernel, args.bandwidth_nuisance)
+    args.outer_kernel = _as_config_error(KernelSpec, args.kernel, args.bandwidth_outer)
     if args.run is cmd_simulate:
         if args.dgp is None:
             raise ConfigError(f"{args.command} requires --dgp")
-        _as_config_error(_dgp_spec, args)
-        if args.replications < 2:
-            raise ConfigError("need at least 2 replications (CI undefined otherwise)")
-        if args.n < 4:
-            raise ConfigError("need at least 4 observations (--n)")
-        if args.holdout < 1:
-            raise ConfigError("need at least 1 holdout draw (--holdout)")
+        args.spec = _as_config_error(DgpSpec, args.dgp, args.gamma, args.seed)
     elif args.input is None:
         raise ConfigError(f"{args.command} requires --input")
-
-
-def _nuisance_kernel(args: argparse.Namespace) -> KernelSpec:
-    return KernelSpec(args.kernel, args.bandwidth_nuisance)
-
-
-def _outer_kernel(args: argparse.Namespace) -> KernelSpec:
-    return KernelSpec(args.kernel, args.bandwidth_outer)
-
-
-def _dgp_spec(args: argparse.Namespace) -> DgpSpec:
-    return DgpSpec(family=args.dgp, gamma=args.gamma, seed=args.seed)
 
 
 def _as_config_error(build, *args):
@@ -131,6 +110,19 @@ def _config_argv(parser: argparse.ArgumentParser, command: str, path: str) -> li
             raise ConfigError(f"{path}:{lineno}: {key!r}: {exc}") from exc
         argv.append(flag)
     return argv
+
+
+def _checked(convert, ok, message: str):
+    """An argparse type: ``convert``, then an error with ``message`` unless ``ok``."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(message)
+        return value
+
+    parse.__name__ = convert.__name__  # so argparse says "invalid int value: 'abc'"
+    return parse
 
 
 def _grid_count(text: str) -> int | None:
@@ -196,12 +188,13 @@ def _axis(spec, values: np.ndarray) -> np.ndarray:
 def ingest_csv(path: str) -> Dataset:
     """Read a dataset CSV with columns y, a, x1..xd (d inferred from header).
 
-    A header naming a column twice is rejected. Rows with missing,
-    non-numeric, or non-finite fields, or with a treatment value other than
-    0/1, are rejected with their file line numbers.
+    A leading UTF-8 byte-order mark is skipped. A header naming a column
+    twice is rejected. Rows with missing, non-numeric, or non-finite fields,
+    or with a treatment value other than 0/1, are rejected with their file
+    line numbers.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     with fh:
@@ -309,7 +302,7 @@ def _out_path(args: argparse.Namespace, filename: str) -> str:
 
 
 def _build_estimators(args: argparse.Namespace):
-    nk, ok = _nuisance_kernel(args), _outer_kernel(args)
+    nk, ok = args.nuisance_kernel, args.outer_kernel
     shared = dict(xi=args.xi, cross_fit=args.cross_fit, grid_count=args.grid)
     registry = {
         "dr": lambda: DrEstimator(nk, ok, **shared),
@@ -330,13 +323,12 @@ def _build_estimators(args: argparse.Namespace):
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    spec = _dgp_spec(args)
     estimators = _build_estimators(args)
     path = _out_path(args, "errors.csv")
     if args.dump_data is not None:
-        write_dataset_csv(sample_dgp(spec, args.n, args.seed), args.dump_data)
+        write_dataset_csv(sample_dgp(args.spec, args.n, args.seed), args.dump_data)
     report = run_experiment(
-        spec,
+        args.spec,
         estimators,
         n_total=args.n,
         replications=args.replications,
@@ -357,7 +349,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def _fit(args: argparse.Namespace, dataset: Dataset):
     """The estimator's fit; a dataset that it cannot split or fit is a data error."""
     return _checked_input(
-        args.input, fit_cqc, dataset, args.seed, _nuisance_kernel(args), _outer_kernel(args),
+        args.input, fit_cqc, dataset, args.seed, args.nuisance_kernel, args.outer_kernel,
         args.pseudo, args.xi, args.cross_fit, args.grid,
     )
 
@@ -393,7 +385,7 @@ def cmd_cqte(args: argparse.Namespace) -> int:
     path = _out_path(args, "cqte.csv")
     dataset = ingest_csv(args.input)
     fit = _fit(args, dataset)
-    arm0 = fit_ccdf(dataset, _nuisance_kernel(args))
+    arm0 = fit_ccdf(dataset, args.nuisance_kernel)
     x_vals, xs = _x_axis(args, dataset)
     tau = cqc_to_cqte(fit, lambda levels, x: arm0.quantile(0, levels, x), args.alphas, xs)
     lines = ["alpha,x,tau_hat"]
@@ -425,11 +417,13 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, aliases=list(aliases), help=help)
         p.set_defaults(run=run)
         p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", default=0,
+                       type=_checked(int, lambda v: v >= 0, "seed must be nonnegative"))
         p.add_argument("--kernel", choices=("box", "gaussian"), default="gaussian")
         p.add_argument("--bandwidth-nuisance", type=float, default=0.1)
         p.add_argument("--bandwidth-outer", type=float, default=0.1)
-        p.add_argument("--xi", type=float, default=0.05)
+        p.add_argument("--xi", default=0.05,
+                       type=_checked(float, lambda v: 0.0 < v <= 0.5, "xi must lie in (0, 0.5]"))
         p.add_argument("--cross-fit", action=argparse.BooleanOptionalAction, default=True)
         p.add_argument("--grid", type=_grid_count, default="treated",
                        help="'treated' (every distinct treated outcome) or 'uniform:N' "
@@ -441,9 +435,12 @@ def build_parser() -> argparse.ArgumentParser:
                     aliases=["benchmark"])
     p.add_argument("--dgp", choices=FAMILIES)
     p.add_argument("--gamma", type=float, default=6.0)
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--replications", type=int, default=100)
-    p.add_argument("--holdout", type=int, default=200)
+    p.add_argument("--n", default=1000,
+                   type=_checked(int, lambda v: v >= 4, "need at least 4 observations"))
+    p.add_argument("--replications", default=100, type=_checked(
+        int, lambda v: v >= 2, "need at least 2 replications (CI undefined otherwise)"))
+    p.add_argument("--holdout", default=200,
+                   type=_checked(int, lambda v: v >= 1, "need at least 1 holdout draw"))
     p.add_argument("--estimators", default="dr,ipw,separate,oracle",
                    help="comma list from dr,ipw,separate,oracle")
     p.add_argument("--dump-data", help="also write the seed replication's dataset CSV here")
@@ -492,9 +489,5 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
 
 
-def main_entry() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    main_entry()
+    sys.exit(main())

@@ -23,7 +23,7 @@ from .isotonic import pava_project, zero_crossing  # noqa: F401
 from .kernels import (
     KernelSpec, as_rows, gather_columns, kernel_matrix, nw_weight_matrix, transpose_strips,
 )
-from .nuisance import Dataset, SplitPlan, fit_nuisance, make_split, prefix_gather
+from .nuisance import Dataset, fit_nuisance, make_split, prefix_gather
 from .pseudo import PseudoOutcomeKind
 
 _MONOTONE_TOL = 1e-9
@@ -134,16 +134,17 @@ class ContrastFit:
 
 def fit_contrast(
     dataset: Dataset,
-    split: SplitPlan,
+    split: tuple[np.ndarray, np.ndarray],
     nuisance_kernel: KernelSpec,
     outer_kernel: KernelSpec,
     kind: PseudoOutcomeKind = PseudoOutcomeKind.DR,
     xi: float = 0.05,
 ) -> ContrastFit:
-    """Single-direction contrast fit: nuisances on split 1, regression on split 2."""
+    """Single-direction contrast fit: nuisances on rows ``split[0]``, regression on ``split[1]``."""
     kind = PseudoOutcomeKind(kind)
-    nuis = fit_nuisance(dataset.subset(split.indices_1), nuisance_kernel, xi)
-    rep = _replicate(nuis, dataset.subset(split.indices_2), outer_kernel, kind)
+    indices_1, indices_2 = split
+    nuis = fit_nuisance(dataset.subset(indices_1), nuisance_kernel, xi)
+    rep = _replicate(nuis, dataset.subset(indices_2), outer_kernel, kind)
     return ContrastFit(replicates=(rep,))
 
 
@@ -167,8 +168,7 @@ def cross_fit_contrast(
     time.
     """
     kind = PseudoOutcomeKind(kind)
-    split = make_split(dataset, seed)
-    d1, d2 = dataset.subset(split.indices_1), dataset.subset(split.indices_2)
+    d1, d2 = (dataset.subset(idx) for idx in make_split(dataset, seed))
     nuis1, nuis2 = fit_nuisance(d1, nuisance_kernel, xi), fit_nuisance(d2, nuisance_kernel, xi)
     # pi2, mix2 are evaluated at d2's rows (replicate 1); pi1, mix1 at d1's.
     k = kernel_matrix(nuisance_kernel, d2.x, d1.x)
@@ -294,8 +294,8 @@ def fit_cqc(
     if cross_fit:
         contrast = cross_fit_contrast(dataset, seed, nuisance_kernel, outer_kernel, kind, xi)
     else:
-        split = make_split(dataset, seed)
-        contrast = fit_contrast(dataset, split, nuisance_kernel, outer_kernel, kind, xi)
+        contrast = fit_contrast(dataset, make_split(dataset, seed), nuisance_kernel, outer_kernel,
+                                kind, xi)
     grid = build_grid(dataset, grid_count)
     return CqcFit(contrast, grid, require_monotone=PseudoOutcomeKind(kind) is PseudoOutcomeKind.IPW)
 

@@ -36,13 +36,6 @@ _STRIP_ROWS = 128
 class DegenerateMassError(RuntimeError):
     """No kernel mass at a query point, even after the retry policy."""
 
-    def __init__(self, x, detail: str = ""):
-        self.x = np.asarray(x, dtype=float)
-        msg = f"no kernel mass at query point {self.x!r}"
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
-
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -60,9 +53,6 @@ class KernelSpec:
             square = math.inf
         if not (self.bandwidth > 0 and 0 < square < math.inf):
             raise ValueError("bandwidth must be positive, with a nonzero finite square")
-
-    def with_bandwidth(self, bandwidth: float) -> "KernelSpec":
-        return KernelSpec(self.family, bandwidth)
 
 
 def as_rows(xs) -> np.ndarray:
@@ -152,8 +142,9 @@ def resolve_weights(spec: KernelSpec, x, train_xs) -> np.ndarray:
         row = kernel_matrix(widened, q, train)
         if not _normalise_rows(row)[0] and (doublings == 0 or np.count_nonzero(row) >= target):
             return row[0]
-        widened = widened.with_bandwidth(widened.bandwidth * 2.0)
-    raise DegenerateMassError(x, f"after {MAX_DOUBLINGS} bandwidth doublings")
+        widened = KernelSpec(widened.family, widened.bandwidth * 2.0)
+    raise DegenerateMassError(f"no kernel mass at query point {np.asarray(x, dtype=float)!r} "
+                              f"(after {MAX_DOUBLINGS} bandwidth doublings)")
 
 
 def nw_weight_matrix(spec: KernelSpec, queries, train_xs, km=None) -> np.ndarray:

@@ -98,28 +98,14 @@ class Dataset:
         return Dataset(self.y[idx], self.x[idx], self.a[idx])
 
 
-@dataclass(frozen=True)
-class SplitPlan:
-    """Disjoint half/half index partition of a dataset."""
-
-    indices_1: np.ndarray
-    indices_2: np.ndarray
-
-    def swapped(self) -> "SplitPlan":
-        return SplitPlan(self.indices_2, self.indices_1)
-
-
-def make_split(dataset: Dataset, seed: int) -> SplitPlan:
-    """Uniformly random half/half partition, deterministic given the seed."""
+def make_split(dataset: Dataset, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Uniformly random half/half split: two sorted index arrays, deterministic given the seed."""
     if dataset.n < 4:
         raise ValueError("dataset too small to split (need at least 4 rows)")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(dataset.n)
     half = dataset.n // 2
-    return SplitPlan(
-        indices_1=np.sort(perm[:half]),
-        indices_2=np.sort(perm[half:]),
-    )
+    return np.sort(perm[:half]), np.sort(perm[half:])
 
 
 class PropensityEvaluator:

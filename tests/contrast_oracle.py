@@ -25,8 +25,8 @@ def independent_cross_fit(dataset, seed, nuisance_kernel, outer_kernel, kind, xi
     """``cross_fit_contrast`` as two ``fit_contrast`` calls, one per role
     assignment, each evaluating its own nuisance kernels."""
     split = make_split(dataset, seed)
-    reps = [fit_contrast(dataset, plan, nuisance_kernel, outer_kernel, kind, xi).replicates[0]
-            for plan in (split, split.swapped())]
+    reps = [fit_contrast(dataset, roles, nuisance_kernel, outer_kernel, kind, xi).replicates[0]
+            for roles in (split, split[::-1])]
     return ContrastFit(replicates=tuple(reps))
 
 

@@ -72,6 +72,15 @@ def test_ingest_rejects_missing_fields_with_line_number(tmp_path):
         ingest_csv(path)
 
 
+def test_ingest_skips_utf8_byte_order_mark(tmp_path):
+    text = "y,a,x1\n1.5,1,0.2\n-0.5,0,0.9\n2.25,1,0.4\n"
+    plain = ingest_csv(write(tmp_path / "plain.csv", text))
+    (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + text.encode())
+    marked = ingest_csv(str(tmp_path / "bom.csv"))
+    for field in ("y", "x", "a"):
+        assert getattr(marked, field).tobytes() == getattr(plain, field).tobytes()
+
+
 def test_ingest_empty_file(tmp_path):
     path = write(tmp_path / "data.csv", "")
     with pytest.raises(DataError, match="empty"):
@@ -210,6 +219,8 @@ def test_simulate_too_few_observations_is_config_error(tmp_path, capsys):
         ["surface", "--bandwidth-nuisance", "nan"],
         ["simulate", "--gamma", "-1"],
         ["simulate", "--holdout", "0"],
+        ["simulate", "--replications", "1"],
+        ["simulate", "--xi", "nan"],
         ["simulate", "--gamma", "nan"],
         ["simulate", "--gamma", "inf"],
         ["simulate", "--seed", "-1"],
@@ -221,6 +232,7 @@ def test_simulate_too_few_observations_is_config_error(tmp_path, capsys):
     ],
     ids=[
         "alphas-abc", "y-grid-0", "x-grid-0", "bandwidth-nan", "gamma-negative", "holdout-0",
+        "replications-1", "xi-nan",
         "gamma-nan", "gamma-inf", "seed-negative-simulate", "seed-negative-surface",
         "x-grid-nan", "y-grid-nan", "x-grid-inf", "y-grid-span-overflow",
     ],
@@ -327,8 +339,10 @@ def test_help_exits_zero(capsys):
 
 @pytest.mark.parametrize(
     "line",
-    ["seed = abc", "kernel = epan", "cross_fit = maybe", "holdo = 5", "config = x.cfg"],
-    ids=["seed-abc", "kernel-epan", "cross-fit-maybe", "abbreviated-key", "config-key"],
+    ["seed = abc", "kernel = epan", "cross_fit = maybe", "holdo = 5", "config = x.cfg",
+     "xi = 0.9", "seed = -3", "n = 3", "replications = 1", "holdout = 0"],
+    ids=["seed-abc", "kernel-epan", "cross-fit-maybe", "abbreviated-key", "config-key",
+         "xi-too-large", "seed-negative", "n-3", "replications-1", "holdout-0"],
 )
 def test_config_file_error_names_line_and_key(tmp_path, capsys, line):
     cfg = write(tmp_path / "run.cfg", f"# settings\ndgp = illustrative\n{line}\n")

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -134,7 +135,8 @@ def test_policy_accepts_small_training_sets():
 
 
 def test_policy_gives_up_after_ten_doublings():
-    with pytest.raises(DegenerateMassError):
+    message = "no kernel mass at query point array(0.) (after 10 bandwidth doublings)"
+    with pytest.raises(DegenerateMassError, match=re.escape(message)):
         resolve_weights(KernelSpec("box", 0.1), 0.0, np.array([1e6, 2e6]))
 
 

@@ -48,40 +48,31 @@ def test_dataset_arm_bookkeeping():
 
 def test_make_split_partition_arithmetic():
     data = Dataset(np.arange(6.0), np.zeros((6, 1)), np.zeros(6, dtype=int))
-    plan = make_split(data, seed=5)
-    assert plan.indices_1.size == 3 and plan.indices_2.size == 3
-    assert np.intersect1d(plan.indices_1, plan.indices_2).size == 0
-    np.testing.assert_array_equal(
-        np.sort(np.concatenate([plan.indices_1, plan.indices_2])), np.arange(6)
-    )
+    indices_1, indices_2 = make_split(data, seed=5)
+    assert indices_1.size == 3 and indices_2.size == 3
+    assert np.intersect1d(indices_1, indices_2).size == 0
+    np.testing.assert_array_equal(np.sort(np.concatenate([indices_1, indices_2])), np.arange(6))
 
 
 def test_make_split_odd_sizes_differ_by_one():
     data = Dataset(np.arange(7.0), np.zeros((7, 1)), np.zeros(7, dtype=int))
-    plan = make_split(data, seed=5)
-    assert abs(plan.indices_1.size - plan.indices_2.size) == 1
+    indices_1, indices_2 = make_split(data, seed=5)
+    assert abs(indices_1.size - indices_2.size) == 1
 
 
 def test_make_split_deterministic_and_seed_sensitive():
     data = Dataset(np.arange(100.0), np.zeros((100, 1)), np.zeros(100, dtype=int))
-    plan_a = make_split(data, seed=9)
-    plan_b = make_split(data, seed=9)
-    np.testing.assert_array_equal(plan_a.indices_1, plan_b.indices_1)
-    plan_c = make_split(data, seed=10)
-    assert not np.array_equal(plan_a.indices_1, plan_c.indices_1)
+    split_a = make_split(data, seed=9)
+    split_b = make_split(data, seed=9)
+    np.testing.assert_array_equal(split_a[0], split_b[0])
+    split_c = make_split(data, seed=10)
+    assert not np.array_equal(split_a[0], split_c[0])
 
 
 def test_make_split_too_small():
     data = Dataset(np.arange(3.0), np.zeros((3, 1)), np.zeros(3, dtype=int))
     with pytest.raises(ValueError):
         make_split(data, seed=0)
-
-
-def test_split_swapped_exchanges_roles():
-    data = Dataset(np.arange(8.0), np.zeros((8, 1)), np.zeros(8, dtype=int))
-    plan = make_split(data, seed=1)
-    swapped = plan.swapped()
-    np.testing.assert_array_equal(plan.indices_1, swapped.indices_2)
 
 
 def test_propensity_clamps_low_and_high():
