@@ -16,9 +16,7 @@ from .nuisance import (
     NuisanceModel,
     PropensityEvaluator,
     SingleArmError,
-    fit_ccdf,
     fit_nuisance,
-    fit_propensity,
     make_split,
 )
 from .pseudo import PseudoOutcomeKind

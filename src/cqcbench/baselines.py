@@ -19,7 +19,7 @@ import numpy as np
 
 from .estimator import CqcFit, build_grid, fit_cqc, fit_oracle_contrast
 from .kernels import KernelSpec
-from .nuisance import Dataset, fit_ccdf, step_quantile
+from .nuisance import CcdfEvaluator, Dataset, step_quantile
 from .pseudo import PseudoOutcomeKind
 
 
@@ -77,7 +77,7 @@ class SeparateEstimator:
         self.kernel = kernel
 
     def fit(self, dataset: Dataset, seed: int, truth=None) -> _SeparatePredictor:
-        return _SeparatePredictor(fit_ccdf(dataset, self.kernel))
+        return _SeparatePredictor(CcdfEvaluator(self.kernel, dataset))
 
 
 class OracleEstimator:

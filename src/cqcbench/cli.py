@@ -29,8 +29,9 @@ import numpy as np
 
 from .estimator import cqc_to_cqte, fit_cqc, surface_eval
 from .baselines import DrEstimator, IpwEstimator, OracleEstimator, SeparateEstimator
-from .kernels import DegenerateMassError, KernelSpec
-from .nuisance import Dataset, SingleArmError, fit_ccdf
+from .kernels import KERNEL_FAMILIES, DegenerateMassError, KernelSpec
+from .nuisance import CcdfEvaluator, Dataset, SingleArmError
+from .pseudo import PseudoOutcomeKind
 from .simlab import FAMILIES, DgpSpec, run_experiment, sample_dgp
 
 EXIT_OK = 0
@@ -50,24 +51,16 @@ class DataError(ValueError):
 
 
 def validate(args: argparse.Namespace) -> None:
-    """The checks that the parser's types and choices do not make. The specs built
-    are kept as ``args.nuisance_kernel``, ``args.outer_kernel`` and (simulate) ``args.spec``."""
-    args.nuisance_kernel = _as_config_error(KernelSpec, args.kernel, args.bandwidth_nuisance)
-    args.outer_kernel = _as_config_error(KernelSpec, args.kernel, args.bandwidth_outer)
+    """The one check that the parser's types do not make: a missing ``--dgp`` or ``--input``.
+    Keeps the specs as ``args.nuisance_kernel``, ``args.outer_kernel``, ``args.spec`` (simulate)."""
+    args.nuisance_kernel = KernelSpec(args.kernel, args.bandwidth_nuisance)
+    args.outer_kernel = KernelSpec(args.kernel, args.bandwidth_outer)
     if args.run is cmd_simulate:
         if args.dgp is None:
             raise ConfigError(f"{args.command} requires --dgp")
-        args.spec = _as_config_error(DgpSpec, args.dgp, args.gamma, args.seed)
+        args.spec = DgpSpec(args.dgp, args.gamma, args.seed)
     elif args.input is None:
         raise ConfigError(f"{args.command} requires --input")
-
-
-def _as_config_error(build, *args):
-    """Build a library spec from settings; its ValueError is a config error."""
-    try:
-        return build(*args)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 # The one boolean flag takes no value: a file's word for it picks its form.
@@ -123,6 +116,24 @@ def _checked(convert, ok, message: str):
 
     parse.__name__ = convert.__name__  # so argparse says "invalid int value: 'abc'"
     return parse
+
+
+def _builds(spec):
+    """An argparse float type whose value must build ``spec(value)``. A ValueError,
+    float's or the spec's own, is the error, so the flag and the spec share one check."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+            spec(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    return parse
+
+
+_bandwidth = _builds(lambda h: KernelSpec(KERNEL_FAMILIES[0], h))
 
 
 def _grid_count(text: str) -> int | None:
@@ -301,29 +312,32 @@ def _out_path(args: argparse.Namespace, filename: str) -> str:
     return os.path.join(out_dir, filename)
 
 
-def _build_estimators(args: argparse.Namespace):
-    nk, ok = args.nuisance_kernel, args.outer_kernel
-    shared = dict(xi=args.xi, cross_fit=args.cross_fit, grid_count=args.grid)
-    registry = {
-        "dr": lambda: DrEstimator(nk, ok, **shared),
-        "ipw": lambda: IpwEstimator(nk, ok, **shared),
-        "separate": lambda: SeparateEstimator(nk),
-        "oracle": lambda: OracleEstimator(ok, grid_count=args.grid),
-    }
-    names = [name.strip() for name in args.estimators.split(",") if name.strip()]
+# The estimators ``simulate`` can run, each built from the parsed settings.
+_ESTIMATORS = {
+    "dr": lambda a: DrEstimator(a.nuisance_kernel, a.outer_kernel, a.xi, a.cross_fit, a.grid),
+    "ipw": lambda a: IpwEstimator(a.nuisance_kernel, a.outer_kernel, a.xi, a.cross_fit, a.grid),
+    "separate": lambda a: SeparateEstimator(a.nuisance_kernel),
+    "oracle": lambda a: OracleEstimator(a.outer_kernel, grid_count=a.grid),
+}
+
+
+def _estimator_names(text: str) -> list[str]:
+    """``--estimators`` value: a comma list of distinct names from ``_ESTIMATORS``."""
+    names = [name.strip() for name in text.split(",") if name.strip()]
     if not names:
-        raise ConfigError("empty estimator list")
-    unknown = [name for name in names if name not in registry]
+        raise argparse.ArgumentTypeError("empty estimator list")
+    unknown = [name for name in names if name not in _ESTIMATORS]
     if unknown:
-        raise ConfigError(f"unknown estimators: {unknown} (choose from {tuple(registry)})")
+        raise argparse.ArgumentTypeError(
+            f"unknown estimators: {unknown} (choose from {tuple(_ESTIMATORS)})")
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:
-        raise ConfigError(f"estimators named more than once: {repeated}")
-    return [registry[name]() for name in names]
+        raise argparse.ArgumentTypeError(f"estimators named more than once: {repeated}")
+    return names
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    estimators = _build_estimators(args)
+    estimators = [_ESTIMATORS[name](args) for name in args.estimators]
     path = _out_path(args, "errors.csv")
     if args.dump_data is not None:
         write_dataset_csv(sample_dgp(args.spec, args.n, args.seed), args.dump_data)
@@ -346,28 +360,23 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _fit(args: argparse.Namespace, dataset: Dataset):
-    """The estimator's fit; a dataset that it cannot split or fit is a data error."""
-    return _checked_input(
-        args.input, fit_cqc, dataset, args.seed, args.nuisance_kernel, args.outer_kernel,
-        args.pseudo, args.xi, args.cross_fit, args.grid,
-    )
-
-
-def _x_axis(args: argparse.Namespace, dataset: Dataset):
-    """The x1 values and their query rows, other covariates at their medians."""
+def _fitted_input(args: argparse.Namespace, filename: str):
+    """A ``surface`` or ``cqte`` run's output path, input dataset, fit, x1 values
+    and their query rows (other covariates at their medians). A dataset that
+    the estimator cannot split or fit is a data error."""
+    path = _out_path(args, filename)
+    dataset = ingest_csv(args.input)
+    fit = _checked_input(args.input, fit_cqc, dataset, args.seed, args.nuisance_kernel,
+                         args.outer_kernel, args.pseudo, args.xi, args.cross_fit, args.grid)
     x_vals = _axis(args.x_grid, dataset.x[:, 0])
     xs = np.tile(np.median(dataset.x, axis=0), (x_vals.size, 1))
     xs[:, 0] = x_vals
-    return x_vals, xs
+    return path, dataset, fit, x_vals, xs
 
 
 def cmd_surface(args: argparse.Namespace) -> int:
-    path = _out_path(args, "surface.csv")
-    dataset = ingest_csv(args.input)
-    fit = _fit(args, dataset)
+    path, dataset, fit, x_vals, xs = _fitted_input(args, "surface.csv")
     ys = _axis(args.y_grid, dataset.y)
-    x_vals, xs = _x_axis(args, dataset)
     surface = surface_eval(fit, ys, xs)
     if not np.isfinite(surface).all():
         raise FloatingPointError("surface contains non-finite entries")
@@ -382,11 +391,8 @@ def cmd_surface(args: argparse.Namespace) -> int:
 
 
 def cmd_cqte(args: argparse.Namespace) -> int:
-    path = _out_path(args, "cqte.csv")
-    dataset = ingest_csv(args.input)
-    fit = _fit(args, dataset)
-    arm0 = fit_ccdf(dataset, args.nuisance_kernel)
-    x_vals, xs = _x_axis(args, dataset)
+    path, dataset, fit, x_vals, xs = _fitted_input(args, "cqte.csv")
+    arm0 = CcdfEvaluator(args.nuisance_kernel, dataset)
     tau = cqc_to_cqte(fit, lambda levels, x: arm0.quantile(0, levels, x), args.alphas, xs)
     lines = ["alpha,x,tau_hat"]
     for alpha, row in zip(args.alphas, tau):  # alpha-major, as cqc_to_cqte's table
@@ -419,9 +425,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--seed", default=0,
                        type=_checked(int, lambda v: v >= 0, "seed must be nonnegative"))
-        p.add_argument("--kernel", choices=("box", "gaussian"), default="gaussian")
-        p.add_argument("--bandwidth-nuisance", type=float, default=0.1)
-        p.add_argument("--bandwidth-outer", type=float, default=0.1)
+        p.add_argument("--kernel", choices=KERNEL_FAMILIES, default="gaussian")
+        p.add_argument("--bandwidth-nuisance", type=_bandwidth, default=0.1)
+        p.add_argument("--bandwidth-outer", type=_bandwidth, default=0.1)
         p.add_argument("--xi", default=0.05,
                        type=_checked(float, lambda v: 0.0 < v <= 0.5, "xi must lie in (0, 0.5]"))
         p.add_argument("--cross-fit", action=argparse.BooleanOptionalAction, default=True)
@@ -434,15 +440,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_command("simulate", cmd_simulate, "Monte-Carlo benchmark on a simulation DGP",
                     aliases=["benchmark"])
     p.add_argument("--dgp", choices=FAMILIES)
-    p.add_argument("--gamma", type=float, default=6.0)
+    p.add_argument("--gamma", type=_builds(lambda g: DgpSpec(FAMILIES[0], g)), default=6.0)
     p.add_argument("--n", default=1000,
                    type=_checked(int, lambda v: v >= 4, "need at least 4 observations"))
     p.add_argument("--replications", default=100, type=_checked(
         int, lambda v: v >= 2, "need at least 2 replications (CI undefined otherwise)"))
     p.add_argument("--holdout", default=200,
                    type=_checked(int, lambda v: v >= 1, "need at least 1 holdout draw"))
-    p.add_argument("--estimators", default="dr,ipw,separate,oracle",
-                   help="comma list from dr,ipw,separate,oracle")
+    p.add_argument("--estimators", type=_estimator_names, default=",".join(_ESTIMATORS),
+                   help=f"comma list from {','.join(_ESTIMATORS)}")
     p.add_argument("--dump-data", help="also write the seed replication's dataset CSV here")
 
     surface = add_command("surface", cmd_surface, "fit on a CSV and write the gap surface",
@@ -453,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="comma list of levels in (0,1)")
     for p in (surface, cqte):
         p.add_argument("--input")
-        p.add_argument("--pseudo", choices=("dr", "ipw"), default="dr")
+        p.add_argument("--pseudo", choices=[kind.value for kind in PseudoOutcomeKind], default="dr")
         p.add_argument("--x-grid", type=_axis_spec, default="25", help="'N' or 'min:max:N'")
 
     return parser
@@ -484,7 +490,7 @@ def main(argv=None) -> int:
     except (DataError, SingleArmError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (DegenerateMassError, FloatingPointError, AssertionError) as exc:
+    except (DegenerateMassError, FloatingPointError, AssertionError, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

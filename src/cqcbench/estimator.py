@@ -115,7 +115,8 @@ class ContrastFit:
     """Evaluator for the regressed pseudo-outcome contrast h_hat(y0, y1 | x).
 
     Holds one replicate, or two role-swapped replicates whose evaluations are
-    averaged (cross-fitting).
+    averaged (cross-fitting). IPW profiles are nondecreasing by construction,
+    so an IPW descent beyond ``_MONOTONE_TOL`` is a bug: it raises AssertionError.
     """
 
     replicates: tuple
@@ -126,10 +127,11 @@ class ContrastFit:
         xs = as_rows(xs)
         if xs.shape[0] != y0s.size:
             raise ValueError("y0s and xs must pair up one query per row")
-        tables = [rep.profile_many(y0s, grid, xs) for rep in self.replicates]
-        if len(tables) == 1:
-            return tables[0]
-        return np.mean(tables, axis=0)
+        profiles = np.mean([rep.profile_many(y0s, grid, xs) for rep in self.replicates], axis=0)
+        if (self.replicates[0].kind is PseudoOutcomeKind.IPW
+                and np.any(np.diff(profiles, axis=1) < -_MONOTONE_TOL)):
+            raise AssertionError("IPW contrast profile is not monotone before projection")
+        return profiles
 
 
 def fit_contrast(
@@ -225,7 +227,7 @@ def _check_grid(grid: np.ndarray) -> np.ndarray:
     return grid
 
 
-def estimate_cqc_many(contrast: ContrastFit, grid, y0s, xs, require_monotone: bool = False):
+def estimate_cqc_many(contrast: ContrastFit, grid, y0s, xs):
     """Batched inversion over query pairs (y0s[q], xs[q]).
 
     Each pair's contrast profile over the grid is a row of an (m, p) table.
@@ -240,20 +242,10 @@ def estimate_cqc_many(contrast: ContrastFit, grid, y0s, xs, require_monotone: bo
     it, so a profile that never changes sign has its root past the
     corresponding grid end, and the argmin clamps there. Returns (g_hat,
     grid indices, residuals |projected value|), empty for no queries.
-
-    With ``require_monotone`` the pre-projection profiles are asserted to be
-    nondecreasing (up to ``_MONOTONE_TOL``); a violation signals an
-    implementation bug in a pipeline that guarantees monotone profiles.
     """
     grid = _check_grid(grid)
     y0s = np.asarray(y0s, dtype=float).reshape(-1)
-    profiles = contrast.profile_many(y0s, grid, xs)
-    if require_monotone and np.any(np.diff(profiles, axis=1) < -_MONOTONE_TOL):
-        raise AssertionError(
-            "pre-projection contrast profile is not monotone; "
-            "this pipeline guarantees monotonicity"
-        )
-    indices, residuals = zero_crossing(profiles)
+    indices, residuals = zero_crossing(contrast.profile_many(y0s, grid, xs))
     return grid[indices], indices, residuals
 
 
@@ -262,20 +254,17 @@ class CqcFit:
     """A contrast fit bound to an evaluation grid: the batch predictor of g_hat.
 
     ``fit(y0s, xs)`` is ``estimate_cqc_many``'s g_hat for the query pairs
-    (y0s[q], xs[q]); ``require_monotone`` is passed through to it.
+    (y0s[q], xs[q]).
     """
 
     contrast: ContrastFit
     grid: np.ndarray
-    require_monotone: bool = False
 
     def __post_init__(self):
         self.grid = _check_grid(self.grid)
 
     def __call__(self, y0s, xs) -> np.ndarray:
-        g_hat, _, _ = estimate_cqc_many(
-            self.contrast, self.grid, y0s, xs, require_monotone=self.require_monotone
-        )
+        g_hat, _, _ = estimate_cqc_many(self.contrast, self.grid, y0s, xs)
         return g_hat
 
 
@@ -290,14 +279,13 @@ def fit_cqc(
     grid_count: int | None,
 ) -> CqcFit:
     """The estimator: a contrast fit (cross-fitted, or on ``make_split(dataset,
-    seed)``), then ``build_grid``. IPW profiles must be monotone before projection."""
+    seed)``), then ``build_grid``."""
     if cross_fit:
         contrast = cross_fit_contrast(dataset, seed, nuisance_kernel, outer_kernel, kind, xi)
     else:
         contrast = fit_contrast(dataset, make_split(dataset, seed), nuisance_kernel, outer_kernel,
                                 kind, xi)
-    grid = build_grid(dataset, grid_count)
-    return CqcFit(contrast, grid, require_monotone=PseudoOutcomeKind(kind) is PseudoOutcomeKind.IPW)
+    return CqcFit(contrast, build_grid(dataset, grid_count))
 
 
 def cqc_to_cqte(fit: CqcFit, arm0_quantile, alphas, xs) -> np.ndarray:

@@ -109,14 +109,14 @@ def make_split(dataset: Dataset, seed: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class PropensityEvaluator:
-    """NW regression of the treatment indicator, clamped into [xi, 1 - xi]."""
+    """NW regression of ``dataset``'s treatment indicator, clamped into [xi, 1 - xi]."""
 
-    def __init__(self, kernel: KernelSpec, xs, treatments, xi: float):
+    def __init__(self, kernel: KernelSpec, dataset: Dataset, xi: float = 0.05):
         if not 0.0 < xi <= 0.5:
             raise ValueError("xi must lie in (0, 0.5]")
         self.kernel = kernel
-        self.xs = np.asarray(xs, dtype=float)
-        self.treatments = np.asarray(treatments, dtype=float)
+        self.xs = dataset.x
+        self.treatments = dataset.a.astype(float)
         self.xi = xi
         if not (0 < self.treatments.sum() < self.treatments.size):
             raise SingleArmError("propensity fit needs both treatment arms")
@@ -137,17 +137,16 @@ class CcdfEvaluator:
     normalised over that arm only.
     """
 
-    def __init__(self, kernel: KernelSpec, xs, ys, arms):
+    def __init__(self, kernel: KernelSpec, dataset: Dataset):
         self.kernel = kernel
-        self.xs = np.asarray(xs, dtype=float)
-        ys, arms = np.asarray(ys, dtype=float), np.asarray(arms)
+        self.xs = dataset.x
         self._arm_rows = {}
         for arm in (0, 1):
-            idx = np.nonzero(arms == arm)[0]
+            idx = dataset.arm_indices(arm)
             if idx.size == 0:
                 raise SingleArmError(f"no observations in arm {arm}")
-            order = np.argsort(ys[idx], kind="stable")
-            self._arm_rows[arm] = (idx[order], ys[idx][order])
+            order = np.argsort(dataset.y[idx], kind="stable")
+            self._arm_rows[arm] = (idx[order], dataset.y[idx][order])
 
     def arm_outcomes(self, arm: int) -> np.ndarray:
         """Outcomes of the given arm, ascending (the CDF's jump points)."""
@@ -200,14 +199,6 @@ class CcdfEvaluator:
         return step_quantile(jumps, np.cumsum(self.weight_row(arm, x)), alphas)
 
 
-def fit_propensity(dataset: Dataset, kernel: KernelSpec, xi: float = 0.05) -> PropensityEvaluator:
-    return PropensityEvaluator(kernel, dataset.x, dataset.a, xi)
-
-
-def fit_ccdf(dataset: Dataset, kernel: KernelSpec) -> CcdfEvaluator:
-    return CcdfEvaluator(kernel, dataset.x, dataset.y, dataset.a)
-
-
 @dataclass
 class NuisanceModel:
     """Fitted propensity and CCDF evaluators."""
@@ -218,7 +209,4 @@ class NuisanceModel:
 
 def fit_nuisance(dataset: Dataset, kernel: KernelSpec, xi: float = 0.05) -> NuisanceModel:
     """Fit both nuisances on one split of the data."""
-    return NuisanceModel(
-        propensity=fit_propensity(dataset, kernel, xi),
-        ccdf=fit_ccdf(dataset, kernel),
-    )
+    return NuisanceModel(PropensityEvaluator(kernel, dataset, xi), CcdfEvaluator(kernel, dataset))

@@ -20,12 +20,12 @@ span exactly that range.
 
 from __future__ import annotations
 
+import importlib
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 # nw_weight_matrix is unused here, but bench/test_bench.py checks this binding.
 from .kernels import as_rows, nw_weight_matrix  # noqa: F401
@@ -82,8 +82,12 @@ def _arm_params(spec: DgpSpec, xs: np.ndarray):
 
 
 # The distribution of Z: its CDF, its quantile function and a sampler (rng, n).
+# The normal's CDF and quantile import scipy.special on first use: it takes
+# longer to import than a CLI fit on a CSV takes to run.
 _Base = namedtuple("_Base", "cdf quantile draw")
-_NORMAL = _Base(ndtr, ndtri, lambda rng, n: rng.standard_normal(n))
+_NORMAL = _Base(lambda z: importlib.import_module("scipy.special").ndtr(z),
+                lambda p: importlib.import_module("scipy.special").ndtri(p),
+                lambda rng, n: rng.standard_normal(n))
 _UNIFORM = _Base(lambda z: np.clip(z, 0.0, 1.0), lambda u: u, lambda rng, n: rng.uniform(size=n))
 
 

@@ -14,7 +14,7 @@ profiles. ``step_quantile`` inverts one CDF at one level with
 import numpy as np
 
 from cqcbench.kernels import resolve_weights
-from cqcbench.nuisance import fit_ccdf
+from cqcbench.nuisance import CcdfEvaluator
 from cqcbench.pseudo import PseudoOutcomeKind
 
 QUANTILE_SLACK = 1e-9  # round-off allowance above the last cumulative mass
@@ -89,6 +89,6 @@ def separate_plugin_cqc(dataset, kernel, y0: float, x) -> float:
     Fits arm-masked NW step CDFs on the full sample; the returned value is
     always an observed treated outcome.
     """
-    ccdf = fit_ccdf(dataset, kernel)
+    ccdf = CcdfEvaluator(kernel, dataset)
     alpha = _cdf(ccdf, 0, y0, x)
     return step_quantile(ccdf.arm_outcomes(1), np.cumsum(ccdf.weight_row(1, x)), alpha)

@@ -1,5 +1,8 @@
+import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -18,15 +21,15 @@ from cqcbench.cli import (
 )
 from cqcbench.baselines import DrEstimator, IpwEstimator
 from cqcbench.estimator import (
-    ContrastFit,
+    _ContrastReplicate,
     build_grid,
     cross_fit_contrast,
     estimate_cqc_many,
     surface_eval,
 )
 from cqcbench.kernels import KernelSpec
-from cqcbench.nuisance import Dataset, fit_ccdf
-from cqcbench.simlab import DgpSpec, sample_dgp
+from cqcbench.nuisance import CcdfEvaluator, Dataset
+from cqcbench.simlab import FAMILIES, DgpSpec, sample_dgp
 
 
 def write(path, text):
@@ -340,9 +343,13 @@ def test_help_exits_zero(capsys):
 @pytest.mark.parametrize(
     "line",
     ["seed = abc", "kernel = epan", "cross_fit = maybe", "holdo = 5", "config = x.cfg",
-     "xi = 0.9", "seed = -3", "n = 3", "replications = 1", "holdout = 0"],
+     "xi = 0.9", "seed = -3", "n = 3", "replications = 1", "holdout = 0",
+     "gamma = -1", "bandwidth_outer = 1e200", "bandwidth_nuisance = 0", "estimators = dr,nope",
+     "estimators = dr,dr"],
     ids=["seed-abc", "kernel-epan", "cross-fit-maybe", "abbreviated-key", "config-key",
-         "xi-too-large", "seed-negative", "n-3", "replications-1", "holdout-0"],
+         "xi-too-large", "seed-negative", "n-3", "replications-1", "holdout-0",
+         "gamma-negative", "bandwidth-outer-huge", "bandwidth-nuisance-0", "estimators-unknown",
+         "estimators-repeated"],
 )
 def test_config_file_error_names_line_and_key(tmp_path, capsys, line):
     cfg = write(tmp_path / "run.cfg", f"# settings\ndgp = illustrative\n{line}\n")
@@ -351,6 +358,32 @@ def test_config_file_error_names_line_and_key(tmp_path, capsys, line):
     key = line.split(" = ")[0]
     assert err.startswith(f"config error: {cfg}:3: {key!r}: ") and err.count("\n") == 1
     assert os.listdir(tmp_path) == ["run.cfg"]
+
+
+def _accepts(build, value) -> bool:
+    try:
+        build(value)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, 1e-200, 1e-160, 1e200, 0.1])
+@pytest.mark.parametrize(
+    "flag, build",
+    [("--bandwidth-nuisance", lambda v: KernelSpec("gaussian", v)),
+     ("--bandwidth-outer", lambda v: KernelSpec("box", v)),
+     ("--gamma", lambda v: DgpSpec(FAMILIES[0], v))],
+    ids=["bandwidth-nuisance", "bandwidth-outer", "gamma"],
+)
+def test_flag_accepts_exactly_what_its_spec_accepts(flag, build, value):
+    argv = ["simulate", "--dgp", "illustrative", f"{flag}={value!r}"]
+    if _accepts(build, value):
+        args = resolve_config(argv)
+        assert getattr(args, flag[2:].replace("-", "_")) == value
+    else:
+        with pytest.raises(ConfigError, match=f"argument {flag}: "):
+            resolve_config(argv)
 
 
 def test_bad_axis_is_config_error_before_input_is_read(tmp_path, capsys):
@@ -526,7 +559,7 @@ def test_cqte_csv_is_alpha_major_and_matches_batch_inversion(tmp_path):
     alphas = [0.3, 0.6]
     x_vals = np.linspace(data.x[:, 0].min(), data.x[:, 0].max(), 3)
     assert [(alpha, x) for alpha, x, _ in rows] == [(a, float(x)) for a in alphas for x in x_vals]
-    ccdf = fit_ccdf(data, KernelSpec("gaussian", 0.15))
+    ccdf = CcdfEvaluator(KernelSpec("gaussian", 0.15), data)
     cums0 = [np.cumsum(ccdf.weight_row(0, [x])) for x in x_vals]
     y0s = np.array([step_quantile(ccdf.arm_outcomes(0), c, a) for a in alphas for c in cums0])
     contrast = cross_fit_contrast(
@@ -566,13 +599,46 @@ def test_cli_asserts_monotone_profiles_for_ipw_only(tmp_path, capsys, monkeypatc
     def descending(self, y0s, grid, xs):
         return np.tile(np.linspace(1.0, -1.0, np.size(grid)), (np.size(y0s), 1))
 
-    monkeypatch.setattr(ContrastFit, "profile_many", descending)
+    # Each replicate's profile descends; ContrastFit.profile_many, which holds
+    # the check, averages them.
+    monkeypatch.setattr(_ContrastReplicate, "profile_many", descending)
     path = synthetic_csv(tmp_path, n=200)
     argv = ["surface", "--input", path, "--out", str(tmp_path), "--y-grid", "3", "--x-grid", "2"]
     assert main([*argv, "--pseudo", pseudo]) == code
     err = capsys.readouterr().err
     if code:
         assert err.startswith("numerical failure:") and err.count("\n") == 1
+
+
+def test_out_of_memory_is_one_line_numerical_failure(tmp_path, capsys, monkeypatch):
+    def fit_cqc(*args):
+        raise MemoryError("Unable to allocate 6.71 GiB for an array with shape (30000, 30000)")
+
+    monkeypatch.setattr("cqcbench.cli.fit_cqc", fit_cqc)
+    path = synthetic_csv(tmp_path, n=60)
+    assert main(["surface", "--input", path, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: Unable to allocate") and err.count("\n") == 1
+    assert not (tmp_path / "surface.csv").exists()
+
+
+def test_surface_and_cqte_leave_scipy_unloaded(tmp_path):
+    # Only the simulation truths need scipy.special, whose import takes longer
+    # than a small surface fit.
+    path = synthetic_csv(tmp_path, n=200)
+    common = ["--input", path, "--out", str(tmp_path), "--x-grid", "3"]
+    code = (
+        "import sys\n"
+        "from cqcbench.cli import main\n"
+        f"assert main({['surface', *common, '--y-grid', '3']!r}) == 0\n"
+        f"assert main({['cqte', *common]!r}) == 0\n"
+        "loaded = sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')\n"
+        "sys.exit(f'scipy loaded: {loaded}' if loaded else 0)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "surface.csv").exists() and (tmp_path / "cqte.csv").exists()
 
 
 @pytest.mark.filterwarnings("error")

@@ -4,11 +4,11 @@ import pytest
 from scalar_oracle import step_quantile as reference_step_quantile
 from cqcbench.kernels import KernelSpec
 from cqcbench.nuisance import (
+    CcdfEvaluator,
     Dataset,
+    PropensityEvaluator,
     SingleArmError,
-    fit_ccdf,
     fit_nuisance,
-    fit_propensity,
     make_split,
     prefix_gather,
     step_quantile,
@@ -82,20 +82,20 @@ def test_propensity_clamps_low_and_high():
     )
     # put the only treated row far away so it carries no box mass at x=0
     data.x[5] = 50.0
-    prop = fit_propensity(data, KernelSpec("box", 1.0), xi=0.05)
+    prop = PropensityEvaluator(KernelSpec("box", 1.0), data, xi=0.05)
     assert prop.many(np.array([[0.0], [50.0]])) == pytest.approx([0.05, 0.95])
 
 
 def test_propensity_equal_weights_hand_average():
     data = Dataset(np.zeros(4), np.zeros((4, 1)), np.array([1, 0, 1, 0]))
-    prop = fit_propensity(data, WIDE_BOX, xi=0.05)
+    prop = PropensityEvaluator(WIDE_BOX, data, xi=0.05)
     assert prop.many(np.array([[0.0]]))[0] == pytest.approx(0.5)
 
 
 def test_propensity_single_arm_raises():
     data = Dataset(np.zeros(4), np.zeros((4, 1)), np.ones(4, dtype=int))
     with pytest.raises(SingleArmError):
-        fit_propensity(data, WIDE_BOX)
+        PropensityEvaluator(WIDE_BOX, data)
 
 
 def test_propensity_outputs_stay_clipped():
@@ -105,13 +105,13 @@ def test_propensity_outputs_stay_clipped():
         rng.uniform(0, 1, (50, 1)),
         (rng.uniform(size=50) < 0.9).astype(int),
     )
-    prop = fit_propensity(data, KernelSpec("gaussian", 0.05), xi=0.1)
+    prop = PropensityEvaluator(KernelSpec("gaussian", 0.05), data, xi=0.1)
     values = prop.many(rng.uniform(0, 1, (40, 1)))
     assert (values >= 0.1).all() and (values <= 0.9).all()
 
 
 def test_ccdf_step_values():
-    ccdf = fit_ccdf(four_point_arm1_dataset(), WIDE_BOX)
+    ccdf = CcdfEvaluator(WIDE_BOX, four_point_arm1_dataset())
     below, above, middle = ccdf.cdf_table(1, [0.5, 9.0, 2.5], np.array([[0.0]]))[0]
     assert below == 0.0  # below all arm-1 outcomes
     assert above == 1.0  # above all arm-1 outcomes
@@ -119,7 +119,7 @@ def test_ccdf_step_values():
 
 
 def test_ccdf_right_continuous_step_at_jump():
-    ccdf = fit_ccdf(four_point_arm1_dataset(), WIDE_BOX)
+    ccdf = CcdfEvaluator(WIDE_BOX, four_point_arm1_dataset())
     at_jump, before_jump = ccdf.cdf_table(1, [2.0, 2.0 - 1e-9], np.array([[0.0]]))[0]
     assert at_jump == pytest.approx(0.5)  # includes the jump at 2
     assert before_jump == pytest.approx(0.25)
@@ -128,7 +128,7 @@ def test_ccdf_right_continuous_step_at_jump():
 def test_ccdf_single_arm_raises():
     data = Dataset(np.arange(4.0), np.zeros((4, 1)), np.ones(4, dtype=int))
     with pytest.raises(SingleArmError):
-        fit_ccdf(data, WIDE_BOX)
+        CcdfEvaluator(WIDE_BOX, data)
 
 
 def test_ccdf_wide_bandwidth_equals_empirical_cdf():
@@ -138,7 +138,7 @@ def test_ccdf_wide_bandwidth_equals_empirical_cdf():
         rng.uniform(0, 1, (30, 1)),
         (rng.uniform(size=30) < 0.5).astype(int),
     )
-    ccdf = fit_ccdf(data, WIDE_BOX)
+    ccdf = CcdfEvaluator(WIDE_BOX, data)
     arm1 = np.sort(data.y[data.a == 1])
     qs = np.array([-0.5, 0.0, 0.7])
     empirical = np.mean(arm1[None, :] <= qs[:, None], axis=1)
@@ -147,7 +147,7 @@ def test_ccdf_wide_bandwidth_equals_empirical_cdf():
 
 
 def test_generalised_inverse_step_examples():
-    ccdf = fit_ccdf(four_point_arm1_dataset(), WIDE_BOX)
+    ccdf = CcdfEvaluator(WIDE_BOX, four_point_arm1_dataset())
     x = np.array([0.0])
     assert ccdf.quantile(1, 0.5, x) == 2.0
     assert ccdf.quantile(1, 1.0, x) == 4.0
@@ -159,7 +159,7 @@ def test_generalised_inverse_step_examples():
 
 
 def test_generalised_inverse_alpha_out_of_range():
-    ccdf = fit_ccdf(four_point_arm1_dataset(), WIDE_BOX)
+    ccdf = CcdfEvaluator(WIDE_BOX, four_point_arm1_dataset())
     with pytest.raises(ValueError):
         ccdf.quantile(1, 1.5, np.array([0.0]))
     with pytest.raises(ValueError):
@@ -206,7 +206,7 @@ def test_generalised_inverse_round_trip_laws():
         rng.uniform(0, 1, (40, 1)),
         (rng.uniform(size=40) < 0.5).astype(int),
     )
-    ccdf = fit_ccdf(data, KernelSpec("gaussian", 0.3))
+    ccdf = CcdfEvaluator(KernelSpec("gaussian", 0.3), data)
     x = np.array([0.4])
     alphas = np.linspace(0.0, 1.0, 11)
     ys = ccdf.quantile(1, alphas, x)
@@ -223,7 +223,7 @@ def test_ccdf_monotone_in_y():
         rng.uniform(0, 1, (50, 1)),
         (rng.uniform(size=50) < 0.5).astype(int),
     )
-    ccdf = fit_ccdf(data, KernelSpec("gaussian", 0.2))
+    ccdf = CcdfEvaluator(KernelSpec("gaussian", 0.2), data)
     ys = np.linspace(-3, 3, 60)
     table = ccdf.cdf_table(1, ys, np.array([[0.5], [0.9]]))
     assert np.all(np.diff(table, axis=1) >= 0)

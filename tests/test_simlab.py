@@ -4,7 +4,7 @@ from scipy.special import ndtri
 
 from cqcbench.baselines import DrEstimator, OracleEstimator, SeparateEstimator
 from cqcbench.kernels import KernelSpec
-from cqcbench.nuisance import fit_ccdf
+from cqcbench.nuisance import CcdfEvaluator
 from cqcbench.simlab import (
     FAMILIES,
     DgpSpec,
@@ -143,7 +143,7 @@ def test_truth_quantile_matches_scipy():
 def test_ccdf_quantile_contract_is_shared(source):
     spec = DgpSpec("illustrative", gamma=2.0)
     if source == "fitted":
-        ccdf = fit_ccdf(sample_dgp(spec, 200, seed=1), NK)
+        ccdf = CcdfEvaluator(NK, sample_dgp(spec, 200, seed=1))
     else:
         ccdf = truth(spec).ccdf
     x = np.array([0.3])
@@ -157,7 +157,7 @@ def test_ccdf_quantile_contract_is_shared(source):
 def test_ccdf_mixer_is_weighted_sum_of_cdf_table(source):
     spec = DgpSpec("illustrative", gamma=2.0)
     data = sample_dgp(spec, 200, seed=3)
-    ccdf = fit_ccdf(data, NK) if source == "fitted" else truth(spec).ccdf
+    ccdf = CcdfEvaluator(NK, data) if source == "fitted" else truth(spec).ccdf
     rng = np.random.default_rng(5)
     rows = rng.uniform(0.0, 1.0, (40, 1))
     u = rng.normal(size=(6, rows.shape[0]))  # signed mixing weights
