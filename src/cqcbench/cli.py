@@ -77,7 +77,7 @@ def _config_argv(parser: argparse.ArgumentParser, command: str, path: str) -> li
     its file line and key.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc

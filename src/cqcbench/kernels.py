@@ -127,31 +127,15 @@ def _normalise_rows(km: np.ndarray) -> np.ndarray:
     return bad
 
 
-def resolve_weights(spec: KernelSpec, x, train_xs) -> np.ndarray:
-    """Nadaraya-Watson weights of one query point, with the retry policy applied.
-
-    A query with no kernel mass doubles the bandwidth up to ``MAX_DOUBLINGS``
-    times until at least ``min(MIN_SUPPORT, n)`` points carry positive mass,
-    then raises ``DegenerateMassError``.
-    """
-    q = as_rows(x).reshape(1, -1)
-    train = as_rows(train_xs)
-    target = min(MIN_SUPPORT, train.shape[0])
-    widened = spec
-    for doublings in range(MAX_DOUBLINGS + 1):
-        row = kernel_matrix(widened, q, train)
-        if not _normalise_rows(row)[0] and (doublings == 0 or np.count_nonzero(row) >= target):
-            return row[0]
-        widened = KernelSpec(widened.family, widened.bandwidth * 2.0)
-    raise DegenerateMassError(f"no kernel mass at query point {np.asarray(x, dtype=float)!r} "
-                              f"(after {MAX_DOUBLINGS} bandwidth doublings)")
-
-
 def nw_weight_matrix(spec: KernelSpec, queries, train_xs, km=None) -> np.ndarray:
-    """Row-normalised NW weight matrix with the retry policy applied per row.
+    """Row-normalised NW weight matrix with the retry policy applied.
 
-    ``km``, if given, is ``kernel_matrix(spec, queries, train_xs)`` computed by
-    the caller, C-ordered; it is normalised in place and returned.
+    The rows with no kernel mass are widened together: each doubling of the
+    bandwidth, up to ``MAX_DOUBLINGS``, accepts the rows where at least
+    ``min(MIN_SUPPORT, n)`` points carry mass; if any row is still short, this
+    raises ``DegenerateMassError`` naming the first. ``km``, if given, is
+    ``kernel_matrix(spec, queries, train_xs)`` computed by the caller,
+    C-ordered; it is normalised in place and returned.
     """
     q = as_rows(queries)
     train = as_rows(train_xs)
@@ -159,6 +143,23 @@ def nw_weight_matrix(spec: KernelSpec, queries, train_xs, km=None) -> np.ndarray
         km = kernel_matrix(spec, q, train)
     elif km.shape != (q.shape[0], train.shape[0]) or not km.flags.c_contiguous:
         raise ValueError("kernel matrix must be C-ordered, (queries, training points)")
-    for i in np.nonzero(_normalise_rows(km))[0]:
-        km[i] = resolve_weights(spec, q[i], train)
+    retry = np.nonzero(_normalise_rows(km))[0]
+    target = min(MIN_SUPPORT, train.shape[0])
+    widened = spec
+    for _ in range(MAX_DOUBLINGS):
+        if retry.size == 0:
+            return km
+        widened = KernelSpec(widened.family, widened.bandwidth * 2.0)
+        rows = kernel_matrix(widened, q[retry], train)
+        done = ~_normalise_rows(rows) & (np.count_nonzero(rows, axis=1) >= target)
+        km[retry[done]] = rows[done]
+        retry = retry[~done]
+    if retry.size:
+        raise DegenerateMassError(f"no kernel mass at query point {q[retry[0]]!r} "
+                                  f"(after {MAX_DOUBLINGS} bandwidth doublings)")
     return km
+
+
+def resolve_weights(spec: KernelSpec, x, train_xs) -> np.ndarray:
+    """Nadaraya-Watson weights of one query point: one row of ``nw_weight_matrix``."""
+    return nw_weight_matrix(spec, as_rows(x).reshape(1, -1), train_xs)[0]

@@ -78,6 +78,8 @@ class Dataset:
             raise ValueError("dataset must be nonempty")
         if not (self.y.size == self.x.shape[0] == self.a.shape[0]):
             raise ValueError("y, x, a must have equal length")
+        if not (np.isfinite(self.y).all() and np.isfinite(self.x).all()):
+            raise ValueError("outcomes and covariates must be finite")
         if not np.isin(self.a, (0, 1)).all():
             raise ValueError("treatment indicator must be 0 or 1")
         self.a = self.a.astype(np.int64)
@@ -156,11 +158,6 @@ class CcdfEvaluator:
         """Training-row indices of the given arm, in jump-point order."""
         return self._arm_rows[arm][0]
 
-    def weight_row(self, arm: int, x) -> np.ndarray:
-        """Policy-resolved weights over the arm's rows, in jump-point order."""
-        idx, _ = self._arm_rows[arm]
-        return resolve_weights(self.kernel, x, self.xs[idx])
-
     def weight_matrix(self, arm: int, queries, km=None) -> np.ndarray:
         idx, _ = self._arm_rows[arm]
         return nw_weight_matrix(self.kernel, queries, self.xs[idx], km)
@@ -195,8 +192,8 @@ class CcdfEvaluator:
         alphas = np.asarray(alphas, dtype=float)
         if not np.all((alphas >= 0.0) & (alphas <= 1.0)):
             raise ValueError("alpha must lie in [0, 1]")
-        _, jumps = self._arm_rows[arm]
-        return step_quantile(jumps, np.cumsum(self.weight_row(arm, x)), alphas)
+        idx, jumps = self._arm_rows[arm]
+        return step_quantile(jumps, np.cumsum(resolve_weights(self.kernel, x, self.xs[idx])), alphas)
 
 
 @dataclass

@@ -91,4 +91,5 @@ def separate_plugin_cqc(dataset, kernel, y0: float, x) -> float:
     """
     ccdf = CcdfEvaluator(kernel, dataset)
     alpha = _cdf(ccdf, 0, y0, x)
-    return step_quantile(ccdf.arm_outcomes(1), np.cumsum(ccdf.weight_row(1, x)), alpha)
+    weights = ccdf.weight_matrix(1, np.reshape(x, (1, -1)))[0]
+    return step_quantile(ccdf.arm_outcomes(1), np.cumsum(weights), alpha)

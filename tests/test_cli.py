@@ -152,6 +152,10 @@ def test_config_file_parsing(tmp_path):
     args = resolve_config(["simulate", "--config", path])
     assert (args.seed, args.gamma, args.cross_fit, args.dgp) == (7, 2.5, False, "illustrative")
     assert (args.n, args.kernel) == (1000, "gaussian")  # keys not in the file keep their defaults
+    bom = tmp_path / "bom.cfg"
+    bom.write_text("\ufeffseed = 7\ndgp = illustrative\n", encoding="utf-8")
+    assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert resolve_config(["simulate", "--config", str(bom)]).seed == 7
 
 
 def test_config_file_unknown_key(tmp_path):
@@ -232,12 +236,20 @@ def test_simulate_too_few_observations_is_config_error(tmp_path, capsys):
         ["surface", "--y-grid", "nan:1:3"],
         ["surface", "--x-grid", "0:inf:3"],
         ["surface", "--y-grid", "1e308:-1e308:3"],
+        ["surface", "--grid", "uniform:x"],
+        ["surface", "--grid", "uniform:0"],
+        ["cqte", "--grid", "fixed"],
+        ["surface", "--y-grid", "1:2"],
+        ["cqte", "--x-grid", "a:b:3"],
+        ["simulate", "--estimators", ","],
     ],
     ids=[
         "alphas-abc", "y-grid-0", "x-grid-0", "bandwidth-nan", "gamma-negative", "holdout-0",
         "replications-1", "xi-nan",
         "gamma-nan", "gamma-inf", "seed-negative-simulate", "seed-negative-surface",
         "x-grid-nan", "y-grid-nan", "x-grid-inf", "y-grid-span-overflow",
+        "grid-uniform-x", "grid-uniform-0", "grid-fixed", "y-grid-two-parts", "x-grid-non-numeric",
+        "estimators-empty",
     ],
 )
 def test_malformed_config_is_one_line_config_error(tmp_path, capsys, argv):
@@ -360,6 +372,18 @@ def test_config_file_error_names_line_and_key(tmp_path, capsys, line):
     assert os.listdir(tmp_path) == ["run.cfg"]
 
 
+@pytest.mark.parametrize("text", [None, "seed 7\n"], ids=["missing-file", "line-without-equals"])
+def test_unreadable_config_file_is_one_line_config_error(tmp_path, capsys, text):
+    cfg = tmp_path / "run.cfg"
+    if text is not None:
+        cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["simulate", "--dgp", "illustrative", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(cfg) in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 def _accepts(build, value) -> bool:
     try:
         build(value)
@@ -465,6 +489,24 @@ def test_bad_rows_are_data_error(tmp_path):
     assert main(["surface", "--input", path, "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "text, reason",
+    [("y,a,x1\n1,1,abc\n2,0,0.5\n", "line 2: non-numeric field"),
+     ("y,a,x1\n", "no data rows"),
+     (None, "cannot open")],
+    ids=["non-numeric-field", "header-only", "missing-input"],
+)
+def test_unreadable_input_is_one_line_data_error(tmp_path, capsys, text, reason):
+    path = tmp_path / "data.csv"
+    if text is not None:
+        path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["surface", "--input", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and reason in err and err.count("\n") == 1
+    assert not (out / "surface.csv").exists()
+
+
 def synthetic_csv(tmp_path, family="illustrative", gamma=0.0, n=400, seed=2):
     data = sample_dgp(DgpSpec(family, gamma=gamma, seed=seed), n, seed)
     path = str(tmp_path / "synth.csv")
@@ -560,7 +602,7 @@ def test_cqte_csv_is_alpha_major_and_matches_batch_inversion(tmp_path):
     x_vals = np.linspace(data.x[:, 0].min(), data.x[:, 0].max(), 3)
     assert [(alpha, x) for alpha, x, _ in rows] == [(a, float(x)) for a in alphas for x in x_vals]
     ccdf = CcdfEvaluator(KernelSpec("gaussian", 0.15), data)
-    cums0 = [np.cumsum(ccdf.weight_row(0, [x])) for x in x_vals]
+    cums0 = [np.cumsum(ccdf.weight_matrix(0, [x])[0]) for x in x_vals]
     y0s = np.array([step_quantile(ccdf.arm_outcomes(0), c, a) for a in alphas for c in cums0])
     contrast = cross_fit_contrast(
         data, 2, KernelSpec("gaussian", 0.15), KernelSpec("gaussian", 0.25)

@@ -88,6 +88,8 @@ def test_build_grid_uniform_linspace():
         np.array([0.0, 1.0, 0.2, 0.8]), np.zeros((4, 1)), np.array([0, 1, 0, 1])
     )
     np.testing.assert_allclose(build_grid(data, 3), [0.0, 0.5, 1.0])
+    with pytest.raises(ValueError, match="positive"):
+        build_grid(data, 0)
 
 
 def test_build_grid_no_treated_raises():
@@ -424,6 +426,13 @@ def test_surface_eval_single_cell_matches_fit():
     surface = surface_eval(fit, [0.7], [0.3])
     assert surface.shape == (1, 1)
     assert surface[0, 0] == fit([0.7], [[0.3]])[0] - 0.7
+    with pytest.raises(ValueError, match="nonempty"):
+        surface_eval(fit, [], [0.3])
+
+
+def test_contrast_profile_rejects_unpaired_queries():
+    with pytest.raises(ValueError, match="pair up"):
+        ContrastFit((LinearContrast(),)).profile_many([0.1, 0.2], [0.0, 1.0], [[0.5]])
 
 
 def test_surface_eval_identity_estimator_zero_matrix():
@@ -657,13 +666,14 @@ def test_shared_nuisance_kernel_matches_independent_replicates_on_retry_rows(mon
     nk, ok = KernelSpec("box", 0.05), KernelSpec("box", 0.1)
     halves = [data.subset(idx) for idx in make_split(data, 6)]
     retry_sizes = []
-    resolve = kernels.resolve_weights
+    kernel_matrix = kernels.kernel_matrix
 
-    def recording_resolve(spec, x, train_xs):
-        retry_sizes.append(as_rows(train_xs).shape[0])
-        return resolve(spec, x, train_xs)
+    def recording_kernel_matrix(spec, queries, train):
+        if spec.bandwidth > nk.bandwidth:  # a widened retry
+            retry_sizes.append(as_rows(train).shape[0])
+        return kernel_matrix(spec, queries, train)
 
-    monkeypatch.setattr(kernels, "resolve_weights", recording_resolve)
+    monkeypatch.setattr(kernels, "kernel_matrix", recording_kernel_matrix)
     cross_fit_contrast(data, 6, nk, ok, kind)
     expected = {half.n for half in halves}
     if kind == "dr":

@@ -3,13 +3,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from kernel_oracle import full_tensor_kernel_matrix, full_tensor_sq_dists, masked_normalise_rows
+from kernel_oracle import full_tensor_kernel_matrix, full_tensor_sq_dists, masked_normalise_rows, retry_row
 
 from cqcbench.kernels import (
     _BLOCK_VALUES,
     _STRIP_ROWS,
     DegenerateMassError,
     KernelSpec,
+    as_rows,
     gather_columns,
     kernel_matrix,
     nw_weight_matrix,
@@ -91,6 +92,8 @@ def test_gaussian_kernel_known_value():
 def test_kernel_dimension_mismatch():
     with pytest.raises(ValueError):
         kernel_matrix(BOX1, [[0.0, 0.0]], [[1.0]])
+    with pytest.raises(ValueError, match=r"\(n, d\)"):
+        as_rows(np.zeros((2, 2, 2)))
 
 
 def test_nw_weights_hand_count():
@@ -106,7 +109,7 @@ def test_nw_weights_empty_ball_is_degenerate():
     # No kernel mass at the first bandwidth, so the row takes the retry path.
     spec = KernelSpec("box", 0.1)
     assert kernel_matrix(spec, [0.0], [5.0, 6.0]).sum() == 0.0
-    np.testing.assert_array_equal(nw_row(spec, 0.0, [5.0, 6.0]), resolve_weights(spec, 0.0, [5.0, 6.0]))
+    assert nw_row(spec, 0.0, [5.0, 6.0]).tobytes() == retry_row(spec, 0.0, [5.0, 6.0]).tobytes()
 
 
 def test_nw_regress_weighted_average():
@@ -135,7 +138,7 @@ def test_policy_accepts_small_training_sets():
 
 
 def test_policy_gives_up_after_ten_doublings():
-    message = "no kernel mass at query point array(0.) (after 10 bandwidth doublings)"
+    message = "no kernel mass at query point array([0.]) (after 10 bandwidth doublings)"
     with pytest.raises(DegenerateMassError, match=re.escape(message)):
         resolve_weights(KernelSpec("box", 0.1), 0.0, np.array([1e6, 2e6]))
 
@@ -182,7 +185,7 @@ def test_weight_matrix_matches_per_row_weights():
     queries = rng.uniform(-1, 1, (6, 2))
     matrix = nw_weight_matrix(GAUSS1, queries, xs)
     for i, q in enumerate(queries):
-        np.testing.assert_array_equal(matrix[i], resolve_weights(GAUSS1, q, xs))
+        assert matrix[i].tobytes() == retry_row(GAUSS1, q, xs).tobytes()
     # Several distance blocks, and a far query whose empty box ball takes the
     # retry path while the other rows are normalised in place.
     xs = rng.uniform(-1, 1, (400, 2))
@@ -192,8 +195,31 @@ def test_weight_matrix_matches_per_row_weights():
     for spec in (GAUSS1, KernelSpec("box", 0.3)):
         matrix = nw_weight_matrix(spec, queries, xs)
         for i, q in enumerate(queries):
-            np.testing.assert_array_equal(matrix[i], resolve_weights(spec, q, xs))
+            assert matrix[i].tobytes() == retry_row(spec, q, xs).tobytes()
     assert kernel_matrix(KernelSpec("box", 0.3), queries[3:4], xs).sum() == 0.0
+
+
+def test_weight_matrix_retries_rows_together_like_the_per_row_oracle():
+    # d = 10 box balls of radius 0.6 around normal queries are almost all
+    # empty; the rows find support after different numbers of doublings.
+    rng = np.random.default_rng(10)
+    xs = rng.normal(size=(400, 10))
+    queries = rng.normal(size=(60, 10))
+    queries[7] = 6.0  # far out: more doublings than its neighbours
+    queries[9] = xs[0]  # a training point: mass at the first bandwidth
+    spec = KernelSpec("box", 0.6)
+    first = kernel_matrix(spec, queries, xs).sum(axis=1)
+    assert np.count_nonzero(first == 0.0) > 50 and first[9] > 0.0
+    matrix = nw_weight_matrix(spec, queries, xs)
+    for i, q in enumerate(queries):
+        assert matrix[i].tobytes() == retry_row(spec, q, xs).tobytes()
+    assert np.count_nonzero(matrix[9]) == 1  # the first bandwidth accepts any mass
+    support = {np.count_nonzero(row) for row in matrix[first == 0.0]}
+    assert min(support) >= 5 and len(support) > 10
+    # The error names the first row that is still empty after the last doubling.
+    queries[[3, 5]] = [[1e6] * 10, [2e6] * 10]
+    with pytest.raises(DegenerateMassError, match=re.escape("array([1000000., ")):
+        nw_weight_matrix(spec, queries, xs)
 
 
 def test_kernel_matrix_matches_scalar_eval():

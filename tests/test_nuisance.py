@@ -37,6 +37,10 @@ def test_dataset_validation():
         Dataset(np.array([]), np.empty((0, 1)), np.array([]))
     with pytest.raises(ValueError):
         Dataset(np.array([1.0, 2.0]), np.array([[0.0]]), np.array([0, 1]))
+    with pytest.raises(ValueError, match="finite"):
+        Dataset(np.array([1.0, 2.0]), np.array([[0.0], [np.nan]]), np.array([0, 1]))
+    with pytest.raises(ValueError, match="finite"):
+        Dataset(np.array([1.0, np.inf]), np.array([[0.0], [1.0]]), np.array([0, 1]))
 
 
 def test_dataset_arm_bookkeeping():
@@ -90,6 +94,12 @@ def test_propensity_equal_weights_hand_average():
     data = Dataset(np.zeros(4), np.zeros((4, 1)), np.array([1, 0, 1, 0]))
     prop = PropensityEvaluator(WIDE_BOX, data, xi=0.05)
     assert prop.many(np.array([[0.0]]))[0] == pytest.approx(0.5)
+
+
+def test_propensity_xi_outside_range_raises():
+    data = Dataset(np.zeros(4), np.zeros((4, 1)), np.array([1, 0, 1, 0]))
+    with pytest.raises(ValueError, match="xi"):
+        PropensityEvaluator(WIDE_BOX, data, xi=0.7)
 
 
 def test_propensity_single_arm_raises():

@@ -274,6 +274,8 @@ def test_run_experiment_validates_inputs():
         run_experiment(spec, [SeparateEstimator(NK)], 100, 1)
     with pytest.raises(ValueError):
         run_experiment(spec, [], 100, 3)
+    with pytest.raises(ValueError, match="holdout"):
+        run_experiment(spec, [SeparateEstimator(NK)], 100, 3, holdout=0)
 
 
 def test_run_experiment_ci_half_width_definition():
