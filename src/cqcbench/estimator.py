@@ -21,7 +21,8 @@ import numpy as np
 # pava_project is unused here, but bench/test_bench.py checks this binding.
 from .isotonic import pava_project, zero_crossing  # noqa: F401
 from .kernels import (
-    KernelSpec, as_rows, gather_columns, kernel_matrix, nw_weight_matrix, transpose_strips,
+    KernelSpec, as_rows, gather_columns, kernel_matrix, nw_weight_matrix, transpose_blocks,
+    transpose_strips,
 )
 from .nuisance import Dataset, fit_nuisance, make_split, prefix_gather
 from .pseudo import PseudoOutcomeKind
@@ -44,16 +45,17 @@ def _runs(xs: np.ndarray):
 class _ContrastReplicate:
     """One nuisance-then-regress pass: fixed regression rows, fixed nuisances.
 
-    ``nuisance`` may be a fitted model or an exact (closed-form) one; it must
-    expose ``ccdf.cdf_table(arm, ys, xs)``. ``pi`` is its propensity at the
-    regression rows, and for the DR kind ``mix1`` is its ``ccdf.mixer(1,
-    data2.x)``, whose ``mix(u, ys)`` is ``u @ cdf_table(1, ys, data2.x)``
-    without the clip to [0, 1] (None for IPW). ``_replicate`` evaluates both;
+    ``nuisance`` may be a fitted model or an exact (closed-form) one. ``pi`` is
+    its propensity at the regression rows. For the DR kind, ``mix1`` is its
+    ``ccdf.mixer(1, data2.x)``, whose ``mix(u, ys)`` is ``u @ cdf_table(1, ys,
+    data2.x)`` without the clip to [0, 1], and ``table0`` is its
+    ``ccdf.tabulator(0, data2.x)``, whose ``table(ys)`` is ``cdf_table(0, ys,
+    data2.x)``; both are None for IPW. ``_replicate`` evaluates all three;
     ``cross_fit_contrast`` evaluates them for two replicates at once.
     """
 
     def __init__(self, nuisance, data2: Dataset, outer_kernel: KernelSpec, kind: PseudoOutcomeKind,
-                 pi: np.ndarray, mix1):
+                 pi: np.ndarray, mix1, table0):
         self.nuisance = nuisance
         self.data2 = data2
         self.outer_kernel = outer_kernel
@@ -64,15 +66,7 @@ class _ContrastReplicate:
         treated = data2.arm_indices(1)
         self._treated = treated[np.argsort(data2.y[treated], kind="stable")]
         self._mix1 = mix1
-        self._f0 = None  # (y0s, F0(y0s | data2.x)) of the last y0s asked for
-
-    def _f0_rows(self, y0s: np.ndarray) -> np.ndarray:
-        # F0(y0s | regression rows) does not depend on the query covariates, so
-        # the last table is kept for repeated calls with the same y0s (a
-        # surface profiles x by x on one set of y0s).
-        if self._f0 is None or not np.array_equal(self._f0[0], y0s):
-            self._f0 = (y0s.copy(), self.nuisance.ccdf.cdf_table(0, y0s, self.data2.x))
-        return self._f0[1]
+        self._table0 = table0
 
     def profile_many(self, y0s: np.ndarray, grid: np.ndarray, xs: np.ndarray) -> np.ndarray:
         """Contrast profiles h_hat(y0s[q], grid[l] | xs[q]) as an (m, p) table.
@@ -91,23 +85,30 @@ class _ContrastReplicate:
             # sum_j w_j (1 - a_j c_j) F1(grid | x_j): the F1 part of the treated
             # term, -a_j c_j F1, merged with the DR correction's +F1.
             x_part += self._mix1(w_out * (1.0 - self._a * self._c), grid)
-        ind0 = (d2.y[:, None] <= y0s[None, :]).astype(float)
-        un = (1.0 - self._a) * self._c
+        ind0 = d2.y[:, None] <= y0s[None, :]
+        un = ((1.0 - self._a) * self._c)[:, None]
         if self.kind is PseudoOutcomeKind.IPW:
-            t0 = un[:, None] * ind0
+            t0 = un * ind0
         else:
-            f0_q = self._f0_rows(y0s)
-            t0 = un[:, None] * (ind0 - f0_q) - f0_q
+            # un * (ind0 - f0) - f0, built in one buffer.
+            f0_q = self._table0(y0s)
+            t0 = np.subtract(ind0, f0_q)
+            np.multiply(un, t0, out=t0)
+            t0 -= f0_q
         s0 = np.einsum("qj,jq->q", w_out[run], t0)
         return x_part[run] + s0[:, None]
 
 
 def _replicate(nuisance, data2: Dataset, outer_kernel: KernelSpec, kind: PseudoOutcomeKind):
-    """A replicate whose nuisance evaluates its own propensity and arm-1 mixer;
-    it must also expose ``propensity.many(xs)`` and ``ccdf.mixer(arm, xs)``."""
+    """A replicate whose nuisance evaluates its own propensity, arm-1 mixer and
+    arm-0 tabulator; it must also expose ``propensity.many(xs)``,
+    ``ccdf.mixer(arm, xs)`` and ``ccdf.tabulator(arm, xs)``."""
     pi = nuisance.propensity.many(data2.x)
-    mix1 = nuisance.ccdf.mixer(1, data2.x) if kind is PseudoOutcomeKind.DR else None
-    return _ContrastReplicate(nuisance, data2, outer_kernel, kind, pi, mix1)
+    mix1 = table0 = None
+    if kind is PseudoOutcomeKind.DR:
+        mix1 = nuisance.ccdf.mixer(1, data2.x)
+        table0 = nuisance.ccdf.tabulator(0, data2.x)
+    return _ContrastReplicate(nuisance, data2, outer_kernel, kind, pi, mix1, table0)
 
 
 @dataclass
@@ -161,31 +162,39 @@ def cross_fit_contrast(
     """Contrast fit averaged over the two role assignments of a random split.
 
     Both replicates' nuisances are NW regressions between the same two halves,
-    so one kernel matrix K (regression half 2 by nuisance half 1) and its
-    transpose give both propensities and both arm-1 weight matrices, with the
-    bits of ``fit_contrast`` on each role assignment: (a - b)^2 == (b - a)^2,
-    and every matrix is C-ordered, as its row sums need. The order below
-    keeps live at most K and its transpose, or the transpose and the two
-    arm-1 weight matrices; arm-0 weights stay with ``cdf_table`` at predict
-    time.
+    so one kernel matrix K (regression half 2 by nuisance half 1) gives both
+    propensities and all four arm weight matrices, with the bits of
+    ``fit_contrast`` on each role assignment: (a - b)^2 == (b - a)^2, and
+    every matrix is C-ordered, as its row sums need. At most two half-by-half
+    matrices are live at once: K and its transpose Kt, then Kt and the arm
+    blocks at d1's rows (columns of Kt), then those and the arm blocks at d2's
+    rows (columns of K, rebuilt from them by ``transpose_blocks``). The four
+    blocks are the fitted state; each arm-0 block is kept as cumulative
+    weights, so a predict evaluates no nuisance kernel.
     """
     kind = PseudoOutcomeKind(kind)
     d1, d2 = (dataset.subset(idx) for idx in make_split(dataset, seed))
     nuis1, nuis2 = fit_nuisance(d1, nuisance_kernel, xi), fit_nuisance(d2, nuisance_kernel, xi)
-    # pi2, mix2 are evaluated at d2's rows (replicate 1); pi1, mix1 at d1's.
+    # pi2, mix2, table2 are evaluated at d2's rows (replicate 1); pi1, mix1,
+    # table1 at d1's.
     k = kernel_matrix(nuisance_kernel, d2.x, d1.x)
     kt = transpose_strips(k)
     pi2 = nuis1.propensity.many(d2.x, k)
     del k
-    mix2 = mix1 = None
-    if kind is PseudoOutcomeKind.DR:
-        mix2 = nuis1.ccdf.mixer(1, d2.x, transpose_strips(kt, nuis1.ccdf.arm_rows(1)))
-        mix1 = nuis2.ccdf.mixer(1, d1.x, gather_columns(kt, nuis2.ccdf.arm_rows(1)))
+    dr = kind is PseudoOutcomeKind.DR
+    if dr:  # the arm blocks at d1's rows are columns of Kt
+        cols = [nuis2.ccdf.arm_rows(arm) for arm in (0, 1)]
+        blocks1 = [gather_columns(kt, c) for c in cols]
     pi1 = nuis2.propensity.many(d1.x, kt)
     del kt
+    mix2 = table2 = mix1 = table1 = None
+    if dr:  # the arm blocks at d2's rows are columns of K
+        blocks2 = transpose_blocks(blocks1, cols, [nuis1.ccdf.arm_rows(arm) for arm in (0, 1)])
+        mix2, table2 = nuis1.ccdf.mixer(1, d2.x, blocks2[1]), nuis1.ccdf.tabulator(0, d2.x, blocks2[0])
+        mix1, table1 = nuis2.ccdf.mixer(1, d1.x, blocks1[1]), nuis2.ccdf.tabulator(0, d1.x, blocks1[0])
     return ContrastFit(replicates=(
-        _ContrastReplicate(nuis1, d2, outer_kernel, kind, pi2, mix2),
-        _ContrastReplicate(nuis2, d1, outer_kernel, kind, pi1, mix1),
+        _ContrastReplicate(nuis1, d2, outer_kernel, kind, pi2, mix2, table2),
+        _ContrastReplicate(nuis2, d1, outer_kernel, kind, pi1, mix1, table1),
     ))
 
 

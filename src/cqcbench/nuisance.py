@@ -43,6 +43,15 @@ def step_quantile(jumps: np.ndarray, cums: np.ndarray, alphas):
     return jumps[np.minimum(pos, jumps.size - 1)]
 
 
+def _step_gather(cums: np.ndarray, points: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    # The (m, len(ys)) table of the running sums ``cums``, whose columns the
+    # ascending ``points`` label, at the last point <= each y; 0 before the first.
+    last = np.searchsorted(points, ys, side="right") - 1
+    table = cums[:, last]
+    table[:, last < 0] = 0.0
+    return table
+
+
 def prefix_gather(weights: np.ndarray, points: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Row sums of ``weights`` over the columns whose point is <= each of ``ys``.
 
@@ -51,12 +60,9 @@ def prefix_gather(weights: np.ndarray, points: np.ndarray, ys: np.ndarray) -> np
     computed as a running sum gathered at the last point <= each y. The running
     sum is taken in place: ``weights`` is overwritten.
     """
-    last = np.searchsorted(points, ys, side="right") - 1
     if points.size == 0:  # e.g. a regression half without treated rows
-        return np.zeros((weights.shape[0], last.size))
-    table = np.cumsum(weights, axis=1, out=weights)[:, last]
-    table[:, last < 0] = 0.0
-    return table
+        return np.zeros((weights.shape[0], np.size(ys)))
+    return _step_gather(np.cumsum(weights, axis=1, out=weights), points, ys)
 
 
 @dataclass
@@ -162,12 +168,30 @@ class CcdfEvaluator:
         idx, _ = self._arm_rows[arm]
         return nw_weight_matrix(self.kernel, queries, self.xs[idx], km)
 
-    def cdf_table(self, arm: int, ys, queries) -> np.ndarray:
-        """CDF values F(ys[l] | queries[j], arm) as a (len(queries), len(ys)) table."""
+    def cdf_table(self, arm: int, ys, queries, cums=None) -> np.ndarray:
+        """CDF values F(ys[l] | queries[j], arm) as a (len(queries), len(ys)) table.
+
+        ``cums``, if given, is the arm's weight matrix at ``queries`` summed
+        along each row, as ``tabulator`` keeps it; the table is then a column
+        gather of it, and no kernel is evaluated.
+        """
         ys = np.asarray(ys, dtype=float).reshape(-1)
         _, jumps = self._arm_rows[arm]
-        table = prefix_gather(self.weight_matrix(arm, queries), jumps, ys)
+        if cums is None:
+            cums = self._cumulative_weights(arm, queries)
+        table = _step_gather(cums, jumps, ys)
         return np.clip(table, 0.0, 1.0, out=table)
+
+    def _cumulative_weights(self, arm: int, queries, km=None) -> np.ndarray:
+        weights = self.weight_matrix(arm, queries, km)
+        return np.cumsum(weights, axis=1, out=weights)
+
+    def tabulator(self, arm: int, queries, km=None):
+        """``table(ys)``: ``cdf_table(arm, ys, queries)`` from the arm's
+        cumulative weights at ``queries``, computed once and kept. ``km`` is
+        as for ``mixer``; the cumulative weights overwrite it."""
+        cums = self._cumulative_weights(arm, queries, km)
+        return lambda ys: self.cdf_table(arm, ys, queries, cums)
 
     def mixer(self, arm: int, queries, km=None):
         """``mix(u, ys)``: the unclipped ``u @ cdf_table(arm, ys, queries)``.

@@ -85,10 +85,12 @@ def _arm_params(spec: DgpSpec, xs: np.ndarray):
 # The normal's CDF and quantile import scipy.special on first use: it takes
 # longer to import than a CLI fit on a CSV takes to run.
 _Base = namedtuple("_Base", "cdf quantile draw")
-_NORMAL = _Base(lambda z: importlib.import_module("scipy.special").ndtr(z),
+# The CDF takes an optional ``out`` array, as a ufunc does.
+_NORMAL = _Base(lambda z, out=None: importlib.import_module("scipy.special").ndtr(z, out=out),
                 lambda p: importlib.import_module("scipy.special").ndtri(p),
                 lambda rng, n: rng.standard_normal(n))
-_UNIFORM = _Base(lambda z: np.clip(z, 0.0, 1.0), lambda u: u, lambda rng, n: rng.uniform(size=n))
+_UNIFORM = _Base(lambda z, out=None: np.clip(z, 0.0, 1.0, out=out), lambda u: u,
+                 lambda rng, n: rng.uniform(size=n))
 
 
 def _base(spec: DgpSpec) -> _Base:
@@ -112,13 +114,20 @@ class ExactCcdf:
         self.spec = spec
 
     def cdf_table(self, arm: int, ys, queries) -> np.ndarray:
+        """The standardised thresholds and their CDF values fill one buffer."""
         ys = np.asarray(ys, dtype=float).reshape(-1)
         loc, scale = _arm_params(self.spec, as_rows(queries))[arm]
-        return _base(self.spec).cdf((ys[None, :] - loc[:, None]) / scale[:, None])
+        table = np.subtract(ys[None, :], loc[:, None])
+        np.divide(table, scale[:, None], out=table)
+        return _base(self.spec).cdf(table, out=table)
 
     def mixer(self, arm: int, queries):
         """``mix(u, ys)``: ``u @ cdf_table(arm, ys, queries)``, as the fitted evaluator's."""
         return lambda u, ys: u @ self.cdf_table(arm, ys, queries)
+
+    def tabulator(self, arm: int, queries):
+        """``table(ys)``: ``cdf_table(arm, ys, queries)``, as the fitted evaluator's."""
+        return lambda ys: self.cdf_table(arm, ys, queries)
 
     def quantile(self, arm: int, alphas, x):
         """Arm quantiles loc + scale * Z_alpha at every level in ``alphas``, at one x."""

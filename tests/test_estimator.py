@@ -674,12 +674,19 @@ def test_shared_nuisance_kernel_matches_independent_replicates_on_retry_rows(mon
         return kernel_matrix(spec, queries, train)
 
     monkeypatch.setattr(kernels, "kernel_matrix", recording_kernel_matrix)
-    cross_fit_contrast(data, 6, nk, ok, kind)
+    contrast = cross_fit_contrast(data, 6, nk, ok, kind)
     expected = {half.n for half in halves}
     if kind == "dr":
-        expected |= {half.arm_indices(1).size for half in halves}
+        expected |= {half.arm_indices(arm).size for half in halves for arm in (0, 1)}
     assert expected <= set(retry_sizes)
     monkeypatch.undo()
+    if kind == "dr":
+        # The kept arm-0 cumulative weights give a fresh cdf_table's bits,
+        # retry rows included.
+        ys = np.r_[np.linspace(-4.0, 4.0, 17), data.y[::25]]
+        for rep in contrast.replicates:
+            fresh = rep.nuisance.ccdf.cdf_table(0, ys, rep.data2.x)
+            assert rep._table0(ys).tobytes() == fresh.tobytes()
     _assert_profiles_match_independent_replicates(data, 6, nk, ok, kind, np.c_[[0.5, 3.0, 9.0, 20.0]])
 
 
@@ -702,6 +709,47 @@ def test_cross_fit_memory_stays_within_two_half_matrices(kind):
     finally:
         tracemalloc.stop()
     assert peak < (n1 * n2 + second) * 8 + 4 * n * (data.d + 1) * 8
+
+
+def test_dr_fit_and_predict_memory_is_kept_blocks_plus_query_tables():
+    # The fit keeps four arm weight blocks, two half-by-half matrices in all.
+    # A 200-query predict adds tables of O(m n) values: outer weights, the y0
+    # term and profile rows (the grid has about n/2 points).
+    n, m = 3000, 200
+    spec = DgpSpec("tendim", gamma=1.0, seed=3)
+    data = sample_dgp(spec, n, seed=0)
+    y0s, xs = sample_holdout(spec, m, seed=1)
+    n1, n2 = (idx.size for idx in make_split(data, 0))
+    tracemalloc.start()
+    try:
+        fit = fit_cqc(data, 0, KernelSpec("gaussian", 0.8), KernelSpec("gaussian", 1.5),
+                      PseudoOutcomeKind.DR, 0.05, True, None)
+        fit(y0s, xs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n1 * n2 * 8 + 4 * m * n * 8 + 4 * n * (data.d + 1) * 8
+
+
+@pytest.mark.parametrize("cross_fit", [True, False])
+def test_dr_predict_evaluates_only_outer_kernels(monkeypatch, cross_fit):
+    # Both arms' nuisance weights at the regression rows are fitted state, so
+    # the only kernels a predict evaluates are the outer smoother's.
+    spec = DgpSpec("illustrative", gamma=2.0)
+    data = sample_dgp(spec, 300, seed=5)
+    fit = fit_cqc(data, 5, NK, OK, PseudoOutcomeKind.DR, 0.05, cross_fit, None)
+    specs = []
+    kernel_matrix = kernels.kernel_matrix
+
+    def recording_kernel_matrix(spec, queries, train):
+        specs.append(spec)
+        return kernel_matrix(spec, queries, train)
+
+    monkeypatch.setattr(kernels, "kernel_matrix", recording_kernel_matrix)
+    y0s, xs = sample_holdout(spec, 30, seed=6)
+    fit(y0s, xs)
+    surface_eval(fit, y0s[:4], xs[:3])
+    assert specs and set(specs) == {OK}
 
 
 def test_estimate_cqc_matches_batched_path():

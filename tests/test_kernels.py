@@ -15,6 +15,7 @@ from cqcbench.kernels import (
     kernel_matrix,
     nw_weight_matrix,
     resolve_weights,
+    transpose_blocks,
     transpose_strips,
     _normalise_rows,
     _sq_dist_matrix,
@@ -276,11 +277,25 @@ def test_column_gather_and_strip_transpose_match_numpy(order, shape):
         expected = np.ascontiguousarray(m[:, idx])
         assert gathered.flags.c_contiguous and gathered.shape == expected.shape
         assert gathered.tobytes() == expected.tobytes()
-    for rows in (np.arange(shape[0])[::-2], rng.integers(0, shape[0], size=2 * shape[0]), empty):
-        transposed = transpose_strips(m, rows)
-        expected = np.ascontiguousarray(m[rows].T)
-        assert transposed.flags.c_contiguous and transposed.shape == expected.shape
-        assert transposed.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(5, 3), (2 * _STRIP_ROWS + 3, _BLOCK_VALUES // _STRIP_ROWS * 2 + 7), (4, 1)])
+def test_transpose_blocks_regroups_column_blocks_into_transposed_row_blocks(shape):
+    rng = np.random.default_rng(shape[1])
+    m = rng.normal(size=shape)
+    cols = np.array_split(rng.permutation(shape[1]), [shape[1] // 3])  # the first may be empty
+    rows = [rng.permutation(shape[0])[: shape[0] // 2], np.arange(shape[0])[::-1], np.array([], dtype=np.intp)]
+    blocks = [gather_columns(m, c) for c in cols]
+    tracemalloc.start()
+    try:
+        out = transpose_blocks(blocks, cols, rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    for t, r in zip(out, rows):
+        assert t.flags.c_contiguous and t.tobytes() == np.ascontiguousarray(m[r].T).tobytes()
+    # The outputs, one gathered tile and index slices, nothing the size of an input.
+    assert peak < sum(t.nbytes for t in out) + _BLOCK_VALUES * 8 + 4 * sum(shape) * 8
 
 
 def test_normalise_rows_matches_masked_division():

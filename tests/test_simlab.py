@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from cqcbench import simlab
 from cqcbench.baselines import DrEstimator, OracleEstimator, SeparateEstimator
 from cqcbench.kernels import KernelSpec
 from cqcbench.nuisance import CcdfEvaluator
@@ -170,6 +171,35 @@ def test_ccdf_mixer_is_weighted_sum_of_cdf_table(source):
             np.testing.assert_allclose(
                 mix(u, grid), u @ ccdf.cdf_table(arm, grid, rows), rtol=0, atol=1e-12
             )
+
+
+@pytest.mark.parametrize("source", ["fitted", "exact"])
+def test_ccdf_tabulator_is_cdf_table(source):
+    spec = DgpSpec("illustrative", gamma=2.0)
+    data = sample_dgp(spec, 200, seed=3)
+    ccdf = CcdfEvaluator(NK, data) if source == "fitted" else truth(spec).ccdf
+    rows = np.random.default_rng(6).uniform(0.0, 1.0, (40, 1))
+    for arm in (0, 1):
+        points = np.sort(data.y[data.a == arm])
+        ys = np.concatenate([points[:5], points[:5], points[::7] + 1e-3, [points[0] - 1, points[-1] + 1]])
+        table = ccdf.tabulator(arm, rows)
+        for grid in (np.sort(ys), ys, ys[:1]):  # later calls see the kept state unchanged
+            assert table(grid).tobytes() == ccdf.cdf_table(arm, grid, rows).tobytes()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_exact_cdf_table_matches_its_unbuffered_form(family):
+    # The table is standardised and mapped through the base CDF in one buffer;
+    # the bits are those of the plain expression, for the normal and the
+    # uniform (uniform_h) bases.
+    spec = DgpSpec(family, gamma=4.0, seed=2)
+    rng = np.random.default_rng(7)
+    xs = rng.uniform(0.0, 1.0, (30, spec.dim))
+    ys = np.r_[rng.normal(0.0, 2.0, 40), -np.inf, np.inf, 0.0, -0.0]
+    for arm in (0, 1):
+        loc, scale = simlab._arm_params(spec, xs)[arm]
+        expected = simlab._base(spec).cdf((ys[None, :] - loc[:, None]) / scale[:, None])
+        assert truth(spec).ccdf.cdf_table(arm, ys, xs).tobytes() == expected.tobytes()
 
 
 def test_truth_cqte_symmetry_flat_gamma():
