@@ -266,15 +266,25 @@ def _checked_input(path: str, step, *args):
         raise DataError(f"{path}: {exc}") from exc
 
 
+def _cells(values) -> list[str]:
+    """CSV cells of a 1-D array: floats by ``repr``, which reads back to the same
+    bits, integers by ``str``. A non-finite float is a numerical failure."""
+    values = np.asarray(values)
+    if values.dtype.kind == "f" and not np.isfinite(values).all():
+        raise FloatingPointError(f"non-finite output value {values[~np.isfinite(values)][0]}")
+    return list(map(repr if values.dtype.kind == "f" else str, values.tolist()))
+
+
+def _write_table(path: str, header: list[str], columns) -> None:
+    """Write equal-length 1-D ``columns`` under ``header`` as a CSV, through ``_atomic_write``."""
+    rows = map(",".join, zip(*map(_cells, columns)))
+    _atomic_write(path, "\n".join([",".join(header), *rows]) + "\n")
+
+
 def write_dataset_csv(dataset: Dataset, path: str) -> None:
     """Write a dataset in the ingestible schema; floats survive a round trip."""
     header = ["y", "a"] + [f"x{k}" for k in range(1, dataset.d + 1)]
-    lines = [",".join(header)]
-    for i in range(dataset.n):
-        cells = [repr(float(dataset.y[i])), str(int(dataset.a[i]))]
-        cells += [repr(float(v)) for v in dataset.x[i]]
-        lines.append(",".join(cells))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _write_table(path, header, [dataset.y, dataset.a, *dataset.x.T])
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -378,14 +388,7 @@ def cmd_surface(args: argparse.Namespace) -> int:
     path, dataset, fit, x_vals, xs = _fitted_input(args, "surface.csv")
     ys = _axis(args.y_grid, dataset.y)
     surface = surface_eval(fit, ys, xs)
-    if not np.isfinite(surface).all():
-        raise FloatingPointError("surface contains non-finite entries")
-    lines = ["y," + ",".join(repr(float(v)) for v in x_vals)]
-    for i, y in enumerate(ys):
-        lines.append(
-            repr(float(y)) + "," + ",".join(repr(float(v)) for v in surface[i])
-        )
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _write_table(path, ["y", *_cells(x_vals)], [ys, *surface.T])
     print(f"wrote {path} ({ys.size} y-values x {x_vals.size} x-values)")
     return EXIT_OK
 
@@ -394,10 +397,9 @@ def cmd_cqte(args: argparse.Namespace) -> int:
     path, dataset, fit, x_vals, xs = _fitted_input(args, "cqte.csv")
     arm0 = CcdfEvaluator(args.nuisance_kernel, dataset)
     tau = cqc_to_cqte(fit, lambda levels, x: arm0.quantile(0, levels, x), args.alphas, xs)
-    lines = ["alpha,x,tau_hat"]
-    for alpha, row in zip(args.alphas, tau):  # alpha-major, as cqc_to_cqte's table
-        lines += [f"{alpha!r},{float(xv)!r},{float(t)!r}" for xv, t in zip(x_vals, row)]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    alphas = np.repeat(args.alphas, x_vals.size)  # alpha-major, as cqc_to_cqte's table
+    columns = [alphas, np.tile(x_vals, len(args.alphas)), tau.ravel()]
+    _write_table(path, ["alpha", "x", "tau_hat"], columns)
     print(f"wrote {path} ({len(args.alphas)} alphas x {x_vals.size} x-values)")
     return EXIT_OK
 

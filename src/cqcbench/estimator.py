@@ -46,11 +46,12 @@ class _ContrastReplicate:
     """One nuisance-then-regress pass: fixed regression rows, fixed nuisances.
 
     ``nuisance`` may be a fitted model or an exact (closed-form) one. ``pi`` is
-    its propensity at the regression rows. For the DR kind, ``mix1`` is its
-    ``ccdf.mixer(1, data2.x)``, whose ``mix(u, ys)`` is ``u @ cdf_table(1, ys,
-    data2.x)`` without the clip to [0, 1], and ``table0`` is its
-    ``ccdf.tabulator(0, data2.x)``, whose ``table(ys)`` is ``cdf_table(0, ys,
-    data2.x)``; both are None for IPW. ``_replicate`` evaluates all three;
+    its propensity at the regression rows. The plug-in CDFs ``mix1`` and
+    ``table0`` are, for DR, its ``ccdf.mixer(1, data2.x)``, whose ``mix(u,
+    ys)`` is ``u @ cdf_table(1, ys, data2.x)`` without the clip to [0, 1], and
+    its ``ccdf.tabulator(0, data2.x)``, whose ``table(ys)`` is ``cdf_table(0,
+    ys, data2.x)``. The IPW pseudo-outcome is the DR one with both zero
+    (``_zero_plug_in``). ``_replicate`` evaluates all three;
     ``cross_fit_contrast`` evaluates them for two replicates at once.
     """
 
@@ -81,22 +82,21 @@ class _ContrastReplicate:
         w_out = nw_weight_matrix(self.outer_kernel, xs[first], d2.x)
         rows1 = self._treated
         x_part = prefix_gather(w_out[:, rows1] * self._c[rows1], d2.y[rows1], grid)
-        if self._mix1 is not None:
-            # sum_j w_j (1 - a_j c_j) F1(grid | x_j): the F1 part of the treated
-            # term, -a_j c_j F1, merged with the DR correction's +F1.
-            x_part += self._mix1(w_out * (1.0 - self._a * self._c), grid)
-        ind0 = d2.y[:, None] <= y0s[None, :]
+        # sum_j w_j (1 - a_j c_j) F1(grid | x_j): the F1 part of the treated
+        # term, -a_j c_j F1, merged with the DR correction's +F1.
+        x_part += self._mix1(w_out * (1.0 - self._a * self._c), grid)
+        # un * (1{y_j <= y0} - f0) - f0, built in one buffer.
         un = ((1.0 - self._a) * self._c)[:, None]
-        if self.kind is PseudoOutcomeKind.IPW:
-            t0 = un * ind0
-        else:
-            # un * (ind0 - f0) - f0, built in one buffer.
-            f0_q = self._table0(y0s)
-            t0 = np.subtract(ind0, f0_q)
-            np.multiply(un, t0, out=t0)
-            t0 -= f0_q
+        f0_q = self._table0(y0s)
+        t0 = np.subtract(d2.y[:, None] <= y0s[None, :], f0_q)
+        np.multiply(un, t0, out=t0)
+        t0 -= f0_q
         s0 = np.einsum("qj,jq->q", w_out[run], t0)
         return x_part[run] + s0[:, None]
+
+
+def _zero_plug_in(*_):  # an IPW replicate's F1 mixer and F0 table
+    return 0.0
 
 
 def _replicate(nuisance, data2: Dataset, outer_kernel: KernelSpec, kind: PseudoOutcomeKind):
@@ -104,7 +104,7 @@ def _replicate(nuisance, data2: Dataset, outer_kernel: KernelSpec, kind: PseudoO
     arm-0 tabulator; it must also expose ``propensity.many(xs)``,
     ``ccdf.mixer(arm, xs)`` and ``ccdf.tabulator(arm, xs)``."""
     pi = nuisance.propensity.many(data2.x)
-    mix1 = table0 = None
+    mix1 = table0 = _zero_plug_in
     if kind is PseudoOutcomeKind.DR:
         mix1 = nuisance.ccdf.mixer(1, data2.x)
         table0 = nuisance.ccdf.tabulator(0, data2.x)
@@ -187,7 +187,7 @@ def cross_fit_contrast(
         blocks1 = [gather_columns(kt, c) for c in cols]
     pi1 = nuis2.propensity.many(d1.x, kt)
     del kt
-    mix2 = table2 = mix1 = table1 = None
+    mix2 = table2 = mix1 = table1 = _zero_plug_in
     if dr:  # the arm blocks at d2's rows are columns of K
         blocks2 = transpose_blocks(blocks1, cols, [nuis1.ccdf.arm_rows(arm) for arm in (0, 1)])
         mix2, table2 = nuis1.ccdf.mixer(1, d2.x, blocks2[1]), nuis1.ccdf.tabulator(0, d2.x, blocks2[0])
@@ -313,7 +313,8 @@ def cqc_to_cqte(fit: CqcFit, arm0_quantile, alphas, xs) -> np.ndarray:
     y0s = np.array([arm0_quantile(alphas, x) for x in xs], dtype=float)
     y0s = y0s.reshape(xs.shape[0], alphas.size)
     g_hat = fit(y0s.reshape(-1), np.repeat(xs, alphas.size, axis=0))
-    return (g_hat.reshape(y0s.shape) - y0s).T
+    with np.errstate(over="ignore"):  # an overflowing gap is inf, for the caller to report
+        return (g_hat.reshape(y0s.shape) - y0s).T
 
 
 def surface_eval(fit: CqcFit, y_grid, x_grid) -> np.ndarray:
@@ -328,5 +329,7 @@ def surface_eval(fit: CqcFit, y_grid, x_grid) -> np.ndarray:
         raise ValueError("surface grids must be nonempty")
     out = np.empty((ys.size, xs.shape[0]))
     for j in range(xs.shape[0]):
-        out[:, j] = fit(ys, np.tile(xs[j], (ys.size, 1))) - ys
+        out[:, j] = fit(ys, np.tile(xs[j], (ys.size, 1)))
+    with np.errstate(over="ignore"):  # an overflowing gap is inf, for the caller to report
+        out -= ys[:, None]
     return out

@@ -220,12 +220,6 @@ def sample_holdout(spec: DgpSpec, size: int, seed: int):
     return ys, xs
 
 
-def draw_given_x(spec: DgpSpec, x, size: int, seed: int):
-    """Draw (y, a) pairs conditional on a fixed covariate value."""
-    xs = np.tile(np.atleast_1d(np.asarray(x, dtype=float)), (size, 1))
-    return _draw_at(spec, xs, np.random.default_rng(seed))
-
-
 @dataclass(frozen=True)
 class EstimatorResult:
     """Aggregated benchmark row for one estimator."""

@@ -23,12 +23,12 @@ from cqcbench.nuisance import CcdfEvaluator, make_split
 from cqcbench.simlab import (
     FAMILIES,
     DgpSpec,
-    draw_given_x,
     run_experiment,
     sample_dgp,
     truth,
 )
 
+from dgp_draws import draw_given_x
 from isotonic_oracle import dp_isotonic_fit
 from scalar_oracle import oracle_pseudo
 

@@ -14,6 +14,7 @@ from scalar_oracle import step_quantile
 from cqcbench.cli import (
     ConfigError,
     DataError,
+    _atomic_write,
     ingest_csv,
     main,
     resolve_config,
@@ -697,6 +698,39 @@ def test_tiny_outer_bandwidth_is_one_line_error(tmp_path, capsys, bandwidth, cod
     assert err.startswith(prefix) and err.count("\n") == 1
 
 
+def overflow_csv(tmp_path):
+    # Outcomes near +-1.7e308 by arm, so every treated-minus-untreated gap and
+    # the outcome range overflow.
+    rng = np.random.default_rng(0)
+    x1 = rng.uniform(0.0, 1.0, 200)
+    a = (rng.uniform(size=200) < 0.5).astype(int)
+    y = np.where(a == 1, 1.7e308, -1.7e308) * rng.uniform(0.9, 1.0, 200)
+    path = str(tmp_path / "overflow.csv")
+    write_dataset_csv(Dataset(y, x1, a), path)
+    return path
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ["cqte", "--x-grid", "0:1:3"],
+    ["surface", "--y-grid=-1.7e308:-1.7e308:1", "--x-grid", "0:1:3"],
+])
+def test_overflowing_gap_is_one_line_numerical_failure(tmp_path, capsys, argv):
+    path = overflow_csv(tmp_path)
+    assert main([*argv, "--input", path, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: non-finite output value") and err.count("\n") == 1
+    assert not (tmp_path / f"{argv[0]}.csv").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_outcome_range_that_overflows_the_default_y_axis_is_config_error(tmp_path, capsys):
+    path = overflow_csv(tmp_path)
+    assert main(["surface", "--input", path, "--out", str(tmp_path), "--x-grid", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: the data's range overflows") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("flag", ["--bandwidth-nuisance", "--bandwidth-outer"])
 def test_bandwidth_whose_square_overflows_is_config_error(tmp_path, capsys, flag):
     path = synthetic_csv(tmp_path, n=200)
@@ -747,3 +781,10 @@ def test_outputs_written_atomically(tmp_path):
     assert main(simulate_args(tmp_path)) == 0
     leftovers = [name for name in os.listdir(tmp_path) if name.startswith(".tmp-")]
     assert leftovers == []
+
+
+def test_atomic_write_onto_a_directory_is_config_error_and_leaves_no_temporary_file(tmp_path):
+    (tmp_path / "surface.csv").mkdir()
+    with pytest.raises(ConfigError, match="cannot write"):
+        _atomic_write(str(tmp_path / "surface.csv"), "y\n")
+    assert os.listdir(tmp_path) == ["surface.csv"]

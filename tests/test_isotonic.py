@@ -225,6 +225,24 @@ def test_zero_crossing_in_row_blocks_matches_per_row_reference(monkeypatch):
         assert len(calls) == 1 and calls[0].tobytes() == EDGE_WITHIN_ROUNDING.tobytes()
 
 
+def test_zero_crossing_sends_a_window_it_cannot_bound_to_pava(monkeypatch):
+    # No input found reaches this branch: a certified window holds the
+    # crossing, so only rounding could break the bound check. The ceiling
+    # left of the window is patched to fail it.
+    windows = isotonic._windows
+
+    def unbounded(rows, tol):
+        lo, hi, ceiling, floor, certified = windows(rows, tol)
+        return lo, hi, np.full_like(ceiling, np.inf), floor, certified
+
+    monkeypatch.setattr(isotonic, "_windows", unbounded)
+    calls = count_pava_rows(monkeypatch)
+    table = np.array([[-1.0, -0.5, 0.5, 0.25, -0.25, 1.0, 2.0], [-0.3, -0.2, -0.1, 0.0, 0.1, 0.2, 0.3]])
+    indices, residuals = zero_crossing(table)
+    assert len(calls) == 1 and calls[0].tobytes() == table[:1].tobytes()
+    assert_matches_per_row_reference(table, indices, residuals)
+
+
 def test_zero_crossing_rejects_non_table_input():
     for bad in (np.zeros(3), np.zeros((2, 0)), np.zeros((1, 2, 3))):
         with pytest.raises(ValueError):

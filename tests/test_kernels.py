@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from kernel_oracle import full_tensor_kernel_matrix, full_tensor_sq_dists, masked_normalise_rows, retry_row
 
+from cqcbench import kernels
 from cqcbench.kernels import (
     _BLOCK_VALUES,
     _STRIP_ROWS,
@@ -136,6 +137,20 @@ def test_policy_accepts_small_training_sets():
     # Fewer than five candidates: the support target drops to what exists.
     w = resolve_weights(KernelSpec("box", 0.1), 0.0, np.array([3.0, 3.5]))
     assert np.count_nonzero(w) == 2
+
+
+def test_policy_accepts_a_row_at_the_last_doubling(monkeypatch):
+    # A 1e-3 box radius first reaches points at distance 0.8 at 1e-3 * 2**10.
+    bandwidths = []
+
+    def counted(spec, queries, train):
+        bandwidths.append(spec.bandwidth)
+        return kernel_matrix(spec, queries, train)
+
+    monkeypatch.setattr(kernels, "kernel_matrix", counted)
+    w = nw_weight_matrix(KernelSpec("box", 1e-3), [[0.0]], np.full((5, 1), 0.8))
+    assert bandwidths == [1e-3 * 2.0**k for k in range(11)]
+    np.testing.assert_array_equal(w, np.full((1, 5), 0.2))
 
 
 def test_policy_gives_up_after_ten_doublings():

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from dgp_draws import draw_given_x
 from scalar_oracle import dr_pseudo, ipw_pseudo, oracle_pseudo
 
 from cqcbench.kernels import KernelSpec
 from cqcbench.nuisance import Dataset, NuisanceModel, fit_nuisance
-from cqcbench.simlab import DgpSpec, draw_given_x, truth
+from cqcbench.simlab import DgpSpec, truth
 
 X = np.array([0.0])
 

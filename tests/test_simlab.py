@@ -9,12 +9,12 @@ from cqcbench.nuisance import CcdfEvaluator
 from cqcbench.simlab import (
     FAMILIES,
     DgpSpec,
-    draw_given_x,
     run_experiment,
     sample_dgp,
     sample_holdout,
     truth,
 )
+from dgp_draws import draw_given_x
 
 NK = KernelSpec("gaussian", 0.08)
 OK = KernelSpec("gaussian", 0.12)
@@ -269,6 +269,35 @@ def test_run_experiment_counts_failures_without_crashing():
     assert np.isnan(broken.mean_abs_error)
     ok = report.by_name("separate")
     assert ok.failures == 0 and np.isfinite(ok.mean_abs_error)
+
+
+class FailsFirstFit:
+    name = "flaky"
+
+    def __init__(self):
+        self.fits = 0
+
+    def fit(self, dataset, seed, truth=None):
+        self.fits += 1
+        if self.fits == 1:
+            raise RuntimeError("synthetic failure")
+        return SeparateEstimator(NK).fit(dataset, seed, truth=truth)
+
+
+def test_one_successful_replication_has_its_error_and_no_interval():
+    report = run_experiment(DgpSpec("illustrative", gamma=0.0), [FailsFirstFit()], 80, 2,
+                            holdout=50, base_seed=0)
+    row = report.by_name("flaky")
+    assert np.isnan(report.per_replication[0, 0]) and np.isfinite(report.per_replication[1, 0])
+    assert row.mean_abs_error == report.per_replication[1, 0]
+    assert np.isnan(row.ci_half_width)
+    assert (row.replications, row.failures) == (1, 1)
+
+
+def test_report_lookup_of_an_unknown_estimator_raises_key_error():
+    report = run_experiment(DgpSpec("illustrative"), [SeparateEstimator(NK)], 80, 2, holdout=20)
+    with pytest.raises(KeyError, match="dr"):
+        report.by_name("dr")
 
 
 def test_run_experiment_same_object_twice_identical_columns():
