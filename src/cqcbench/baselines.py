@@ -29,9 +29,11 @@ class _SeparatePredictor:
 
     def __call__(self, y0s, xs) -> np.ndarray:
         y0s = np.asarray(y0s, dtype=float).reshape(-1)
-        jumps0 = self.ccdf.arm_outcomes(0)
-        w0 = self.ccdf.weight_matrix(0, xs)
-        alphas = np.einsum("qi,iq->q", w0, (jumps0[:, None] <= y0s[None, :]).astype(float))
+        # F0(y0s[q] | xs[q]) as cdf_table gathers it: row q's running arm-0
+        # weight at the last jump point <= y0s[q], 0 before the first.
+        cums0 = np.cumsum(self.ccdf.weight_matrix(0, xs), axis=1)
+        last = np.searchsorted(self.ccdf.arm_outcomes(0), y0s, side="right") - 1
+        alphas = np.where(last >= 0, cums0[np.arange(y0s.size), last], 0.0)
         cums1 = np.cumsum(self.ccdf.weight_matrix(1, xs), axis=1)
         return step_quantile(self.ccdf.arm_outcomes(1), cums1, alphas)
 

@@ -370,33 +370,38 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _fitted_input(args: argparse.Namespace, filename: str):
-    """A ``surface`` or ``cqte`` run's output path, input dataset, fit, x1 values
-    and their query rows (other covariates at their medians). A dataset that
-    the estimator cannot split or fit is a data error."""
+def _query_input(args: argparse.Namespace, filename: str):
+    """A ``surface`` or ``cqte`` run's output path, input dataset, full-sample
+    CCDF evaluator, x1 values and their query rows (other covariates at their
+    medians), checked before the fit: a single-arm dataset is a data error."""
     path = _out_path(args, filename)
     dataset = ingest_csv(args.input)
-    fit = _checked_input(args.input, fit_cqc, dataset, args.seed, args.nuisance_kernel,
-                         args.outer_kernel, args.pseudo, args.xi, args.cross_fit, args.grid)
+    ccdf = _checked_input(args.input, CcdfEvaluator, args.nuisance_kernel, dataset)
     x_vals = _axis(args.x_grid, dataset.x[:, 0])
     xs = np.tile(np.median(dataset.x, axis=0), (x_vals.size, 1))
     xs[:, 0] = x_vals
-    return path, dataset, fit, x_vals, xs
+    return path, dataset, ccdf, x_vals, xs
+
+
+def _fit(args: argparse.Namespace, dataset: Dataset):
+    """``fit_cqc`` on ``dataset``; one it cannot split or fit is a data error."""
+    return _checked_input(args.input, fit_cqc, dataset, args.seed, args.nuisance_kernel,
+                          args.outer_kernel, args.pseudo, args.xi, args.cross_fit, args.grid)
 
 
 def cmd_surface(args: argparse.Namespace) -> int:
-    path, dataset, fit, x_vals, xs = _fitted_input(args, "surface.csv")
-    ys = _axis(args.y_grid, dataset.y)
-    surface = surface_eval(fit, ys, xs)
+    path, dataset, ccdf, x_vals, xs = _query_input(args, "surface.csv")
+    ys = _axis(args.y_grid, ccdf.arm_outcomes(0))  # g(y0 | x) maps arm 0's outcomes
+    surface = surface_eval(_fit(args, dataset), ys, xs)
     _write_table(path, ["y", *_cells(x_vals)], [ys, *surface.T])
     print(f"wrote {path} ({ys.size} y-values x {x_vals.size} x-values)")
     return EXIT_OK
 
 
 def cmd_cqte(args: argparse.Namespace) -> int:
-    path, dataset, fit, x_vals, xs = _fitted_input(args, "cqte.csv")
-    arm0 = CcdfEvaluator(args.nuisance_kernel, dataset)
-    tau = cqc_to_cqte(fit, lambda levels, x: arm0.quantile(0, levels, x), args.alphas, xs)
+    path, dataset, ccdf, x_vals, xs = _query_input(args, "cqte.csv")
+    tau = cqc_to_cqte(_fit(args, dataset), lambda levels, x: ccdf.quantile(0, levels, x),
+                      args.alphas, xs)
     alphas = np.repeat(args.alphas, x_vals.size)  # alpha-major, as cqc_to_cqte's table
     columns = [alphas, np.tile(x_vals, len(args.alphas)), tau.ravel()]
     _write_table(path, ["alpha", "x", "tau_hat"], columns)

@@ -46,17 +46,17 @@ class _ContrastReplicate:
     """One nuisance-then-regress pass: fixed regression rows, fixed nuisances.
 
     ``nuisance`` may be a fitted model or an exact (closed-form) one. ``pi`` is
-    its propensity at the regression rows. The plug-in CDFs ``mix1`` and
-    ``table0`` are, for DR, its ``ccdf.mixer(1, data2.x)``, whose ``mix(u,
-    ys)`` is ``u @ cdf_table(1, ys, data2.x)`` without the clip to [0, 1], and
-    its ``ccdf.tabulator(0, data2.x)``, whose ``table(ys)`` is ``cdf_table(0,
-    ys, data2.x)``. The IPW pseudo-outcome is the DR one with both zero
-    (``_zero_plug_in``). ``_replicate`` evaluates all three;
-    ``cross_fit_contrast`` evaluates them for two replicates at once.
+    its propensity at the regression rows. The plug-in CDFs ``(mix1,
+    table0)`` are, for DR, its ``ccdf.plug_ins(data2.x)``: ``mix1(u, ys)`` is
+    ``u @ cdf_table(1, ys, data2.x)`` without the clip to [0, 1], and
+    ``table0(ys)`` is ``cdf_table(0, ys, data2.x)``. The IPW pseudo-outcome
+    is the DR one with both zero (``_ZERO_PLUG_INS``). ``_replicate``
+    evaluates the propensity and the plug-ins; ``cross_fit_contrast``
+    evaluates them for two replicates at once.
     """
 
     def __init__(self, nuisance, data2: Dataset, outer_kernel: KernelSpec, kind: PseudoOutcomeKind,
-                 pi: np.ndarray, mix1, table0):
+                 pi: np.ndarray, plug_ins):
         self.nuisance = nuisance
         self.data2 = data2
         self.outer_kernel = outer_kernel
@@ -66,8 +66,7 @@ class _ContrastReplicate:
         self._c = (self._a - pi) / (pi * (1.0 - pi))
         treated = data2.arm_indices(1)
         self._treated = treated[np.argsort(data2.y[treated], kind="stable")]
-        self._mix1 = mix1
-        self._table0 = table0
+        self._mix1, self._table0 = plug_ins
 
     def profile_many(self, y0s: np.ndarray, grid: np.ndarray, xs: np.ndarray) -> np.ndarray:
         """Contrast profiles h_hat(y0s[q], grid[l] | xs[q]) as an (m, p) table.
@@ -76,6 +75,7 @@ class _ContrastReplicate:
         prefix sum over the treated rows in outcome order. It and the DR F1
         term depend on x only, so they are computed once per run of equal
         consecutive rows of ``xs``; only the y0 term is computed per query.
+        The table is a fresh array, which ``ContrastFit`` averages in place.
         """
         d2 = self.data2
         first, run = _runs(xs)
@@ -95,20 +95,15 @@ class _ContrastReplicate:
         return x_part[run] + s0[:, None]
 
 
-def _zero_plug_in(*_):  # an IPW replicate's F1 mixer and F0 table
-    return 0.0
+_ZERO_PLUG_INS = (lambda *_: 0.0,) * 2  # an IPW replicate's F1 mix and F0 table
 
 
 def _replicate(nuisance, data2: Dataset, outer_kernel: KernelSpec, kind: PseudoOutcomeKind):
-    """A replicate whose nuisance evaluates its own propensity, arm-1 mixer and
-    arm-0 tabulator; it must also expose ``propensity.many(xs)``,
-    ``ccdf.mixer(arm, xs)`` and ``ccdf.tabulator(arm, xs)``."""
+    """A replicate whose nuisance evaluates its own propensity and plug-ins; it
+    must also expose ``propensity.many(xs)`` and ``ccdf.plug_ins(xs)``."""
     pi = nuisance.propensity.many(data2.x)
-    mix1 = table0 = _zero_plug_in
-    if kind is PseudoOutcomeKind.DR:
-        mix1 = nuisance.ccdf.mixer(1, data2.x)
-        table0 = nuisance.ccdf.tabulator(0, data2.x)
-    return _ContrastReplicate(nuisance, data2, outer_kernel, kind, pi, mix1, table0)
+    plug_ins = nuisance.ccdf.plug_ins(data2.x) if kind is PseudoOutcomeKind.DR else _ZERO_PLUG_INS
+    return _ContrastReplicate(nuisance, data2, outer_kernel, kind, pi, plug_ins)
 
 
 @dataclass
@@ -128,7 +123,11 @@ class ContrastFit:
         xs = as_rows(xs)
         if xs.shape[0] != y0s.size:
             raise ValueError("y0s and xs must pair up one query per row")
-        profiles = np.mean([rep.profile_many(y0s, grid, xs) for rep in self.replicates], axis=0)
+        # The bits of np.mean over the replicates' tables, without stacking them.
+        profiles = self.replicates[0].profile_many(y0s, grid, xs)
+        for rep in self.replicates[1:]:
+            profiles += rep.profile_many(y0s, grid, xs)
+        profiles /= len(self.replicates)
         if (self.replicates[0].kind is PseudoOutcomeKind.IPW
                 and np.any(np.diff(profiles, axis=1) < -_MONOTONE_TOL)):
             raise AssertionError("IPW contrast profile is not monotone before projection")
@@ -175,8 +174,8 @@ def cross_fit_contrast(
     kind = PseudoOutcomeKind(kind)
     d1, d2 = (dataset.subset(idx) for idx in make_split(dataset, seed))
     nuis1, nuis2 = fit_nuisance(d1, nuisance_kernel, xi), fit_nuisance(d2, nuisance_kernel, xi)
-    # pi2, mix2, table2 are evaluated at d2's rows (replicate 1); pi1, mix1,
-    # table1 at d1's.
+    # pi2 and plugs2 are evaluated at d2's rows (replicate 1); pi1 and plugs1
+    # at d1's.
     k = kernel_matrix(nuisance_kernel, d2.x, d1.x)
     kt = transpose_strips(k)
     pi2 = nuis1.propensity.many(d2.x, k)
@@ -187,14 +186,13 @@ def cross_fit_contrast(
         blocks1 = [gather_columns(kt, c) for c in cols]
     pi1 = nuis2.propensity.many(d1.x, kt)
     del kt
-    mix2 = table2 = mix1 = table1 = _zero_plug_in
+    plugs2 = plugs1 = _ZERO_PLUG_INS
     if dr:  # the arm blocks at d2's rows are columns of K
         blocks2 = transpose_blocks(blocks1, cols, [nuis1.ccdf.arm_rows(arm) for arm in (0, 1)])
-        mix2, table2 = nuis1.ccdf.mixer(1, d2.x, blocks2[1]), nuis1.ccdf.tabulator(0, d2.x, blocks2[0])
-        mix1, table1 = nuis2.ccdf.mixer(1, d1.x, blocks1[1]), nuis2.ccdf.tabulator(0, d1.x, blocks1[0])
+        plugs2, plugs1 = nuis1.ccdf.plug_ins(d2.x, blocks2), nuis2.ccdf.plug_ins(d1.x, blocks1)
     return ContrastFit(replicates=(
-        _ContrastReplicate(nuis1, d2, outer_kernel, kind, pi2, mix2, table2),
-        _ContrastReplicate(nuis2, d1, outer_kernel, kind, pi1, mix1, table1),
+        _ContrastReplicate(nuis1, d2, outer_kernel, kind, pi2, plugs2),
+        _ContrastReplicate(nuis2, d1, outer_kernel, kind, pi1, plugs1),
     ))
 
 

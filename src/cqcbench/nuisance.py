@@ -172,43 +172,39 @@ class CcdfEvaluator:
         """CDF values F(ys[l] | queries[j], arm) as a (len(queries), len(ys)) table.
 
         ``cums``, if given, is the arm's weight matrix at ``queries`` summed
-        along each row, as ``tabulator`` keeps it; the table is then a column
-        gather of it, and no kernel is evaluated.
+        along each row, as ``plug_ins`` keeps arm 0's; the table is then a
+        column gather of it, and no kernel is evaluated.
         """
         ys = np.asarray(ys, dtype=float).reshape(-1)
         _, jumps = self._arm_rows[arm]
         if cums is None:
-            cums = self._cumulative_weights(arm, queries)
+            cums = self.weight_matrix(arm, queries)
+            np.cumsum(cums, axis=1, out=cums)
         table = _step_gather(cums, jumps, ys)
         return np.clip(table, 0.0, 1.0, out=table)
 
-    def _cumulative_weights(self, arm: int, queries, km=None) -> np.ndarray:
-        weights = self.weight_matrix(arm, queries, km)
-        return np.cumsum(weights, axis=1, out=weights)
+    def plug_ins(self, queries, blocks=None):
+        """``(mix, table)``: the DR plug-in CDFs at ``queries``, built once and kept.
 
-    def tabulator(self, arm: int, queries, km=None):
-        """``table(ys)``: ``cdf_table(arm, ys, queries)`` from the arm's
-        cumulative weights at ``queries``, computed once and kept. ``km`` is
-        as for ``mixer``; the cumulative weights overwrite it."""
-        cums = self._cumulative_weights(arm, queries, km)
-        return lambda ys: self.cdf_table(arm, ys, queries, cums)
-
-    def mixer(self, arm: int, queries, km=None):
-        """``mix(u, ys)``: the unclipped ``u @ cdf_table(arm, ys, queries)``.
-
-        The arm's weight matrix at ``queries`` is computed once and kept, and
-        each call is the prefix gather of ``u @ weights``, so its inner size is
-        the arm's row count rather than ``len(ys)``. ``km``, if given, is the
-        caller's unnormalised kernel matrix between ``queries`` and the arm's
-        rows in ``arm_rows`` order; it becomes the weight matrix in place.
+        ``mix(u, ys)`` is the unclipped ``u @ cdf_table(1, ys, queries)``, the
+        prefix gather of ``u @ weights`` over arm 1's weight matrix, so its
+        inner size is arm 1's row count rather than ``len(ys)``. ``table(ys)``
+        is ``cdf_table(0, ys, queries, cums)`` over arm 0's cumulative
+        weights: a column gather, with no kernel evaluated. ``blocks``, if
+        given, is the caller's pair of unnormalised kernel matrices between
+        ``queries`` and arm 0's and arm 1's rows in ``arm_rows`` order; each
+        becomes its arm's weights in place.
         """
-        _, jumps = self._arm_rows[arm]
-        weights = self.weight_matrix(arm, queries, km)
+        km0, km1 = (None, None) if blocks is None else blocks
+        weights1 = self.weight_matrix(1, queries, km1)
+        cums0 = self.weight_matrix(0, queries, km0)
+        np.cumsum(cums0, axis=1, out=cums0)
 
         def mix(u, ys):
-            return prefix_gather(u @ weights, jumps, np.asarray(ys, dtype=float).reshape(-1))
+            ys = np.asarray(ys, dtype=float).reshape(-1)
+            return prefix_gather(u @ weights1, self.arm_outcomes(1), ys)
 
-        return mix
+        return mix, lambda ys: self.cdf_table(0, ys, queries, cums0)
 
     def quantile(self, arm: int, alphas, x):
         """Generalised inverse inf{y : F(y) >= alpha} over the jump points at

@@ -121,13 +121,11 @@ class ExactCcdf:
         np.divide(table, scale[:, None], out=table)
         return _base(self.spec).cdf(table, out=table)
 
-    def mixer(self, arm: int, queries):
-        """``mix(u, ys)``: ``u @ cdf_table(arm, ys, queries)``, as the fitted evaluator's."""
-        return lambda u, ys: u @ self.cdf_table(arm, ys, queries)
-
-    def tabulator(self, arm: int, queries):
-        """``table(ys)``: ``cdf_table(arm, ys, queries)``, as the fitted evaluator's."""
-        return lambda ys: self.cdf_table(arm, ys, queries)
+    def plug_ins(self, queries):
+        """``(mix, table)``: ``u @ cdf_table(1, ys, queries)`` and
+        ``cdf_table(0, ys, queries)``, as the fitted evaluator's."""
+        return (lambda u, ys: u @ self.cdf_table(1, ys, queries),
+                lambda ys: self.cdf_table(0, ys, queries))
 
     def quantile(self, arm: int, alphas, x):
         """Arm quantiles loc + scale * Z_alpha at every level in ``alphas``, at one x."""

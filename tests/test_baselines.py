@@ -113,3 +113,18 @@ def test_separate_predictor_matches_pointwise_function():
     batch = predictor(y0s, xs)
     for q in range(3):
         assert batch[q] == separate_plugin_cqc(data, NK, float(y0s[q]), xs[q])
+
+
+def test_separate_predictor_reads_f0_at_tied_jumps_and_beyond_both_ends():
+    # Rounded outcomes tie within arm 0, so F0 steps by several rows' weight at
+    # one jump point. The queries sit on every distinct arm-0 jump point (the
+    # step's right-continuous value), below the smallest and above the largest.
+    data = sample_dgp(DgpSpec("illustrative", gamma=2.0), 300, seed=4)
+    data = Dataset(np.round(data.y, 1), data.x, data.a)
+    jumps0 = np.unique(data.y[data.a == 0])
+    assert jumps0.size < np.count_nonzero(data.a == 0)  # ties
+    y0s = np.r_[jumps0, jumps0[0] - 1.0, jumps0[-1] + 1.0]
+    xs = np.random.default_rng(8).uniform(0.0, 1.0, (y0s.size, 1))
+    batch = SeparateEstimator(NK).fit(data, seed=0)(y0s, xs)
+    expected = [separate_plugin_cqc(data, NK, float(y0), x) for y0, x in zip(y0s, xs)]
+    assert batch.tolist() == expected

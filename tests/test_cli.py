@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scalar_oracle import step_quantile
+from cqcbench import cli
 from cqcbench.cli import (
     ConfigError,
     DataError,
@@ -468,12 +469,14 @@ def test_config_key_of_another_command_is_config_error(tmp_path, capsys, command
     assert not {"errors.csv", "surface.csv", "cqte.csv"} & set(os.listdir(tmp_path))
 
 
-def test_single_arm_csv_is_data_error(tmp_path):
+def test_single_arm_csv_is_data_error(tmp_path, capsys):
     path = write(
         tmp_path / "one_arm.csv",
         "y,a,x1\n" + "\n".join(f"{i},1,0.{i}" for i in range(1, 9)) + "\n",
     )
     assert main(["surface", "--input", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["surface", "cqte"])
@@ -629,7 +632,8 @@ def test_surface_csv_is_the_estimators_surface(tmp_path, pseudo, estimator, cros
         KernelSpec("gaussian", 0.15), KernelSpec("gaussian", 0.25),
         xi=0.05, cross_fit=cross_fit, grid_count=grid_count,
     ).fit(data, 3)
-    ys = np.linspace(data.y.min(), data.y.max(), 4)
+    untreated = data.y[data.a == 0]  # an 'N' y axis spans arm 0's outcomes
+    ys = np.linspace(untreated.min(), untreated.max(), 4)
     x_vals = np.linspace(data.x[:, 0].min(), data.x[:, 0].max(), 3)
     surface = surface_eval(fit, ys, x_vals.reshape(-1, 1))
     lines = ["y," + ",".join(repr(float(v)) for v in x_vals)]
@@ -723,10 +727,38 @@ def test_overflowing_gap_is_one_line_numerical_failure(tmp_path, capsys, argv):
     assert not (tmp_path / f"{argv[0]}.csv").exists()
 
 
+def straddling_csv(tmp_path, column):
+    # Untreated outcomes (column "y") or covariates ("x1") near +-1.7e308 with
+    # both signs, so that column's range overflows.
+    rng = np.random.default_rng(0)
+    a = (rng.uniform(size=200) < 0.5).astype(int)
+    big = rng.choice([-1.7e308, 1.7e308], 200) * rng.uniform(0.9, 1.0, 200)
+    y, x1 = rng.normal(size=200), rng.uniform(0.0, 1.0, 200)
+    if column == "y":
+        y = np.where(a == 0, big, y)
+    else:
+        x1 = big
+    path = str(tmp_path / f"straddling_{column}.csv")
+    write_dataset_csv(Dataset(y, x1, a), path)
+    return path
+
+
 @pytest.mark.filterwarnings("error")
 def test_outcome_range_that_overflows_the_default_y_axis_is_config_error(tmp_path, capsys):
-    path = overflow_csv(tmp_path)
+    path = straddling_csv(tmp_path, "y")
     assert main(["surface", "--input", path, "--out", str(tmp_path), "--x-grid", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: the data's range overflows") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, column", [("surface", "y"), ("surface", "x1"), ("cqte", "x1")])
+def test_overflowing_default_axis_stops_before_the_fit(tmp_path, capsys, monkeypatch, command, column):
+    def no_fit(*args):
+        raise AssertionError("the estimator was fitted")
+
+    monkeypatch.setattr(cli, "fit_cqc", no_fit)
+    path = straddling_csv(tmp_path, column)
+    assert main([command, "--input", path, "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: the data's range overflows") and err.count("\n") == 1
 

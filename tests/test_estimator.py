@@ -602,6 +602,26 @@ def test_cross_fit_mean_of_stub_replicates():
     assert fit.profile_many([0], [0], [0.0])[0, 0] == pytest.approx(0.3)
 
 
+@pytest.mark.parametrize("cross_fit", [False, True])
+def test_replicate_average_has_the_bits_of_np_mean(cross_fit):
+    # ContrastFit sums the replicates' tables into the first one and divides by
+    # their count: (a + b) / 2 for two, a / 1 for one, the bits of np.mean over
+    # the stacked tables. Each call returns a fresh array.
+    spec = DgpSpec("illustrative", gamma=4.0)
+    data = sample_dgp(spec, 300, seed=6)
+    if cross_fit:
+        contrast = cross_fit_contrast(data, 6, NK, OK)
+    else:
+        contrast = fit_contrast(data, make_split(data, 6), NK, OK)
+    grid = build_grid(data)
+    y0s, xs = sample_holdout(spec, 50, seed=7)
+    expected = np.mean([rep.profile_many(y0s, grid, xs) for rep in contrast.replicates], axis=0)
+    first = contrast.profile_many(y0s, grid, xs)
+    assert first.dtype == np.float64 and first.tobytes() == expected.tobytes()
+    first[:] = np.nan  # a later call shares no buffer with this one
+    assert contrast.profile_many(y0s, grid, xs).tobytes() == expected.tobytes()
+
+
 def test_cross_fit_error_no_worse_than_worst_replicate():
     data = illustrative_data(400, gamma=2.0, seed=11)
     oracle = truth(DgpSpec("illustrative", gamma=2.0))
