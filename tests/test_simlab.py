@@ -154,24 +154,35 @@ def test_ccdf_quantile_contract_is_shared(source):
         ccdf.quantile(0, 1.5, x)
 
 
-@pytest.mark.parametrize("source", ["fitted", "exact"])
-def test_ccdf_plug_ins_are_arm1_mix_and_arm0_table(source):
+def _plug_in_setup(source, arm):
     spec = DgpSpec("illustrative", gamma=2.0)
     data = sample_dgp(spec, 200, seed=3)
     ccdf = CcdfEvaluator(NK, data) if source == "fitted" else truth(spec).ccdf
+    points = np.sort(data.y[data.a == arm])
+    # Jump points with repeats, between them, and beyond both ends.
+    ys = np.concatenate([points[:5], points[:5], points[::7] + 1e-3, [points[0] - 1, points[-1] + 1]])
+    return ccdf, ys
+
+
+@pytest.mark.parametrize("source", ["fitted", "exact"])
+def test_ccdf_mixer_is_weighted_sum_of_cdf_table(source):
+    # The first plug-in mixes arm 1's CDF table over signed row weights.
+    ccdf, ys = _plug_in_setup(source, 1)
     rng = np.random.default_rng(5)
     rows = rng.uniform(0.0, 1.0, (40, 1))
     u = rng.normal(size=(6, rows.shape[0]))  # signed mixing weights
-    mix, table = ccdf.plug_ins(rows)
-    grids = {}
-    for arm in (0, 1):
-        points = np.sort(data.y[data.a == arm])
-        # Jump points with repeats, between them, and beyond both ends.
-        ys = np.concatenate([points[:5], points[:5], points[::7] + 1e-3, [points[0] - 1, points[-1] + 1]])
-        grids[arm] = (np.sort(ys), ys, ys[:1])
-    for grid in grids[1]:
+    mix, _ = ccdf.plug_ins(rows)
+    for grid in (np.sort(ys), ys, ys[:1]):
         np.testing.assert_allclose(mix(u, grid), u @ ccdf.cdf_table(1, grid, rows), rtol=0, atol=1e-12)
-    for grid in grids[0] + grids[0]:  # later calls see the kept state unchanged
+
+
+@pytest.mark.parametrize("source", ["fitted", "exact"])
+def test_ccdf_tabulator_is_cdf_table(source):
+    # The second plug-in is arm 0's CDF table, bit for bit.
+    ccdf, ys = _plug_in_setup(source, 0)
+    rows = np.random.default_rng(6).uniform(0.0, 1.0, (40, 1))
+    _, table = ccdf.plug_ins(rows)
+    for grid in (np.sort(ys), ys, ys[:1]) * 2:  # later calls see the kept state unchanged
         assert table(grid).tobytes() == ccdf.cdf_table(0, grid, rows).tobytes()
 
 
