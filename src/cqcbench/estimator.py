@@ -20,11 +20,8 @@ import numpy as np
 
 # pava_project is unused here, but bench/test_bench.py checks this binding.
 from .isotonic import pava_project, zero_crossing  # noqa: F401
-from .kernels import (
-    KernelSpec, as_rows, gather_columns, kernel_matrix, nw_weight_matrix, transpose_blocks,
-    transpose_strips,
-)
-from .nuisance import Dataset, fit_nuisance, make_split, prefix_gather
+from .kernels import KernelSpec, as_rows, kernel_matrix, nw_weight_matrix, transpose_strips
+from .nuisance import Dataset, arm_major, fit_nuisance, make_split, prefix_gather
 from .pseudo import PseudoOutcomeKind
 
 _MONOTONE_TOL = 1e-9
@@ -42,31 +39,38 @@ def _runs(xs: np.ndarray):
     return np.flatnonzero(np.r_[True, starts]), np.cumsum(np.r_[0, starts])
 
 
+_ZERO_PLUG_INS = (lambda *_: 0.0,) * 2  # an IPW replicate's F1 mix and F0 table
+
+
 class _ContrastReplicate:
     """One nuisance-then-regress pass: fixed regression rows, fixed nuisances.
 
-    ``nuisance`` may be a fitted model or an exact (closed-form) one. ``pi`` is
-    its propensity at the regression rows. The plug-in CDFs ``(mix1,
-    table0)`` are, for DR, its ``ccdf.plug_ins(data2.x)``: ``mix1(u, ys)`` is
-    ``u @ cdf_table(1, ys, data2.x)`` without the clip to [0, 1], and
-    ``table0(ys)`` is ``cdf_table(0, ys, data2.x)``. The IPW pseudo-outcome
-    is the DR one with both zero (``_ZERO_PLUG_INS``). ``_replicate``
-    evaluates the propensity and the plug-ins; ``cross_fit_contrast``
-    evaluates them for two replicates at once.
+    ``nuisance`` may be a fitted model or an exact (closed-form) one; it
+    evaluates its propensity ``pi`` and, for DR, its plug-in CDFs ``(mix1,
+    table0) = ccdf.plug_ins(data2.x)`` at the regression rows. ``mix1(u,
+    ys)`` is ``u @ cdf_table(1, ys, data2.x)`` without the clip to [0, 1],
+    and ``table0(ys)`` is ``cdf_table(0, ys, data2.x)``. The IPW
+    pseudo-outcome is the DR one with both zero (``_ZERO_PLUG_INS``). A
+    fitted nuisance is given ``km``, the unnormalised kernel matrix between
+    ``data2``'s rows and its training half in ``arm_major`` order: the
+    propensity reads it, and DR's plug-ins keep it as their weights. An exact
+    nuisance is given none.
     """
 
     def __init__(self, nuisance, data2: Dataset, outer_kernel: KernelSpec, kind: PseudoOutcomeKind,
-                 pi: np.ndarray, plug_ins):
+                 km=None):
         self.nuisance = nuisance
         self.data2 = data2
         self.outer_kernel = outer_kernel
         self.kind = kind
+        given = () if km is None else (km,)
+        pi = nuisance.propensity.many(data2.x, *given)
         self._a = data2.a.astype(float)
-        pi = np.asarray(pi, dtype=float)
         self._c = (self._a - pi) / (pi * (1.0 - pi))
         treated = data2.arm_indices(1)
         self._treated = treated[np.argsort(data2.y[treated], kind="stable")]
-        self._mix1, self._table0 = plug_ins
+        dr = kind is PseudoOutcomeKind.DR
+        self._mix1, self._table0 = nuisance.ccdf.plug_ins(data2.x, *given) if dr else _ZERO_PLUG_INS
 
     def profile_many(self, y0s: np.ndarray, grid: np.ndarray, xs: np.ndarray) -> np.ndarray:
         """Contrast profiles h_hat(y0s[q], grid[l] | xs[q]) as an (m, p) table.
@@ -93,17 +97,6 @@ class _ContrastReplicate:
         t0 -= f0_q
         s0 = np.einsum("qj,jq->q", w_out[run], t0)
         return x_part[run] + s0[:, None]
-
-
-_ZERO_PLUG_INS = (lambda *_: 0.0,) * 2  # an IPW replicate's F1 mix and F0 table
-
-
-def _replicate(nuisance, data2: Dataset, outer_kernel: KernelSpec, kind: PseudoOutcomeKind):
-    """A replicate whose nuisance evaluates its own propensity and plug-ins; it
-    must also expose ``propensity.many(xs)`` and ``ccdf.plug_ins(xs)``."""
-    pi = nuisance.propensity.many(data2.x)
-    plug_ins = nuisance.ccdf.plug_ins(data2.x) if kind is PseudoOutcomeKind.DR else _ZERO_PLUG_INS
-    return _ContrastReplicate(nuisance, data2, outer_kernel, kind, pi, plug_ins)
 
 
 @dataclass
@@ -134,6 +127,12 @@ class ContrastFit:
         return profiles
 
 
+def _halves(dataset: Dataset, split) -> list:
+    """The rows of each index array of ``split``, in ``arm_major`` order."""
+    halves = [dataset.subset(idx) for idx in split]
+    return [half.subset(arm_major(half)) for half in halves]
+
+
 def fit_contrast(
     dataset: Dataset,
     split: tuple[np.ndarray, np.ndarray],
@@ -142,12 +141,17 @@ def fit_contrast(
     kind: PseudoOutcomeKind = PseudoOutcomeKind.DR,
     xi: float = 0.05,
 ) -> ContrastFit:
-    """Single-direction contrast fit: nuisances on rows ``split[0]``, regression on ``split[1]``."""
+    """Single-direction contrast fit: nuisances on rows ``split[0]``, regression on ``split[1]``.
+
+    One kernel matrix between the halves gives the propensity and both arms'
+    weights, which are its column ranges since both halves are in
+    ``arm_major`` order.
+    """
     kind = PseudoOutcomeKind(kind)
-    indices_1, indices_2 = split
-    nuis = fit_nuisance(dataset.subset(indices_1), nuisance_kernel, xi)
-    rep = _replicate(nuis, dataset.subset(indices_2), outer_kernel, kind)
-    return ContrastFit(replicates=(rep,))
+    d1, d2 = _halves(dataset, split)
+    nuis = fit_nuisance(d1, nuisance_kernel, xi)
+    km = kernel_matrix(nuisance_kernel, d2.x, d1.x)
+    return ContrastFit(replicates=(_ContrastReplicate(nuis, d2, outer_kernel, kind, km),))
 
 
 def cross_fit_contrast(
@@ -161,38 +165,22 @@ def cross_fit_contrast(
     """Contrast fit averaged over the two role assignments of a random split.
 
     Both replicates' nuisances are NW regressions between the same two halves,
-    so one kernel matrix K (regression half 2 by nuisance half 1) gives both
-    propensities and all four arm weight matrices, with the bits of
-    ``fit_contrast`` on each role assignment: (a - b)^2 == (b - a)^2, and
-    every matrix is C-ordered, as its row sums need. At most two half-by-half
-    matrices are live at once: K and its transpose Kt, then Kt and the arm
-    blocks at d1's rows (columns of Kt), then those and the arm blocks at d2's
-    rows (columns of K, rebuilt from them by ``transpose_blocks``). The four
-    blocks are the fitted state; each arm-0 block is kept as cumulative
-    weights, so a predict evaluates no nuisance kernel.
+    so one kernel matrix K (regression half 2 by nuisance half 1) and its
+    C-ordered transpose Kt give the bits of ``fit_contrast`` on each role
+    assignment: (a - b)^2 == (b - a)^2. K serves the first replicate and Kt
+    the second. With both halves in ``arm_major`` order, each arm's weights
+    are a column range of its matrix, so the two half-by-half matrices are
+    the fit's peak and, for DR, its fitted state; a predict evaluates no
+    nuisance kernel.
     """
     kind = PseudoOutcomeKind(kind)
-    d1, d2 = (dataset.subset(idx) for idx in make_split(dataset, seed))
+    d1, d2 = _halves(dataset, make_split(dataset, seed))
     nuis1, nuis2 = fit_nuisance(d1, nuisance_kernel, xi), fit_nuisance(d2, nuisance_kernel, xi)
-    # pi2 and plugs2 are evaluated at d2's rows (replicate 1); pi1 and plugs1
-    # at d1's.
     k = kernel_matrix(nuisance_kernel, d2.x, d1.x)
     kt = transpose_strips(k)
-    pi2 = nuis1.propensity.many(d2.x, k)
-    del k
-    dr = kind is PseudoOutcomeKind.DR
-    if dr:  # the arm blocks at d1's rows are columns of Kt
-        cols = [nuis2.ccdf.arm_rows(arm) for arm in (0, 1)]
-        blocks1 = [gather_columns(kt, c) for c in cols]
-    pi1 = nuis2.propensity.many(d1.x, kt)
-    del kt
-    plugs2 = plugs1 = _ZERO_PLUG_INS
-    if dr:  # the arm blocks at d2's rows are columns of K
-        blocks2 = transpose_blocks(blocks1, cols, [nuis1.ccdf.arm_rows(arm) for arm in (0, 1)])
-        plugs2, plugs1 = nuis1.ccdf.plug_ins(d2.x, blocks2), nuis2.ccdf.plug_ins(d1.x, blocks1)
     return ContrastFit(replicates=(
-        _ContrastReplicate(nuis1, d2, outer_kernel, kind, pi2, plugs2),
-        _ContrastReplicate(nuis2, d1, outer_kernel, kind, pi1, plugs1),
+        _ContrastReplicate(nuis1, d2, outer_kernel, kind, k),
+        _ContrastReplicate(nuis2, d1, outer_kernel, kind, kt),
     ))
 
 
@@ -203,8 +191,8 @@ def fit_oracle_contrast(dataset: Dataset, exact_nuisance, outer_kernel: KernelSp
     regression rows, so with closed-form nuisances there is nothing to split.
     The pseudo-outcome is the doubly robust one.
     """
-    rep = _replicate(exact_nuisance, dataset, outer_kernel, PseudoOutcomeKind.DR)
-    return ContrastFit(replicates=(rep,))
+    return ContrastFit(replicates=(_ContrastReplicate(exact_nuisance, dataset, outer_kernel,
+                                                      PseudoOutcomeKind.DR),))
 
 
 def build_grid(dataset: Dataset, count: int | None = None) -> np.ndarray:

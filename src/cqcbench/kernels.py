@@ -23,15 +23,13 @@ KERNEL_FAMILIES = ("box", "gaussian")
 MAX_DOUBLINGS = 10
 MIN_SUPPORT = 5
 
-# Float64 differences per row block of ``_sq_dist_matrix``, and values per
-# gathered tile of ``transpose_blocks`` (256 KiB, an L2-sized working set).
+# Float64 differences per row block of ``_sq_dist_matrix`` (256 KiB, an
+# L2-sized working set).
 _BLOCK_VALUES = 1 << 15
 
-# Input rows per strip of ``transpose_strips`` and per tile of
-# ``transpose_blocks``: a strip is read row by row and written as a band of
-# short runs, one per output row. On 2000 x 2000 and 2500 x 2500, 128 rows took
-# about half the time of ``ascontiguousarray(m.T)``; on 2000 x 2000 split into
-# two arm blocks each way, 128-row tiles took 13 ms against 18 ms for 64 rows.
+# Input rows per strip of ``transpose_strips``: a strip is read row by row and
+# written as a band of short runs, one per output row. On 2000 x 2000 and
+# 2500 x 2500, 128 rows took about half the time of ``ascontiguousarray(m.T)``.
 _STRIP_ROWS = 128
 
 
@@ -99,38 +97,11 @@ def kernel_matrix(spec: KernelSpec, queries, train) -> np.ndarray:
     return _kernel_from_sq(spec, _sq_dist_matrix(q, t))
 
 
-def gather_columns(m: np.ndarray, idx) -> np.ndarray:
-    """``m[:, idx]`` as a C-ordered array.
-
-    ``m[:, idx]`` itself comes back F-ordered, and the row sums of an F-ordered
-    matrix differ from those of the same values in C order in the last bit.
-    """
-    return np.take(np.ascontiguousarray(m), idx, axis=1)
-
-
 def transpose_strips(m: np.ndarray) -> np.ndarray:
     """``m.T`` as a C-ordered copy, written one strip of ``m``'s rows at a time."""
     out = np.empty((m.shape[1], m.shape[0]), dtype=m.dtype)
     for s in range(0, m.shape[0], _STRIP_ROWS):
         out[:, s : s + _STRIP_ROWS] = m[s : s + _STRIP_ROWS].T
-    return out
-
-
-def transpose_blocks(blocks, cols, rows) -> list:
-    """The C-ordered blocks ``m[r].T``, for each ``r`` in ``rows``, of a matrix
-    ``m`` held only as its column blocks ``blocks[b] = m[:, cols[b]]`` (the
-    ``cols`` partition its columns). Each gathered tile is ``_STRIP_ROWS``
-    rows of one block by at most ``_BLOCK_VALUES // _STRIP_ROWS`` columns, so
-    the copy needs no more than one tile besides its input and output."""
-    height = sum(len(c) for c in cols)
-    out = [np.empty((height, len(r))) for r in rows]
-    width = _BLOCK_VALUES // _STRIP_ROWS
-    for block, c in zip(blocks, cols):
-        for t, r in zip(out, rows):
-            for s in range(0, len(r), _STRIP_ROWS):
-                strip = slice(s, s + _STRIP_ROWS)
-                for j in range(0, len(c), width):
-                    t[c[j : j + width], strip] = block[r[strip], j : j + width].T
     return out
 
 
@@ -151,15 +122,16 @@ def nw_weight_matrix(spec: KernelSpec, queries, train_xs, km=None) -> np.ndarray
     bandwidth, up to ``MAX_DOUBLINGS``, accepts the rows where at least
     ``min(MIN_SUPPORT, n)`` points carry mass; if any row is still short, this
     raises ``DegenerateMassError`` naming the first. ``km``, if given, is
-    ``kernel_matrix(spec, queries, train_xs)`` computed by the caller,
-    C-ordered; it is normalised in place and returned.
+    ``kernel_matrix(spec, queries, train_xs)`` computed by the caller, or a
+    column range of it: any matrix whose rows are contiguous. It is normalised
+    in place and returned.
     """
     q = as_rows(queries)
     train = as_rows(train_xs)
     if km is None:
         km = kernel_matrix(spec, q, train)
-    elif km.shape != (q.shape[0], train.shape[0]) or not km.flags.c_contiguous:
-        raise ValueError("kernel matrix must be C-ordered, (queries, training points)")
+    elif km.shape != (q.shape[0], train.shape[0]) or km.strides[1] != km.itemsize:
+        raise ValueError("kernel matrix must have contiguous rows, (queries, training points)")
     retry = np.nonzero(_normalise_rows(km))[0]
     target = min(MIN_SUPPORT, train.shape[0])
     widened = spec

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, as_rows, nw_weight_matrix, resolve_weights
+from .kernels import KernelSpec, as_rows, kernel_matrix, nw_weight_matrix, resolve_weights
 
 _QUANTILE_SLACK = 1e-9
 
@@ -106,6 +106,12 @@ class Dataset:
         return Dataset(self.y[idx], self.x[idx], self.a[idx])
 
 
+def arm_major(dataset: Dataset) -> np.ndarray:
+    """Row order by arm, then outcome, ties in row order: arm 0's rows come
+    first, each arm's in the order of its CDF's jump points."""
+    return np.lexsort((dataset.y, dataset.a))
+
+
 def make_split(dataset: Dataset, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Uniformly random half/half split: two sorted index arrays, deterministic given the seed."""
     if dataset.n < 4:
@@ -130,11 +136,19 @@ class PropensityEvaluator:
             raise SingleArmError("propensity fit needs both treatment arms")
 
     def many(self, xs, km=None) -> np.ndarray:
-        """Clamped propensities at ``xs``. ``km``, if given, is the caller's
-        unnormalised kernel matrix between ``xs`` and the training rows; it is
-        normalised in place."""
-        w = nw_weight_matrix(self.kernel, xs, self.xs, km)
-        return np.clip(w @ self.treatments, self.xi, 1.0 - self.xi)
+        """Clamped propensities at ``xs``: (km @ a) / (row sums of km), where
+        ``km`` is the unnormalised kernel matrix between ``xs`` and the
+        training rows, the caller's if given. ``km`` is only read. Rows
+        without kernel mass take ``nw_weight_matrix``'s retry policy."""
+        if km is None:
+            km = kernel_matrix(self.kernel, xs, self.xs)
+        totals = km.sum(axis=1)
+        retry = np.nonzero(totals <= 0.0)[0]
+        totals[retry] = 1.0
+        pi = np.divide(km @ self.treatments, totals, out=totals)
+        if retry.size:
+            pi[retry] = nw_weight_matrix(self.kernel, as_rows(xs)[retry], self.xs) @ self.treatments
+        return np.clip(pi, self.xi, 1.0 - self.xi, out=pi)
 
 
 class CcdfEvaluator:
@@ -142,31 +156,25 @@ class CcdfEvaluator:
 
     For a fixed arm and covariate value this is a right-continuous step
     function of y jumping at the arm's observed outcomes, with weights
-    normalised over that arm only.
+    normalised over that arm only. The training rows are kept in
+    ``arm_major`` order, so each arm's rows are one range of them.
     """
 
     def __init__(self, kernel: KernelSpec, dataset: Dataset):
         self.kernel = kernel
-        self.xs = dataset.x
-        self._arm_rows = {}
-        for arm in (0, 1):
-            idx = dataset.arm_indices(arm)
-            if idx.size == 0:
-                raise SingleArmError(f"no observations in arm {arm}")
-            order = np.argsort(dataset.y[idx], kind="stable")
-            self._arm_rows[arm] = (idx[order], dataset.y[idx][order])
+        order = arm_major(dataset)
+        self.xs, self.ys = dataset.x[order], dataset.y[order]
+        n0 = int(np.count_nonzero(dataset.a == 0))
+        if n0 in (0, dataset.n):
+            raise SingleArmError(f"no observations in arm {0 if n0 == 0 else 1}")
+        self._arms = (slice(0, n0), slice(n0, None))
 
     def arm_outcomes(self, arm: int) -> np.ndarray:
         """Outcomes of the given arm, ascending (the CDF's jump points)."""
-        return self._arm_rows[arm][1]
-
-    def arm_rows(self, arm: int) -> np.ndarray:
-        """Training-row indices of the given arm, in jump-point order."""
-        return self._arm_rows[arm][0]
+        return self.ys[self._arms[arm]]
 
     def weight_matrix(self, arm: int, queries, km=None) -> np.ndarray:
-        idx, _ = self._arm_rows[arm]
-        return nw_weight_matrix(self.kernel, queries, self.xs[idx], km)
+        return nw_weight_matrix(self.kernel, queries, self.xs[self._arms[arm]], km)
 
     def cdf_table(self, arm: int, ys, queries, cums=None) -> np.ndarray:
         """CDF values F(ys[l] | queries[j], arm) as a (len(queries), len(ys)) table.
@@ -176,28 +184,28 @@ class CcdfEvaluator:
         column gather of it, and no kernel is evaluated.
         """
         ys = np.asarray(ys, dtype=float).reshape(-1)
-        _, jumps = self._arm_rows[arm]
         if cums is None:
             cums = self.weight_matrix(arm, queries)
             np.cumsum(cums, axis=1, out=cums)
-        table = _step_gather(cums, jumps, ys)
+        table = _step_gather(cums, self.arm_outcomes(arm), ys)
         return np.clip(table, 0.0, 1.0, out=table)
 
-    def plug_ins(self, queries, blocks=None):
+    def plug_ins(self, queries, km=None):
         """``(mix, table)``: the DR plug-in CDFs at ``queries``, built once and kept.
 
         ``mix(u, ys)`` is the unclipped ``u @ cdf_table(1, ys, queries)``, the
         prefix gather of ``u @ weights`` over arm 1's weight matrix, so its
         inner size is arm 1's row count rather than ``len(ys)``. ``table(ys)``
         is ``cdf_table(0, ys, queries, cums)`` over arm 0's cumulative
-        weights: a column gather, with no kernel evaluated. ``blocks``, if
-        given, is the caller's pair of unnormalised kernel matrices between
-        ``queries`` and arm 0's and arm 1's rows in ``arm_rows`` order; each
-        becomes its arm's weights in place.
+        weights: a column gather, with no kernel evaluated. Both weight
+        matrices are column ranges of ``km``, the unnormalised kernel matrix
+        between ``queries`` and the training rows (the caller's if given),
+        normalised and summed in place.
         """
-        km0, km1 = (None, None) if blocks is None else blocks
-        weights1 = self.weight_matrix(1, queries, km1)
-        cums0 = self.weight_matrix(0, queries, km0)
+        if km is None:
+            km = kernel_matrix(self.kernel, queries, self.xs)
+        weights1 = self.weight_matrix(1, queries, km[:, self._arms[1]])
+        cums0 = self.weight_matrix(0, queries, km[:, self._arms[0]])
         np.cumsum(cums0, axis=1, out=cums0)
 
         def mix(u, ys):
@@ -212,8 +220,8 @@ class CcdfEvaluator:
         alphas = np.asarray(alphas, dtype=float)
         if not np.all((alphas >= 0.0) & (alphas <= 1.0)):
             raise ValueError("alpha must lie in [0, 1]")
-        idx, jumps = self._arm_rows[arm]
-        return step_quantile(jumps, np.cumsum(resolve_weights(self.kernel, x, self.xs[idx])), alphas)
+        weights = resolve_weights(self.kernel, x, self.xs[self._arms[arm]])
+        return step_quantile(self.arm_outcomes(arm), np.cumsum(weights), alphas)
 
 
 @dataclass

@@ -23,7 +23,7 @@ from cqcbench.estimator import (
 from cqcbench import kernels
 from cqcbench.baselines import OracleEstimator, SeparateEstimator
 from cqcbench.kernels import KernelSpec, as_rows
-from cqcbench.nuisance import CcdfEvaluator, Dataset, SingleArmError, make_split
+from cqcbench.nuisance import CcdfEvaluator, Dataset, SingleArmError, make_split, prefix_gather
 from cqcbench.pseudo import PseudoOutcomeKind
 from cqcbench.simlab import DgpSpec, sample_dgp, sample_holdout, truth
 
@@ -701,21 +701,27 @@ def test_shared_nuisance_kernel_matches_independent_replicates_on_retry_rows(mon
     assert expected <= set(retry_sizes)
     monkeypatch.undo()
     if kind == "dr":
-        # The kept arm-0 cumulative weights give a fresh cdf_table's bits,
-        # retry rows included.
+        # The kept arm-0 cumulative weights give a fresh cdf_table's bits, and
+        # the arm-1 mix over a column range of the kept matrix gives the bits
+        # of one over a contiguous weight matrix, retry rows included.
         ys = np.r_[np.linspace(-4.0, 4.0, 17), data.y[::25]]
+        rng = np.random.default_rng(6)
         for rep in contrast.replicates:
-            fresh = rep.nuisance.ccdf.cdf_table(0, ys, rep.data2.x)
-            assert rep._table0(ys).tobytes() == fresh.tobytes()
+            ccdf, x = rep.nuisance.ccdf, rep.data2.x
+            assert rep._table0(ys).tobytes() == ccdf.cdf_table(0, ys, x).tobytes()
+            u = rng.normal(size=(7, x.shape[0]))
+            contiguous = prefix_gather(u @ ccdf.weight_matrix(1, x), ccdf.arm_outcomes(1), ys)
+            assert rep._mix1(u, ys).tobytes() == contiguous.tobytes()
     _assert_profiles_match_independent_replicates(data, 6, nk, ok, kind, np.c_[[0.5, 3.0, 9.0, 20.0]])
 
 
 @pytest.mark.parametrize("kind", ["dr", "ipw"])
 def test_cross_fit_memory_stays_within_two_half_matrices(kind):
-    # K and its transpose are two (n/2)^2 matrices. The DR fit keeps both
-    # arm-1 weight matrices, which are live with the transpose while the
-    # second propensity consumes it: two matrices at a treated share of one
-    # half. The slack covers the split's copies of the data, O(n d).
+    # K and its transpose are two (n/2)^2 matrices, live together in either
+    # kind's fit; the DR fit keeps them. The DR allowance for the second is
+    # the larger of one such matrix and two arm-1 weight matrices at a
+    # treated share of one half. The slack covers the split's copies of the
+    # data, O(n d).
     n = 3000
     data = sample_dgp(DgpSpec("tendim", gamma=1.0, seed=3), n, seed=0)
     indices_1, indices_2 = make_split(data, 0)
@@ -732,7 +738,8 @@ def test_cross_fit_memory_stays_within_two_half_matrices(kind):
 
 
 def test_dr_fit_and_predict_memory_is_kept_blocks_plus_query_tables():
-    # The fit keeps four arm weight blocks, two half-by-half matrices in all.
+    # The fit keeps K and Kt, whose column ranges are its four arm weight
+    # blocks: two half-by-half matrices in all.
     # A 200-query predict adds tables of O(m n) values: outer weights, the y0
     # term and profile rows (the grid has about n/2 points).
     n, m = 3000, 200

@@ -12,11 +12,9 @@ from cqcbench.kernels import (
     DegenerateMassError,
     KernelSpec,
     as_rows,
-    gather_columns,
     kernel_matrix,
     nw_weight_matrix,
     resolve_weights,
-    transpose_blocks,
     transpose_strips,
     _normalise_rows,
     _sq_dist_matrix,
@@ -286,31 +284,13 @@ def test_column_gather_and_strip_transpose_match_numpy(order, shape):
     transposed = transpose_strips(m)
     assert transposed.flags.c_contiguous
     assert transposed.shape == m.T.shape and transposed.tobytes() == np.ascontiguousarray(m.T).tobytes()
-    empty = np.array([], dtype=np.intp)
-    for idx in (np.arange(shape[1])[::-2], rng.integers(0, max(shape[1], 1), size=shape[1]), empty):
-        gathered = gather_columns(m, idx)
-        expected = np.ascontiguousarray(m[:, idx])
-        assert gathered.flags.c_contiguous and gathered.shape == expected.shape
-        assert gathered.tobytes() == expected.tobytes()
-
-
-@pytest.mark.parametrize("shape", [(5, 3), (2 * _STRIP_ROWS + 3, _BLOCK_VALUES // _STRIP_ROWS * 2 + 7), (4, 1)])
-def test_transpose_blocks_regroups_column_blocks_into_transposed_row_blocks(shape):
-    rng = np.random.default_rng(shape[1])
-    m = rng.normal(size=shape)
-    cols = np.array_split(rng.permutation(shape[1]), [shape[1] // 3])  # the first may be empty
-    rows = [rng.permutation(shape[0])[: shape[0] // 2], np.arange(shape[0])[::-1], np.array([], dtype=np.intp)]
-    blocks = [gather_columns(m, c) for c in cols]
-    tracemalloc.start()
-    try:
-        out = transpose_blocks(blocks, cols, rows)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    for t, r in zip(out, rows):
-        assert t.flags.c_contiguous and t.tobytes() == np.ascontiguousarray(m[r].T).tobytes()
-    # The outputs, one gathered tile and index slices, nothing the size of an input.
-    assert peak < sum(t.nbytes for t in out) + _BLOCK_VALUES * 8 + 4 * sum(shape) * 8
+    # A column range of a C-ordered matrix, as a fit reads its arm weights,
+    # has the row sums and running sums of its contiguous copy.
+    c = np.ascontiguousarray(m)
+    for cols in (slice(0, shape[1] // 3), slice(shape[1] // 3, None), slice(1, -1)):
+        view, copy = c[:, cols], np.ascontiguousarray(c[:, cols])
+        assert view.sum(axis=1).tobytes() == copy.sum(axis=1).tobytes()
+        assert np.cumsum(view, axis=1).tobytes() == np.cumsum(copy, axis=1).tobytes()
 
 
 def test_normalise_rows_matches_masked_division():
@@ -338,7 +318,13 @@ def test_weight_matrix_normalises_a_given_kernel_matrix_in_place():
     weights = nw_weight_matrix(spec, queries, xs, km)
     assert weights is km
     assert weights.tobytes() == nw_weight_matrix(spec, queries, xs).tobytes()
-    with pytest.raises(ValueError, match="C-ordered"):
+    # A column range is normalised in place, retry row included, with the
+    # bits of a fresh matrix over those training points.
+    km = kernel_matrix(spec, queries, xs)
+    weights = nw_weight_matrix(spec, queries, xs[20:], km[:, 20:])
+    assert np.shares_memory(weights, km) and km[:, :20].tobytes() == kernel_matrix(spec, queries, xs[:20]).tobytes()
+    assert weights.tobytes() == nw_weight_matrix(spec, queries, xs[20:]).tobytes()
+    with pytest.raises(ValueError, match="contiguous rows"):
         nw_weight_matrix(spec, queries, xs, np.asfortranarray(kernel_matrix(spec, queries, xs)))
-    with pytest.raises(ValueError, match="C-ordered"):
+    with pytest.raises(ValueError, match="contiguous rows"):
         nw_weight_matrix(spec, queries, xs, kernel_matrix(spec, queries[1:], xs))

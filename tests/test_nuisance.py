@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from scalar_oracle import step_quantile as reference_step_quantile
-from cqcbench.kernels import KernelSpec
+from cqcbench.kernels import KernelSpec, kernel_matrix, nw_weight_matrix
 from cqcbench.nuisance import (
     CcdfEvaluator,
     Dataset,
@@ -120,6 +120,19 @@ def test_propensity_outputs_stay_clipped():
     assert (values >= 0.1).all() and (values <= 0.9).all()
 
 
+def test_propensity_reads_a_given_kernel_matrix_without_writing_it():
+    # A box kernel and one isolated query, whose empty ball takes the retry.
+    rng = np.random.default_rng(3)
+    data = Dataset(rng.normal(size=60), rng.uniform(0, 1, (60, 1)), np.arange(60) % 2)
+    prop = PropensityEvaluator(KernelSpec("box", 0.05), data)
+    xs = np.r_[rng.uniform(0, 1, (9, 1)), [[3.0]]]
+    km = kernel_matrix(prop.kernel, xs, data.x)
+    before = km.tobytes()
+    assert km[-1].sum() == 0.0
+    assert prop.many(xs, km).tobytes() == prop.many(xs).tobytes()
+    assert km.tobytes() == before
+
+
 def test_ccdf_step_values():
     ccdf = CcdfEvaluator(WIDE_BOX, four_point_arm1_dataset())
     below, above, middle = ccdf.cdf_table(1, [0.5, 9.0, 2.5], np.array([[0.0]]))[0]
@@ -154,6 +167,23 @@ def test_ccdf_wide_bandwidth_equals_empirical_cdf():
     empirical = np.mean(arm1[None, :] <= qs[:, None], axis=1)
     for row in ccdf.cdf_table(1, qs, np.array([[0.1], [0.9]])):
         assert row == pytest.approx(empirical, abs=1e-12)
+
+
+def test_ccdf_keeps_each_arm_as_a_range_of_arm_major_rows():
+    # Interleaved arms with tied outcomes: each arm's jump points ascend, and
+    # its weights are those over its rows in stable outcome order.
+    rng = np.random.default_rng(2)
+    data = Dataset(rng.integers(0, 4, 40).astype(float), rng.uniform(0, 1, (40, 1)), rng.integers(0, 2, 40))
+    kernel = KernelSpec("gaussian", 0.2)
+    ccdf = CcdfEvaluator(kernel, data)
+    queries = rng.uniform(0, 1, (7, 1))
+    for arm in (0, 1):
+        rows = data.arm_indices(arm)
+        rows = rows[np.argsort(data.y[rows], kind="stable")]
+        assert np.all(np.diff(ccdf.arm_outcomes(arm)) >= 0)
+        assert ccdf.arm_outcomes(arm).tobytes() == data.y[rows].tobytes()
+        expected = nw_weight_matrix(kernel, queries, data.x[rows])
+        assert ccdf.weight_matrix(arm, queries).tobytes() == expected.tobytes()
 
 
 def test_generalised_inverse_step_examples():
