@@ -37,6 +37,7 @@ from .simlab import (
     DgpSpec,
     ErrorReport,
     EstimatorResult,
+    FailureRecord,
     TruthOracle,
     run_experiment,
     sample_dgp,

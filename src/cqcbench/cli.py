@@ -3,7 +3,9 @@
 Subcommands:
 
 - ``simulate`` (alias ``benchmark``): run the Monte-Carlo benchmark on a
-  simulation DGP and write ``errors.csv``.
+  simulation DGP and write ``errors.csv``, plus ``failures.csv`` (why each
+  failed replication failed) when a fit or predict raised; a run without
+  failures removes an earlier ``failures.csv``.
 - ``surface`` (alias ``fit``): fit the doubly robust estimator on an input
   CSV and write the treated-minus-untreated gap surface over a (y, x1) grid,
   holding other covariates at their medians.
@@ -367,6 +369,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"replications={row.replications} failures={row.failures}"
         )
     print(f"wrote {path}")
+    failures_path = os.path.join(os.path.dirname(path), "failures.csv")
+    if report.failures:
+        _atomic_write(failures_path, report.failures_csv_text())
+        print(f"wrote {failures_path} ({len(report.failures)} failures)")
+    else:  # an earlier run's reasons would contradict this errors.csv
+        try:
+            os.unlink(failures_path)
+        except FileNotFoundError:
+            pass
+        except OSError as exc:
+            raise ConfigError(f"cannot remove {failures_path}: {exc}") from exc
     return EXIT_OK
 
 

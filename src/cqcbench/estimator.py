@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# pava_project is unused here, but bench/test_bench.py checks this binding.
-from .isotonic import pava_project, zero_crossing  # noqa: F401
+from .isotonic import pava_project, zero_crossing
 from .kernels import KernelSpec, as_rows, kernel_matrix, nw_weight_matrix, transpose_strips
 from .nuisance import Dataset, arm_major, fit_nuisance, make_split, prefix_gather
 from .pseudo import PseudoOutcomeKind
@@ -89,14 +88,37 @@ class _ContrastReplicate:
         # sum_j w_j (1 - a_j c_j) F1(grid | x_j): the F1 part of the treated
         # term, -a_j c_j F1, merged with the DR correction's +F1.
         x_part += self._mix1(w_out * (1.0 - self._a * self._c), grid)
-        # un * (1{y_j <= y0} - f0) - f0, built in one buffer.
+        s0 = np.einsum("qj,jq->q", w_out[run], self._t0(y0s))
+        return x_part[run] + s0[:, None]
+
+    def _t0(self, y0s: np.ndarray) -> np.ndarray:
+        """The (n, len(y0s)) table of each regression row's y0 summand:
+        un * (1{y_j <= y0} - f0) - f0, built in one C-ordered buffer."""
         un = ((1.0 - self._a) * self._c)[:, None]
         f0_q = self._table0(y0s)
-        t0 = np.subtract(d2.y[:, None] <= y0s[None, :], f0_q)
+        t0 = np.subtract(self.data2.y[:, None] <= y0s[None, :], f0_q)
         np.multiply(un, t0, out=t0)
         t0 -= f0_q
-        s0 = np.einsum("qj,jq->q", w_out[run], t0)
-        return x_part[run] + s0[:, None]
+        return t0
+
+    def y0_terms(self, y0s: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        """Each query's y0 term sum_j w_j(xs[q]) t0_j(y0s[q]): the part of its
+        profile row that does not depend on the grid point.
+
+        t0 is evaluated once per distinct y0 level, and each run of equal
+        consecutive rows of ``xs`` takes one outer-weight row and a GEMV over
+        its own queries' columns of t0, so no per-query gather of outer
+        weights or t0 columns is built: memory is O(runs n + levels n).
+        """
+        first, _ = _runs(xs)
+        starts = np.arange(y0s.size)[first]
+        w_out = nw_weight_matrix(self.outer_kernel, xs[first], self.data2.x)
+        levels, level = np.unique(y0s, return_inverse=True)
+        t0 = self._t0(levels)
+        terms = np.empty(y0s.size)
+        for w, lo, hi in zip(w_out, starts, np.r_[starts[1:], y0s.size]):
+            terms[lo:hi] = w @ np.take(t0, level[lo:hi], axis=1)
+        return terms
 
 
 @dataclass
@@ -110,21 +132,35 @@ class ContrastFit:
 
     replicates: tuple
 
-    def profile_many(self, y0s, grid, xs) -> np.ndarray:
-        y0s = np.asarray(y0s, dtype=float).reshape(-1)
-        grid = np.asarray(grid, dtype=float).reshape(-1)
-        xs = as_rows(xs)
-        if xs.shape[0] != y0s.size:
-            raise ValueError("y0s and xs must pair up one query per row")
-        # The bits of np.mean over the replicates' tables, without stacking them.
-        profiles = self.replicates[0].profile_many(y0s, grid, xs)
+    def _mean(self, method: str, *args) -> np.ndarray:
+        # The bits of np.mean over the replicates' results, without stacking them.
+        total = getattr(self.replicates[0], method)(*args)
         for rep in self.replicates[1:]:
-            profiles += rep.profile_many(y0s, grid, xs)
-        profiles /= len(self.replicates)
+            total += getattr(rep, method)(*args)
+        total /= len(self.replicates)
+        return total
+
+    def profile_many(self, y0s, grid, xs) -> np.ndarray:
+        y0s, xs = _queries(y0s, xs)
+        profiles = self._mean("profile_many", y0s, np.asarray(grid, dtype=float).reshape(-1), xs)
         if (self.replicates[0].kind is PseudoOutcomeKind.IPW
                 and np.any(np.diff(profiles, axis=1) < -_MONOTONE_TOL)):
             raise AssertionError("IPW contrast profile is not monotone before projection")
         return profiles
+
+    def y0_terms(self, y0s, xs) -> np.ndarray:
+        """The replicates' mean ``y0_terms``: profile_many(y0s, grid, xs)[q]
+        is, up to rounding, a row that depends only on xs[q] plus y0_terms[q]."""
+        return self._mean("y0_terms", *_queries(y0s, xs))
+
+
+def _queries(y0s, xs):
+    """Query pairs (y0s[q], xs[q]) as a float vector and (m, d) rows."""
+    y0s = np.asarray(y0s, dtype=float).reshape(-1)
+    xs = as_rows(xs)
+    if xs.shape[0] != y0s.size:
+        raise ValueError("y0s and xs must pair up one query per row")
+    return y0s, xs
 
 
 def _halves(dataset: Dataset, split) -> list:
@@ -222,25 +258,82 @@ def _check_grid(grid: np.ndarray) -> np.ndarray:
     return grid
 
 
+def _first_at_least(projected, rows, shifts, targets, hi):
+    """Per query q, by bisection, the first l <= hi[q] with projected[rows[q], l]
+    + shifts[q] >= targets[q], else hi[q]. A nondecreasing row plus a constant
+    rounds to a nondecreasing row."""
+    lo = np.zeros_like(hi)
+    open_ = lo < hi
+    while open_.any():
+        mid = (lo + hi) // 2  # < p on open queries; closed ones are masked
+        value = projected[rows, np.minimum(mid, projected.shape[1] - 1)] + shifts
+        below = open_ & (value < targets)
+        lo, hi = np.where(below, mid + 1, lo), np.where(open_ & ~below, mid, hi)
+        open_ = lo < hi
+    return lo
+
+
+def _shifted_crossings(projected, rows, shifts):
+    """Per query, the first index of the smallest |projected[rows[q]] + shifts[q]|
+    and that value: the first nonnegative entry or the one before it (ties to
+    the smaller), moved back to the first entry with the same shifted value."""
+    p = projected.shape[1]
+    at = _first_at_least(projected, rows, shifts, 0.0, np.full(rows.size, p))
+    left, right = np.maximum(at - 1, 0), np.minimum(at, p - 1)
+    left_abs = np.abs(projected[rows, left] + shifts)
+    index = np.where(left_abs <= np.abs(projected[rows, right] + shifts), left, right)
+    values = projected[rows, index] + shifts
+    return _first_at_least(projected, rows, shifts, values, index), np.abs(values)
+
+
 def estimate_cqc_many(contrast: ContrastFit, grid, y0s, xs):
     """Batched inversion over query pairs (y0s[q], xs[q]).
 
-    Each pair's contrast profile over the grid is a row of an (m, p) table.
-    The estimate is the grid point where the row's projection onto
-    nondecreasing sequences has the smallest |value| (ties resolve to the
-    smallest index). ``isotonic.zero_crossing`` finds it without projecting
-    the row: it locates the crossing from the row's suffix sums and runs the
-    pool-adjacent-violators stack only on the few blocks beside it, falling
-    back to one ``pava_project`` call for the rows whose crossing it cannot
-    certify against rounding. Indices and residuals are bit for bit those
-    of projecting every row. A contrast is -1 below the grid and +1 above
-    it, so a profile that never changes sign has its root past the
+    The estimate is the grid point where the pair's contrast profile over the
+    grid, projected onto nondecreasing sequences, has the smallest |value|
+    (ties resolve to the smallest index). A contrast is -1 below the grid and
+    +1 above it, so a profile that never changes sign has its root past the
     corresponding grid end, and the argmin clamps there. Returns (g_hat,
     grid indices, residuals |projected value|), empty for no queries.
+
+    ``contrast.profile_many`` evaluates one row per run of equal consecutive
+    covariate rows, at the run's first query. Two routes invert them:
+
+    - Per row: a run of one query, or a run whose row holds a non-finite
+      value (re-evaluated one row per query). ``isotonic.zero_crossing``
+      finds each crossing with the bits of projecting the row.
+    - Shared: the other runs. Their queries' profiles differ from the first
+      one's by the constant ``contrast.y0_terms`` difference, and projection
+      commutes with adding a constant (Robertson, Wright & Dykstra 1988,
+      ch. 1), so the row is projected once (``pava_project``) and each query
+      bisects the shifted projection. That is the per-row route up to
+      rounding in the shift, and bit for bit when the shifted rows are exact.
     """
     grid = _check_grid(grid)
-    y0s = np.asarray(y0s, dtype=float).reshape(-1)
-    indices, residuals = zero_crossing(contrast.profile_many(y0s, grid, xs))
+    y0s, xs = _queries(y0s, xs)
+    first, run = _runs(xs)
+    if isinstance(first, slice):  # no two consecutive queries share a row
+        indices, residuals = zero_crossing(contrast.profile_many(y0s, grid, xs))
+        return grid[indices], indices, residuals
+    rows = contrast.profile_many(y0s[first], grid, xs[first])
+    sizes = np.diff(np.r_[first, y0s.size])
+    shared = (sizes > 1) & np.isfinite(rows).all(axis=1)
+    indices = np.empty(y0s.size, dtype=np.intp)
+    residuals = np.empty(y0s.size)
+    own = np.flatnonzero(~shared[run])
+    table = rows[run[own]]
+    fresh = sizes[run[own]] > 1
+    if fresh.any():
+        table[fresh] = contrast.profile_many(y0s[own[fresh]], grid, xs[own[fresh]])
+    indices[own], residuals[own] = zero_crossing(table)
+    if shared.any():
+        members = np.flatnonzero(shared[run])
+        terms = contrast.y0_terms(y0s[members], xs[members])
+        local = (np.cumsum(shared) - 1)[run[members]]  # each member's row of the projection
+        heads = np.searchsorted(members, first[shared])  # each shared run's first member
+        shifts = terms - terms[heads][local]
+        projected = pava_project(rows[shared]).projected
+        indices[members], residuals[members] = _shifted_crossings(projected, local, shifts)
     return grid[indices], indices, residuals
 
 
@@ -290,7 +383,8 @@ def cqc_to_cqte(fit: CqcFit, arm0_quantile, alphas, xs) -> np.ndarray:
     (fitted or exact) at every level for one covariate row. Cell [i, k] of the
     (len(alphas), len(xs)) result is g_hat at y0 = the alphas[i]-quantile at
     xs[k], minus y0. All cells are estimated in one ``fit`` call in x-major
-    order, so each x's levels form one run of equal covariate rows.
+    order, so each x's levels form one run of equal covariate rows, which
+    ``estimate_cqc_many`` inverts from one projected profile row.
     """
     alphas = np.asarray(alphas, dtype=float).reshape(-1)
     if not np.all((alphas > 0.0) & (alphas < 1.0)):
@@ -306,16 +400,16 @@ def cqc_to_cqte(fit: CqcFit, arm0_quantile, alphas, xs) -> np.ndarray:
 def surface_eval(fit: CqcFit, y_grid, x_grid) -> np.ndarray:
     """Treated-minus-untreated gap over a (y, x) grid, row-major in y.
 
-    Each x column is one ``fit`` call over the y values, so only one
-    column's profile table is live at a time.
+    All cells are estimated in one ``fit`` call in x-major order, so each x
+    column is one run of equal covariate rows: ``estimate_cqc_many`` projects
+    one profile row per column and shifts it per y value. Memory is
+    O(n_x p + (n_x + n_y) n + n_x n_y) for grid size p and n regression rows,
+    with no (cells, p) table.
     """
     ys = np.asarray(y_grid, dtype=float).reshape(-1)
     xs = as_rows(x_grid)
     if ys.size == 0 or xs.shape[0] == 0:
         raise ValueError("surface grids must be nonempty")
-    out = np.empty((ys.size, xs.shape[0]))
-    for j in range(xs.shape[0]):
-        out[:, j] = fit(ys, np.tile(xs[j], (ys.size, 1)))
+    g_hat = fit(np.tile(ys, xs.shape[0]), np.repeat(xs, ys.size, axis=0))
     with np.errstate(over="ignore"):  # an overflowing gap is inf, for the caller to report
-        out -= ys[:, None]
-    return out
+        return np.ascontiguousarray((g_hat.reshape(xs.shape[0], ys.size) - ys).T)

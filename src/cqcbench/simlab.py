@@ -20,7 +20,9 @@ span exactly that range.
 
 from __future__ import annotations
 
+import csv
 import importlib
+import io
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -237,13 +239,19 @@ class EstimatorResult:
         return self.mean_abs_error + self.ci_half_width
 
 
+# One estimator fit or predict that raised: ``error`` is the exception's type name.
+FailureRecord = namedtuple("FailureRecord", "estimator replication seed error message")
+
+
 @dataclass
 class ErrorReport:
-    """Per-estimator error summary of one Monte-Carlo experiment."""
+    """Per-estimator error summary of one Monte-Carlo experiment, and a
+    ``FailureRecord`` per failed replication of an estimator."""
 
     results: list
     replications: int
     per_replication: np.ndarray = field(repr=False)
+    failures: list = field(default_factory=list)
 
     def csv_text(self) -> str:
         lines = ["estimator,mean_abs_error,ci_low,ci_high,replications"]
@@ -253,6 +261,13 @@ class ErrorReport:
                 f"{row.ci_high!r},{row.replications}"
             )
         return "\n".join(lines) + "\n"
+
+    def failures_csv_text(self) -> str:
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(FailureRecord._fields)
+        writer.writerows(self.failures)
+        return out.getvalue()
 
     def by_name(self, name: str) -> EstimatorResult:
         for row in self.results:
@@ -274,8 +289,9 @@ def run_experiment(
     Each replication r draws a training set and a holdout under seed
     ``base_seed ^ r``, fits every estimator, and records the mean absolute
     gap between the estimated and exact outcome maps over the holdout. An
-    estimator failure is counted, not raised. 95% intervals use
-    1.96 * sd / sqrt(R) over the successful replications.
+    estimator failure is counted and recorded (``ErrorReport.failures``), not
+    raised. 95% intervals use 1.96 * sd / sqrt(R) over the successful
+    replications.
     """
     if replications < 2:
         raise ValueError("need at least 2 replications for a confidence interval")
@@ -287,6 +303,7 @@ def run_experiment(
     oracle = truth(spec)
     errors = np.full((replications, len(estimators)), np.nan)
     failure_counts = np.zeros(len(estimators), dtype=int)
+    failures = []
     for r in range(replications):
         rep_seed = base_seed ^ r
         data = sample_dgp(spec, n_total, rep_seed)
@@ -300,8 +317,9 @@ def run_experiment(
                 # A fit keeps its weight matrices and CDF tables; free them
                 # before the next fit.
                 del predictor
-            except Exception:
+            except Exception as exc:
                 failure_counts[j] += 1
+                failures.append(FailureRecord(est.name, r, rep_seed, type(exc).__name__, str(exc)))
     results = []
     for j, est in enumerate(estimators):
         col = errors[:, j]
@@ -322,4 +340,5 @@ def run_experiment(
                 failures=int(failure_counts[j]),
             )
         )
-    return ErrorReport(results=results, replications=replications, per_replication=errors)
+    return ErrorReport(results=results, replications=replications, per_replication=errors,
+                       failures=failures)

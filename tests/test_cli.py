@@ -305,6 +305,38 @@ def test_simulate_deterministic_files(tmp_path):
     assert (out_a / "errors.csv").read_bytes() == (out_b / "errors.csv").read_bytes()
 
 
+class _OutOfMemory:
+    name = "separate"
+
+    def fit(self, dataset, seed, truth=None):
+        raise MemoryError("Unable to allocate 6.71 GiB for an array with shape (30000, 30000)")
+
+
+def test_simulate_writes_failures_csv_only_when_a_fit_failed(tmp_path, monkeypatch, capsys):
+    clean, failing = tmp_path / "clean", tmp_path / "failing"
+    assert main(simulate_args(clean)) == 0
+    assert not (clean / "failures.csv").exists()
+    monkeypatch.setitem(cli._ESTIMATORS, "separate", lambda args: _OutOfMemory())
+    capsys.readouterr()
+    assert main(simulate_args(failing)) == 0
+    assert "failures=2" in capsys.readouterr().out
+    lines = (failing / "failures.csv").read_text().splitlines()
+    assert lines == [
+        "estimator,replication,seed,error,message",
+        'separate,0,3,MemoryError,"Unable to allocate 6.71 GiB for an array with shape (30000, 30000)"',
+        'separate,1,2,MemoryError,"Unable to allocate 6.71 GiB for an array with shape (30000, 30000)"',
+    ]
+    # The dr row is unchanged, and the failed estimator's row is NaN.
+    clean_rows = (clean / "errors.csv").read_text().splitlines()
+    failing_rows = (failing / "errors.csv").read_text().splitlines()
+    assert failing_rows[:2] == clean_rows[:2]
+    assert failing_rows[2] == "separate,nan,nan,nan,0"
+    # A later run without failures removes the earlier run's reasons.
+    monkeypatch.undo()
+    assert main(simulate_args(failing)) == 0
+    assert not (failing / "failures.csv").exists()
+
+
 def test_benchmark_alias_matches_simulate(tmp_path):
     argv = simulate_args(tmp_path)
     argv[0] = "benchmark"

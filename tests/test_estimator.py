@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from contrast_oracle import dense_cdf_table, dense_profile_many, independent_cross_fit
@@ -41,6 +41,9 @@ class StubContrast:
         y0s = np.asarray(y0s, dtype=float).reshape(-1)
         return np.tile(self.values, (y0s.size, 1))
 
+    def y0_terms(self, y0s, xs):
+        return np.zeros(np.size(y0s))
+
 
 class LinearContrast:
     """Profile grid - y0: root of the contrast sits exactly at y0."""
@@ -50,6 +53,9 @@ class LinearContrast:
         grid = np.asarray(grid, dtype=float)
         return grid[None, :] - y0s[:, None]
 
+    def y0_terms(self, y0s, xs):
+        return -np.asarray(y0s, dtype=float).reshape(-1)
+
 
 class ScaledContrast:
     """Profile grid - y0 * (1 + x1): the root depends on both y0 and x."""
@@ -57,6 +63,9 @@ class ScaledContrast:
     def profile_many(self, y0s, grid, xs):
         roots = np.asarray(y0s, dtype=float).reshape(-1) * (1.0 + np.asarray(xs)[:, 0])
         return np.asarray(grid, dtype=float)[None, :] - roots[:, None]
+
+    def y0_terms(self, y0s, xs):
+        return -np.asarray(y0s, dtype=float).reshape(-1) * (1.0 + np.asarray(xs)[:, 0])
 
 
 def estimate_one(contrast, grid, y0=0.0, x=0.0):
@@ -176,6 +185,12 @@ def test_estimate_cqc_many_monotone_assertion():
     assert CqcFit(dr, grid)([0.0], [[0.0]])[0] == 1.0
 
 
+def distinct_rows(m):
+    """m covariate rows, no two consecutive ones equal: every query is a run of
+    one, so ``estimate_cqc_many`` inverts each row on its own."""
+    return np.arange(m, dtype=float).reshape(m, 1)
+
+
 class TableContrast:
     """Contrast evaluator returning a fixed (m, p) profile table."""
 
@@ -201,7 +216,7 @@ def test_estimate_cqc_many_matches_per_row_inversion():
         table[quarters] = np.round(table[quarters] * 4.0) / 4.0
         table[0] = np.abs(table[0]) + 0.1  # root below the grid: clamps to index 0
         table[-1] = -np.abs(table[-1]) - 0.1  # root above the grid: clamps to p - 1
-        got = estimate_cqc_many(TableContrast(table), grid, np.zeros(m), np.zeros((m, 1)))
+        got = estimate_cqc_many(TableContrast(table), grid, np.zeros(m), distinct_rows(m))
         expected = per_row_inversion(table, grid)
         for g, e in zip(got, expected):
             assert g.dtype == e.dtype and g.tobytes() == e.tobytes()
@@ -250,7 +265,7 @@ def near_tie_tables(draw):
 def test_estimate_cqc_many_matches_per_row_inversion_on_near_ties(table):
     m, p = table.shape
     grid = np.linspace(-1.0, 1.0, p)
-    got = estimate_cqc_many(TableContrast(table), grid, np.zeros(m), np.zeros((m, 1)))
+    got = estimate_cqc_many(TableContrast(table), grid, np.zeros(m), distinct_rows(m))
     with np.errstate(invalid="ignore"):
         expected = per_row_inversion(table, grid)
     assert_same_inversion(got, expected)
@@ -269,6 +284,108 @@ def test_estimate_cqc_many_matches_per_row_inversion_on_fitted_profiles():
     assert np.any(table[:, 1:] < table[:, :-1])
     got = estimate_cqc_many(contrast, grid, y0s, xs)
     assert_same_inversion(got, per_row_inversion(table, grid))
+
+
+class ShiftContrast:
+    """Profile base[x] + y0 for integer covariate rows x: the queries at one
+    row are constant shifts of one row. Counts the profile rows it evaluates."""
+
+    def __init__(self, base):
+        self.base = np.asarray(base, dtype=float)
+        self.rows_evaluated = 0
+
+    def profile_many(self, y0s, grid, xs):
+        self.rows_evaluated += np.size(y0s)
+        return self.base[as_rows(xs)[:, 0].astype(int)] + self.y0_terms(y0s, xs)[:, None]
+
+    def y0_terms(self, y0s, xs):
+        return np.asarray(y0s, dtype=float).reshape(-1)
+
+
+# Quarter shifts keep rows of quarter levels exact; +-2 moves a row's crossing
+# past a grid end.
+SHIFT_LEVELS = (-2.0, -1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0, 2.0)
+
+
+@st.composite
+def shifted_runs(draw):
+    """(base rows, y0s, covariate rows): runs of 1-4 queries, one base row per run."""
+    p = draw(st.integers(1, 10))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    base = np.empty((len(sizes), p))
+    for row in base:
+        levels = draw(st.lists(st.sampled_from(TIE_LEVELS), min_size=p, max_size=p))
+        repeats = draw(st.lists(st.integers(1, 3), min_size=p, max_size=p))
+        row[:] = np.repeat(levels, repeats)[:p]  # flat blocks of equal raw values
+        if draw(st.integers(0, 5)) == 0:
+            row[draw(st.integers(0, p - 1))] = draw(st.sampled_from((np.nan, np.inf, -np.inf)))
+    y0s = draw(st.lists(st.sampled_from(SHIFT_LEVELS), min_size=sum(sizes), max_size=sum(sizes)))
+    xs = np.repeat(np.arange(len(sizes), dtype=float), sizes).reshape(-1, 1)
+    return base, np.array(y0s), xs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=shifted_runs())
+@example(case=(np.array([[-0.5, 0.25, 0.25, -0.25, 0.5], [np.nan, 0.0, 0.25, 0.5, 0.75]]),
+               np.array([0.0, -2.0, 0.25, 2.0, -0.5, 0.5, 0.0]), np.c_[[0, 0, 0, 0, 0, 1, 1]]))
+@example(case=(np.array([[0.25, 0.25, -0.25, -0.25]]), np.array([0.0, 0.0, -0.25, 0.25]),
+               np.zeros((4, 1))))
+def test_shared_route_matches_per_row_route_on_exact_shifts(case):
+    base, y0s, xs = case
+    contrast = ShiftContrast(base)
+    table = contrast.profile_many(y0s, None, xs)
+    run = xs[:, 0].astype(int)
+    first = np.searchsorted(run, run)
+    with np.errstate(invalid="ignore"):
+        projected = [numpy_stack_pava(row) for row in table]
+        # Exact shifts: each row's projection is its run's first projection,
+        # shifted, with no rounding.
+        assume(all(np.array_equal(projected[q], projected[first[q]] + (y0s[q] - y0s[first[q]]),
+                                  equal_nan=True) for q in range(y0s.size)))
+        expected = per_row_inversion(table, np.arange(base.shape[1], dtype=float))
+    contrast.rows_evaluated = 0
+    got = estimate_cqc_many(contrast, np.arange(base.shape[1], dtype=float), y0s, xs)
+    assert_same_inversion(got, expected)
+    # One row per run, plus one per query of a run of two or more whose row
+    # holds a non-finite value.
+    sizes = np.bincount(run)
+    per_query = (sizes > 1) & ~np.isfinite(base).all(axis=1)
+    assert contrast.rows_evaluated == sizes.size + sizes[per_query].sum()
+
+
+def test_shared_route_keeps_the_ipw_monotone_check():
+    # A run's queries differ from its first row by a constant, so checking
+    # the first row checks them all.
+    ipw = ContrastFit((StubReplicate(PseudoOutcomeKind.IPW, [0.5, -0.5, 0.5]),))
+    with pytest.raises(AssertionError):
+        estimate_cqc_many(ipw, [1.0, 2.0, 3.0], [0.0, 1.0, 2.0], np.zeros((3, 1)))
+
+
+def test_estimate_cqc_many_rejects_unpaired_queries():
+    for contrast in (LinearContrast(), ShiftContrast(np.zeros((1, 3)))):
+        for xs in ([[0.0]], np.zeros((3, 1))):
+            with pytest.raises(ValueError, match="pair up"):
+                estimate_cqc_many(contrast, [0.0, 1.0, 2.0], [0.1, 0.2], xs)
+
+
+@pytest.mark.parametrize("kind", ["dr", "ipw"])
+@pytest.mark.parametrize("cross_fit", [False, True])
+def test_y0_terms_are_the_grid_free_part_of_fitted_profiles(kind, cross_fit):
+    # Within a run of equal covariate rows, profile rows differ by their
+    # y0_terms difference, up to rounding.
+    data = illustrative_data(n=300, seed=2)
+    fit = fit_cqc(data, 2, NK, OK, kind, 0.05, cross_fit, None)
+    y0s = np.tile(np.linspace(-1.0, 3.0, 7), 3)
+    xs = np.repeat([[0.2], [0.5], [0.8]], 7, axis=0)
+    table = fit.contrast.profile_many(y0s, fit.grid, xs)
+    terms = fit.contrast.y0_terms(y0s, xs)
+    assert terms.shape == y0s.shape
+    grid_part = table - terms[:, None]
+    for rows in grid_part.reshape(3, 7, -1):
+        np.testing.assert_allclose(rows, np.broadcast_to(rows[0], rows.shape), rtol=0, atol=1e-12)
+    shared = estimate_cqc_many(fit.contrast, fit.grid, y0s, xs)
+    per_row = per_row_inversion(table, fit.grid)
+    np.testing.assert_allclose(shared[2], per_row[2], rtol=0, atol=1e-12)
 
 
 def test_estimate_cqc_many_with_no_queries_returns_empty_arrays():
@@ -428,6 +545,31 @@ def test_surface_eval_single_cell_matches_fit():
     assert surface[0, 0] == fit([0.7], [[0.3]])[0] - 0.7
     with pytest.raises(ValueError, match="nonempty"):
         surface_eval(fit, [], [0.3])
+
+
+@pytest.mark.parametrize("contrast", [LinearContrast(), ScaledContrast()])
+def test_surface_eval_matches_a_per_column_loop(contrast):
+    fit = CqcFit(contrast, np.linspace(-1.0, 3.0, 41))
+    ys, xs = np.linspace(-0.5, 1.5, 9), np.array([[0.0], [0.35], [1.0], [0.35]])
+    loop = np.column_stack([fit(ys, np.tile(x, (ys.size, 1))) for x in xs]) - ys[:, None]
+    surface = surface_eval(fit, ys, xs)
+    assert surface.shape == (ys.size, xs.shape[0]) and surface.flags.c_contiguous
+    assert surface.tobytes() == loop.tobytes()
+
+
+def test_surface_eval_memory_stays_below_one_cells_by_grid_table():
+    # A 60 x 60 surface holds one profile row per x column, never one per cell.
+    data = illustrative_data(n=2000, gamma=6.0, seed=7)
+    fit = fit_cqc(data, 7, KernelSpec("gaussian", 0.05), KernelSpec("gaussian", 0.1),
+                  PseudoOutcomeKind.DR, 0.05, True, None)
+    ys, xs = np.linspace(-2.0, 4.0, 60), np.linspace(0.0, 1.0, 60)
+    tracemalloc.start()
+    try:
+        surface_eval(fit, ys, xs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < ys.size * xs.size * fit.grid.size * 8
 
 
 def test_contrast_profile_rejects_unpaired_queries():

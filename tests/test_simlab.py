@@ -293,6 +293,33 @@ def test_one_successful_replication_has_its_error_and_no_interval():
     assert (row.replications, row.failures) == (1, 1)
 
 
+class ControlsOnly:
+    """The DR estimator fitted on the untreated rows alone: its propensity fit
+    raises SingleArmError in every replication."""
+
+    name = "controls-only"
+
+    def fit(self, dataset, seed, truth=None):
+        return DrEstimator(NK, OK).fit(dataset.subset(dataset.arm_indices(0)), seed)
+
+
+def test_run_experiment_records_why_each_replication_failed():
+    report = run_experiment(DgpSpec("illustrative", gamma=0.0),
+                            [ControlsOnly(), SeparateEstimator(NK)], 80, 2, holdout=20, base_seed=5)
+    assert report.by_name("controls-only").failures == 2
+    assert report.by_name("separate").failures == 0
+    message = "propensity fit needs both treatment arms"
+    assert report.failures == [
+        simlab.FailureRecord("controls-only", 0, 5, "SingleArmError", message),
+        simlab.FailureRecord("controls-only", 1, 4, "SingleArmError", message),
+    ]
+    assert report.failures_csv_text() == (
+        "estimator,replication,seed,error,message\n"
+        f"controls-only,0,5,SingleArmError,{message}\n"
+        f"controls-only,1,4,SingleArmError,{message}\n"
+    )
+
+
 def test_report_lookup_of_an_unknown_estimator_raises_key_error():
     report = run_experiment(DgpSpec("illustrative"), [SeparateEstimator(NK)], 80, 2, holdout=20)
     with pytest.raises(KeyError, match="dr"):
