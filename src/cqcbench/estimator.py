@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .isotonic import pava_project, zero_crossing
+# Unused here: bench/test_bench.py reads estimator.pava_project as a binding its patcher restores.
+from .isotonic import pava_project, zero_crossing  # noqa: F401
 from .kernels import KernelSpec, as_rows, kernel_matrix, nw_weight_matrix, transpose_strips
 from .nuisance import Dataset, arm_major, fit_nuisance, make_split, prefix_gather
 from .pseudo import PseudoOutcomeKind
@@ -258,34 +259,6 @@ def _check_grid(grid: np.ndarray) -> np.ndarray:
     return grid
 
 
-def _first_at_least(projected, rows, shifts, targets, hi):
-    """Per query q, by bisection, the first l <= hi[q] with projected[rows[q], l]
-    + shifts[q] >= targets[q], else hi[q]. A nondecreasing row plus a constant
-    rounds to a nondecreasing row."""
-    lo = np.zeros_like(hi)
-    open_ = lo < hi
-    while open_.any():
-        mid = (lo + hi) // 2  # < p on open queries; closed ones are masked
-        value = projected[rows, np.minimum(mid, projected.shape[1] - 1)] + shifts
-        below = open_ & (value < targets)
-        lo, hi = np.where(below, mid + 1, lo), np.where(open_ & ~below, mid, hi)
-        open_ = lo < hi
-    return lo
-
-
-def _shifted_crossings(projected, rows, shifts):
-    """Per query, the first index of the smallest |projected[rows[q]] + shifts[q]|
-    and that value: the first nonnegative entry or the one before it (ties to
-    the smaller), moved back to the first entry with the same shifted value."""
-    p = projected.shape[1]
-    at = _first_at_least(projected, rows, shifts, 0.0, np.full(rows.size, p))
-    left, right = np.maximum(at - 1, 0), np.minimum(at, p - 1)
-    left_abs = np.abs(projected[rows, left] + shifts)
-    index = np.where(left_abs <= np.abs(projected[rows, right] + shifts), left, right)
-    values = projected[rows, index] + shifts
-    return _first_at_least(projected, rows, shifts, values, index), np.abs(values)
-
-
 def estimate_cqc_many(contrast: ContrastFit, grid, y0s, xs):
     """Batched inversion over query pairs (y0s[q], xs[q]).
 
@@ -297,43 +270,26 @@ def estimate_cqc_many(contrast: ContrastFit, grid, y0s, xs):
     grid indices, residuals |projected value|), empty for no queries.
 
     ``contrast.profile_many`` evaluates one row per run of equal consecutive
-    covariate rows, at the run's first query. Two routes invert them:
-
-    - Per row: a run of one query, or a run whose row holds a non-finite
-      value (re-evaluated one row per query). ``isotonic.zero_crossing``
-      finds each crossing with the bits of projecting the row.
-    - Shared: the other runs. Their queries' profiles differ from the first
-      one's by the constant ``contrast.y0_terms`` difference, and projection
-      commutes with adding a constant (Robertson, Wright & Dykstra 1988,
-      ch. 1), so the row is projected once (``pava_project``) and each query
-      bisects the shifted projection. That is the per-row route up to
-      rounding in the shift, and bit for bit when the shifted rows are exact.
+    covariate rows, at the run's first query. The other queries of a run
+    differ from it by the constant ``contrast.y0_terms`` difference, and
+    projection commutes with adding a constant (Robertson, Wright & Dykstra
+    1988, ch. 1), so ``isotonic.zero_crossing`` inverts every query from its
+    run's row and that shift, with the bits of projecting the shifted row
+    when the shift is exact.
     """
     grid = _check_grid(grid)
     y0s, xs = _queries(y0s, xs)
     first, run = _runs(xs)
-    if isinstance(first, slice):  # no two consecutive queries share a row
-        indices, residuals = zero_crossing(contrast.profile_many(y0s, grid, xs))
-        return grid[indices], indices, residuals
     rows = contrast.profile_many(y0s[first], grid, xs[first])
-    sizes = np.diff(np.r_[first, y0s.size])
-    shared = (sizes > 1) & np.isfinite(rows).all(axis=1)
-    indices = np.empty(y0s.size, dtype=np.intp)
-    residuals = np.empty(y0s.size)
-    own = np.flatnonzero(~shared[run])
-    table = rows[run[own]]
-    fresh = sizes[run[own]] > 1
-    if fresh.any():
-        table[fresh] = contrast.profile_many(y0s[own[fresh]], grid, xs[own[fresh]])
-    indices[own], residuals[own] = zero_crossing(table)
-    if shared.any():
-        members = np.flatnonzero(shared[run])
-        terms = contrast.y0_terms(y0s[members], xs[members])
-        local = (np.cumsum(shared) - 1)[run[members]]  # each member's row of the projection
-        heads = np.searchsorted(members, first[shared])  # each shared run's first member
-        shifts = terms - terms[heads][local]
-        projected = pava_project(rows[shared]).projected
-        indices[members], residuals[members] = _shifted_crossings(projected, local, shifts)
+    shifts = None
+    if isinstance(run, slice):  # every query is a run of one
+        run = None
+    else:
+        shared = np.flatnonzero(np.diff(np.r_[first, y0s.size])[run] > 1)
+        terms = contrast.y0_terms(y0s[shared], xs[shared])
+        shifts = np.zeros(y0s.size)
+        shifts[shared] = terms - terms[np.searchsorted(shared, first[run[shared]])]
+    indices, residuals = zero_crossing(rows, run, shifts)
     return grid[indices], indices, residuals
 
 
@@ -384,7 +340,7 @@ def cqc_to_cqte(fit: CqcFit, arm0_quantile, alphas, xs) -> np.ndarray:
     (len(alphas), len(xs)) result is g_hat at y0 = the alphas[i]-quantile at
     xs[k], minus y0. All cells are estimated in one ``fit`` call in x-major
     order, so each x's levels form one run of equal covariate rows, which
-    ``estimate_cqc_many`` inverts from one projected profile row.
+    ``estimate_cqc_many`` inverts from one profile row.
     """
     alphas = np.asarray(alphas, dtype=float).reshape(-1)
     if not np.all((alphas > 0.0) & (alphas < 1.0)):

@@ -8,7 +8,7 @@ from cqcbench.estimator import build_grid, fit_contrast
 from cqcbench.isotonic import pava_project
 from cqcbench.kernels import KernelSpec
 from cqcbench.nuisance import Dataset, make_split
-from cqcbench.simlab import DgpSpec, sample_dgp, truth
+from cqcbench.simlab import DgpSpec, sample_dgp, sample_holdout, truth
 
 NK = KernelSpec("gaussian", 0.1)
 OK = KernelSpec("gaussian", 0.15)
@@ -128,3 +128,25 @@ def test_separate_predictor_reads_f0_at_tied_jumps_and_beyond_both_ends():
     batch = SeparateEstimator(NK).fit(data, seed=0)(y0s, xs)
     expected = [separate_plugin_cqc(data, NK, float(y0), x) for y0, x in zip(y0s, xs)]
     assert batch.tolist() == expected
+
+
+@pytest.mark.parametrize("estimator", [
+    DrEstimator(NK, OK, cross_fit=False), DrEstimator(NK, OK, cross_fit=True),
+    IpwEstimator(NK, OK, cross_fit=False), IpwEstimator(NK, OK, cross_fit=True),
+    SeparateEstimator(NK),
+], ids=["dr", "dr-cross-fit", "ipw", "ipw-cross-fit", "separate"])
+def test_outcome_scaling_by_a_power_of_two_scales_estimates_exactly(estimator):
+    # Scaling outcomes by 2^k leaves every indicator, weight and CDF value
+    # unchanged and scales the grid exactly, so fit(2^k y)(2^k y0, x) is
+    # 2^k fit(y)(y0, x) bit for bit. Queries: distinct x rows, then runs of
+    # nine y0 levels at each of three x rows.
+    spec = DgpSpec("illustrative", gamma=4.0)
+    data = sample_dgp(spec, 400, seed=5)
+    y0s, xs = sample_holdout(spec, 40, seed=6)
+    y0s = np.r_[y0s, np.tile(np.linspace(-1.0, 3.0, 9), 3)]
+    xs = np.r_[xs, np.repeat([[0.2], [0.5], [0.8]], 9, axis=0)]
+    g_hat = estimator.fit(data, seed=5)(y0s, xs)
+    for k in (-3, -1, 1, 5):
+        scaled = Dataset(data.y * 2.0**k, data.x, data.a)
+        g_scaled = estimator.fit(scaled, seed=5)(y0s * 2.0**k, xs)
+        assert g_scaled.tobytes() == (g_hat * 2.0**k).tobytes()

@@ -4,13 +4,14 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cqcbench import isotonic
 from cqcbench.isotonic import pava_project, zero_crossing
 
 from isotonic_oracle import dp_isotonic_fit, numpy_stack_pava
+from test_estimator import near_tie_rows
 
 
 def test_already_isotonic_is_unchanged():
@@ -231,8 +232,8 @@ def test_zero_crossing_sends_a_window_it_cannot_bound_to_pava(monkeypatch):
     # left of the window is patched to fail it.
     windows = isotonic._windows
 
-    def unbounded(rows, tol):
-        lo, hi, ceiling, floor, certified = windows(rows, tol)
+    def unbounded(*args):
+        lo, hi, ceiling, floor, certified = windows(*args)
         return lo, hi, np.full_like(ceiling, np.inf), floor, certified
 
     monkeypatch.setattr(isotonic, "_windows", unbounded)
@@ -241,6 +242,84 @@ def test_zero_crossing_sends_a_window_it_cannot_bound_to_pava(monkeypatch):
     indices, residuals = zero_crossing(table)
     assert len(calls) == 1 and calls[0].tobytes() == table[:1].tobytes()
     assert_matches_per_row_reference(table, indices, residuals)
+
+
+def record_windows(monkeypatch):
+    """Patch ``_windows`` to keep what it returns, one tuple per row block."""
+    seen = []
+    windows = isotonic._windows
+
+    def recorded(*args):
+        seen.append(windows(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(isotonic, "_windows", recorded)
+    return seen
+
+
+# Quarter levels keep quarter rows exact when shifted; 0.1 k is not dyadic,
+# so shifted block means round, and two of them can round to one value.
+SHIFTS = st.sampled_from((-2.0, -1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0, 2.0)) | st.integers(
+    -20, 20).map(lambda k: 0.1 * k)
+
+
+@st.composite
+def shifted_queries(draw):
+    """(rows, run, shifts): each near-tie row read by a run of 1-4 queries."""
+    p = draw(st.integers(1, 14))
+    sizes = draw(st.lists(st.integers(1, 4), max_size=5))
+    rows = np.array([draw(near_tie_rows(p)) for _ in sizes]).reshape(len(sizes), p)
+    run = np.repeat(np.arange(len(sizes)), sizes)
+    shifts = np.array(draw(st.lists(SHIFTS, min_size=run.size, max_size=run.size)), dtype=float)
+    return rows, run, shifts
+
+
+# The first row's blocks 2^-61 and 2^-60 both round to -1 when shifted by -1,
+# so that query's answer is the first of them; shifted by -1e20, every value
+# of [0, 1, 4.5, 4.5] rounds to -1e20, including those left of its window, so
+# that query fails its window's bound and its row goes to pava_project.
+ROUNDING_TIES = (np.array([[2.0**-61, 2.0**-60, 3.0, 2.5], [0.0, 1.0, 5.0, 4.0]]),
+                 np.array([0, 0, 1]), np.array([0.0, -1.0, -1e20]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=shifted_queries())
+@example(case=(np.empty((0, 3)), np.empty(0, dtype=int), np.empty(0)))
+@example(case=ROUNDING_TIES)
+def test_zero_crossing_of_shifted_queries_matches_projecting_each_row(case):
+    rows, run, shifts = case
+    with pytest.MonkeyPatch.context() as patch:
+        calls, windows = count_pava_rows(patch), record_windows(patch)
+        indices, residuals = zero_crossing(rows, run, shifts)
+    with np.errstate(invalid="ignore"):
+        shifted = [np.abs(numpy_stack_pava(rows[r]) + d) for r, d in zip(run, shifts)]
+    for q, values in enumerate(shifted):
+        at = np.argmin(values)
+        assert indices[q] == at and residuals[q].tobytes() == values[at].tobytes()
+    # Windows serve the finite rows with a descent, in order. Rows with a
+    # descent that they do not certify, and rows of queries whose shifted
+    # bounds do not clear the window's smallest |value|, go to one pava call.
+    descent = np.any(rows[:, :-1] > rows[:, 1:], axis=1)
+    search = np.flatnonzero(descent & np.isfinite(rows).all(axis=1))
+    lo, hi, ceiling, floor, certified = map(np.concatenate, zip(*windows or [[np.empty(0)] * 5]))
+    assert lo.size == search.size
+    certified = certified.astype(bool)  # float when no row had a window
+    sent = set(np.flatnonzero(descent)) - set(search[certified])
+    for r, start, end, top, bottom in zip(search[certified], lo[certified], hi[certified],
+                                          ceiling[certified], floor[certified]):
+        for q in np.flatnonzero(run == r):
+            best = shifted[q][start:end].min()
+            if not (top + shifts[q] < -best and bottom + shifts[q] > best):
+                sent.add(r)
+    assert len(calls) == 1 and calls[0].shape == (len(sent), rows.shape[1])
+    assert calls[0].tobytes() == rows[sorted(sent)].tobytes()
+
+
+def test_zero_crossing_answers_a_rounding_tie_in_its_window(monkeypatch):
+    calls = count_pava_rows(monkeypatch)
+    indices, residuals = zero_crossing(*ROUNDING_TIES)
+    assert indices.tolist() == [0, 0, 0] and residuals.tolist() == [2.0**-61, 1.0, 1e20]
+    assert len(calls) == 1 and calls[0].tobytes() == ROUNDING_TIES[0][1:].tobytes()
 
 
 def test_zero_crossing_rejects_non_table_input():
