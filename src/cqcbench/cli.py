@@ -229,35 +229,32 @@ def ingest_csv(path: str) -> Dataset:
             raise DataError(
                 f"{path}: covariate columns must be named x1..xd, got {x_names}"
             )
-        x_cols = [columns[name] for name in expected]
-        ys, arms, xs, bad = [], [], [], []
+        fields = [columns[name] for name in ("y", "a", *expected)]
+        records, bad = [], []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 bad.append((lineno, "wrong field count"))
                 continue
             try:
-                y = float(row[columns["y"]])
-                a = float(row[columns["a"]])
-                x = [float(row[i]) for i in x_cols]
+                record = [float(row[i]) for i in fields]  # y, a, x1..xd
             except ValueError:
                 bad.append((lineno, "non-numeric field"))
                 continue
-            if not (math.isfinite(y) and all(math.isfinite(v) for v in x) and math.isfinite(a)):
+            if not all(map(math.isfinite, record)):
                 bad.append((lineno, "non-finite field"))
                 continue
-            if a not in (0.0, 1.0):
+            if record[1] not in (0.0, 1.0):
                 bad.append((lineno, f"non-binary a={row[columns['a']]}"))
                 continue
-            ys.append(y)
-            arms.append(int(a))
-            xs.append(x)
+            records.append(record)
         if bad:
             detail = "; ".join(f"line {lineno}: {why}" for lineno, why in bad[:5])
             more = "" if len(bad) <= 5 else f" (+{len(bad) - 5} more)"
             raise DataError(f"{path}: rejected rows: {detail}{more}")
-        if not ys:
+        if not records:
             raise DataError(f"{path}: no data rows")
-    return _checked_input(path, Dataset, np.array(ys), np.array(xs), np.array(arms))
+    table = np.array(records)  # the copies keep y and x C-contiguous
+    return _checked_input(path, Dataset, table[:, 0].copy(), table[:, 2:].copy(), table[:, 1])
 
 
 def _checked_input(path: str, step, *args):

@@ -270,26 +270,24 @@ def estimate_cqc_many(contrast: ContrastFit, grid, y0s, xs):
     grid indices, residuals |projected value|), empty for no queries.
 
     ``contrast.profile_many`` evaluates one row per run of equal consecutive
-    covariate rows, at the run's first query. The other queries of a run
-    differ from it by the constant ``contrast.y0_terms`` difference, and
-    projection commutes with adding a constant (Robertson, Wright & Dykstra
-    1988, ch. 1), so ``isotonic.zero_crossing`` inverts every query from its
-    run's row and that shift, with the bits of projecting the shifted row
-    when the shift is exact.
+    covariate rows, at the run's first query. Every query of a run differs
+    from it by its ``contrast.y0_terms`` minus the first query's, a constant
+    that is exactly 0.0 for the first query, and projection commutes with
+    adding a constant (Robertson, Wright & Dykstra 1988, ch. 1), so
+    ``isotonic.zero_crossing`` inverts every query from its run's row and
+    that shift, with the bits of projecting the shifted row when the shift
+    is exact. A batch whose runs are all of one query needs no shift and no
+    ``y0_terms`` call.
     """
     grid = _check_grid(grid)
     y0s, xs = _queries(y0s, xs)
     first, run = _runs(xs)
     rows = contrast.profile_many(y0s[first], grid, xs[first])
-    shifts = None
     if isinstance(run, slice):  # every query is a run of one
-        run = None
+        indices, residuals = zero_crossing(rows)
     else:
-        shared = np.flatnonzero(np.diff(np.r_[first, y0s.size])[run] > 1)
-        terms = contrast.y0_terms(y0s[shared], xs[shared])
-        shifts = np.zeros(y0s.size)
-        shifts[shared] = terms - terms[np.searchsorted(shared, first[run[shared]])]
-    indices, residuals = zero_crossing(rows, run, shifts)
+        terms = contrast.y0_terms(y0s, xs)
+        indices, residuals = zero_crossing(rows, run, terms - terms[first][run])
     return grid[indices], indices, residuals
 
 
@@ -332,40 +330,42 @@ def fit_cqc(
     return CqcFit(contrast, build_grid(dataset, grid_count))
 
 
+def _gap_table(fit: CqcFit, y0s: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """g_hat - y0 for an (n_x, k) table of y0, row i at xs[i], as a C-ordered (k, n_x) array.
+
+    One x-major ``fit`` call makes each row one run of equal covariate rows,
+    which ``estimate_cqc_many`` inverts from one profile row and a shift per
+    y0: memory O(n_x p + (n_x + L) n + n_x k) for grid size p, n regression
+    rows and L distinct y0, with no (cells, p) table. An overflowing gap is
+    inf, for the caller to report.
+    """
+    g_hat = fit(y0s.reshape(-1), np.repeat(xs, y0s.shape[1], axis=0))
+    with np.errstate(over="ignore"):
+        return np.ascontiguousarray((g_hat.reshape(y0s.shape) - y0s).T)
+
+
 def cqc_to_cqte(fit: CqcFit, arm0_quantile, alphas, xs) -> np.ndarray:
     """Quantile treatment effects over (alphas[i], xs[k]) via the estimated outcome map.
 
     ``arm0_quantile(alphas, x)`` supplies the untreated conditional quantiles
-    (fitted or exact) at every level for one covariate row. Cell [i, k] of the
-    (len(alphas), len(xs)) result is g_hat at y0 = the alphas[i]-quantile at
-    xs[k], minus y0. All cells are estimated in one ``fit`` call in x-major
-    order, so each x's levels form one run of equal covariate rows, which
-    ``estimate_cqc_many`` inverts from one profile row.
+    (fitted or exact) at every level for one covariate row, called once per
+    row. Cell [i, k] of the (len(alphas), len(xs)) result is g_hat at y0 =
+    the alphas[i]-quantile at xs[k], minus y0, from ``_gap_table``.
     """
     alphas = np.asarray(alphas, dtype=float).reshape(-1)
     if not np.all((alphas > 0.0) & (alphas < 1.0)):
         raise ValueError("alpha must lie in (0, 1)")
     xs = as_rows(xs)
     y0s = np.array([arm0_quantile(alphas, x) for x in xs], dtype=float)
-    y0s = y0s.reshape(xs.shape[0], alphas.size)
-    g_hat = fit(y0s.reshape(-1), np.repeat(xs, alphas.size, axis=0))
-    with np.errstate(over="ignore"):  # an overflowing gap is inf, for the caller to report
-        return (g_hat.reshape(y0s.shape) - y0s).T
+    return _gap_table(fit, y0s.reshape(xs.shape[0], alphas.size), xs)
 
 
 def surface_eval(fit: CqcFit, y_grid, x_grid) -> np.ndarray:
-    """Treated-minus-untreated gap over a (y, x) grid, row-major in y.
-
-    All cells are estimated in one ``fit`` call in x-major order, so each x
-    column is one run of equal covariate rows: ``estimate_cqc_many`` projects
-    one profile row per column and shifts it per y value. Memory is
-    O(n_x p + (n_x + n_y) n + n_x n_y) for grid size p and n regression rows,
-    with no (cells, p) table.
-    """
+    """Treated-minus-untreated gap over a (y, x) grid, row-major in y: cell
+    [i, k] is g_hat(y_grid[i] | x_grid[k]) - y_grid[i], from ``_gap_table``
+    with the y axis at every x."""
     ys = np.asarray(y_grid, dtype=float).reshape(-1)
     xs = as_rows(x_grid)
     if ys.size == 0 or xs.shape[0] == 0:
         raise ValueError("surface grids must be nonempty")
-    g_hat = fit(np.tile(ys, xs.shape[0]), np.repeat(xs, ys.size, axis=0))
-    with np.errstate(over="ignore"):  # an overflowing gap is inf, for the caller to report
-        return np.ascontiguousarray((g_hat.reshape(xs.shape[0], ys.size) - ys).T)
+    return _gap_table(fit, np.broadcast_to(ys, (xs.shape[0], ys.size)), xs)

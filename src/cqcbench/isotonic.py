@@ -158,9 +158,11 @@ def zero_crossing(rows, run=None, shifts=None) -> tuple[np.ndarray, np.ndarray]:
     for bit. A query's answer lies in the window when its shifted projection
     left of lo and from hi on is bounded away from zero by more than the
     window's smallest shifted |value|; float addition is monotone, so the
-    shifted bounds need no further tolerance. Rows failing a window bound or
-    holding a non-finite value, and rows of queries failing their own bound,
-    go to one ``pava_project`` call, made even when it has no rows.
+    shifted bounds need no further tolerance. A window's answers go straight
+    into the result; a query left at index -1 is read from the fallback.
+    Rows failing a window bound, holding a non-finite value or serving a
+    non-finite shift, and rows of queries failing their own bound, go to one
+    ``pava_project`` call, made even when it has no rows.
     """
     v = np.asarray(rows, dtype=float)
     if v.ndim != 2 or v.shape[1] == 0:
@@ -175,15 +177,17 @@ def zero_crossing(rows, run=None, shifts=None) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(over="ignore"):
         abs_sum = np.abs(v[descent]).sum(axis=1)
     # The stack's partial sums c * mean stay below 2 * sum|v|, so these rows
-    # cannot overflow; NaN and inf rows fail the test as well.
+    # cannot overflow; NaN and inf rows fail the test as well. A non-finite
+    # shift has no crossing to search for, so its row fails too.
     finite = abs_sum <= np.finfo(float).max / 2
+    finite &= np.isfinite(top[descent]) & np.isfinite(bottom[descent])
     search = descent[finite]
     # |computed - exact| for any block mean, from the sequential suffix sums
     # (about p * eps * sum|v|) or from the stack's merges (about
     # 1.5 * eps * sum|v|), plus underflow; doubled for safety.
     eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
     tol = 2.0 * (p + 3) * (eps * abs_sum[finite] + tiny)
-    answered = []  # (query, index, residual) where the window's bounds hold
+    indices, residuals = np.full(run.size, -1, dtype=np.intp), np.empty(run.size)
     first_query, deltas = bounds.tolist(), shifts.tolist()
     step = max(1, _BLOCK_VALUES // (p + 1))
     for first in range(0, search.size, step):
@@ -207,12 +211,8 @@ def zero_crossing(rows, run=None, shifts=None) -> tuple[np.ndarray, np.ndarray]:
                         b -= 1  # as is each before it whose shifted mean rounds equal
                 best = abs(means[b] + d)
                 if top_left + d < -best and bottom_right + d > best:
-                    answered.append((q, firsts[b], best))
-    indices, residuals = np.zeros(run.size, dtype=np.intp), np.empty(run.size)
-    done, at, best = zip(*answered) if answered else ((),) * 3
-    done = np.array(done, dtype=np.intp)
-    indices[done], residuals[done] = at, best
-    pending = np.flatnonzero(np.bincount(done, minlength=run.size) == 0)
+                    indices[q], residuals[q] = firsts[b], best
+    pending = np.flatnonzero(indices < 0)  # queries no window answered
     needed, slot = np.unique(run[pending], return_inverse=True)
     table = v[needed]
     sent = has_descent[needed]

@@ -150,3 +150,37 @@ def test_outcome_scaling_by_a_power_of_two_scales_estimates_exactly(estimator):
         scaled = Dataset(data.y * 2.0**k, data.x, data.a)
         g_scaled = estimator.fit(scaled, seed=5)(y0s * 2.0**k, xs)
         assert g_scaled.tobytes() == (g_hat * 2.0**k).tobytes()
+
+
+SCALED_ESTIMATORS = {
+    "dr": lambda nk, ok: DrEstimator(nk, ok, cross_fit=False),
+    "dr-cross-fit": lambda nk, ok: DrEstimator(nk, ok, cross_fit=True),
+    "ipw": lambda nk, ok: IpwEstimator(nk, ok, cross_fit=False),
+    "ipw-cross-fit": lambda nk, ok: IpwEstimator(nk, ok, cross_fit=True),
+    "separate": lambda nk, ok: SeparateEstimator(nk),
+}
+
+
+@pytest.mark.parametrize("family, kernel, bandwidths", [
+    ("illustrative", "gaussian", (0.1, 0.15)), ("illustrative", "box", (0.1, 0.15)),
+    ("tendim", "gaussian", (0.8, 1.5)), ("tendim", "box", (1.8, 2.2)),
+])
+@pytest.mark.parametrize("name", list(SCALED_ESTIMATORS))
+def test_covariate_and_bandwidth_scaling_by_a_power_of_two_keeps_estimates_exactly(
+        name, family, kernel, bandwidths):
+    # Scaling covariates and both bandwidths by 2^k scales every squared
+    # distance and h^2 by 4^k exactly, so every kernel value, and so every
+    # estimate, keeps its bits. Queries: distinct x rows, then runs of nine
+    # y0 levels at each of three x rows.
+    spec = DgpSpec(family, gamma=1.0, seed=3) if family == "tendim" else DgpSpec(family, gamma=4.0)
+    data = sample_dgp(spec, 600, seed=5)
+    y0s, xs = sample_holdout(spec, 60, seed=6)
+    y0s = np.r_[y0s, np.tile(np.linspace(*np.percentile(data.y, [10, 90]), 9), 3)]
+    xs = np.r_[xs, np.repeat(xs[:3], 9, axis=0)]
+    make = SCALED_ESTIMATORS[name]
+    nk, ok = (KernelSpec(kernel, h) for h in bandwidths)
+    g_hat = make(nk, ok).fit(data, seed=5)(y0s, xs)
+    for k in (-3, 1, 2):
+        nk, ok = (KernelSpec(kernel, h * 2.0**k) for h in bandwidths)
+        scaled = Dataset(data.y, data.x * 2.0**k, data.a)
+        assert make(nk, ok).fit(scaled, seed=5)(y0s, xs * 2.0**k).tobytes() == g_hat.tobytes()

@@ -673,6 +673,43 @@ def test_surface_csv_is_the_estimators_surface(tmp_path, pseudo, estimator, cros
     assert (tmp_path / "surface.csv").read_text() == "\n".join(lines) + "\n"
 
 
+@pytest.mark.parametrize("seed", [0, 7, 13])
+def test_outcome_scaling_by_a_power_of_two_scales_surface_and_cqte_exactly(tmp_path, seed):
+    # Scaling the y column by 2^k leaves every indicator, weight and CDF value
+    # unchanged and scales the grid, the data's range and linspace exactly, so
+    # the y axis and every cell scale by 2^k; the x and alpha columns keep
+    # their bits. An explicit y axis is scaled with the data.
+    data = sample_dgp(DgpSpec("illustrative", gamma=2.0), 300, seed)
+    flags = ["--bandwidth-nuisance", "0.15", "--bandwidth-outer", "0.25", "--seed", str(seed),
+             "--x-grid", "4"]
+
+    def tables(scale):
+        path = str(tmp_path / f"data-{scale!r}.csv")
+        write_dataset_csv(Dataset(data.y * scale, data.x, data.a), path)
+        commands = {
+            "surface-n": ["surface", "--y-grid", "7"],
+            "surface-explicit": ["surface", f"--y-grid={-scale!r}:{2.0 * scale!r}:7"],
+            "cqte": ["cqte", "--alphas", "0.1,0.5,0.9"],
+        }
+        out = {}
+        for name, argv in commands.items():
+            target = tmp_path / f"{name}-{scale!r}"
+            assert main([*argv, "--input", path, "--out", str(target), *flags]) == 0
+            csv_path = target / ("cqte.csv" if name == "cqte" else "surface.csv")
+            header = csv_path.read_text().splitlines()[0]
+            out[name] = header, np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+        return out
+
+    base = tables(1.0)
+    for k in (1, -2, 3):
+        scale = 2.0**k
+        for name, (header, table) in tables(scale).items():
+            fixed = 2 if name == "cqte" else 0  # the alpha and x columns
+            assert header == base[name][0]  # a surface header holds the x values
+            assert table[:, :fixed].tobytes() == base[name][1][:, :fixed].tobytes()
+            assert table[:, fixed:].tobytes() == (base[name][1][:, fixed:] * scale).tobytes()
+
+
 @pytest.mark.parametrize("pseudo, code", [("ipw", 3), ("dr", 0)])
 def test_cli_asserts_monotone_profiles_for_ipw_only(tmp_path, capsys, monkeypatch, pseudo, code):
     def descending(self, y0s, grid, xs):

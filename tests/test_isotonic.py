@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -320,6 +321,24 @@ def test_zero_crossing_answers_a_rounding_tie_in_its_window(monkeypatch):
     indices, residuals = zero_crossing(*ROUNDING_TIES)
     assert indices.tolist() == [0, 0, 0] and residuals.tolist() == [2.0**-61, 1.0, 1e20]
     assert len(calls) == 1 and calls[0].tobytes() == ROUNDING_TIES[0][1:].tobytes()
+
+
+def test_zero_crossing_sends_runs_with_non_finite_shifts_to_pava_without_warnings(monkeypatch):
+    # A non-finite shift has no crossing to search for: its whole row goes to
+    # pava_project, with no numpy warning, and every query of that row still
+    # gets the reference answer.
+    calls = count_pava_rows(monkeypatch)
+    rows = np.array([[-1.0, -0.5, 0.5, 0.25, -0.25, 1.0, 2.0]] * 5)
+    run = np.array([0, 0, 1, 1, 2, 2, 3, 3, 3, 4])
+    shifts = np.array([0.0, np.inf, 0.0, -np.inf, np.nan, 0.5, -0.25, np.inf, -np.inf, 0.25])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        indices, residuals = zero_crossing(rows, run, shifts)
+    for q, (r, d) in enumerate(zip(run, shifts)):
+        values = np.abs(numpy_stack_pava(rows[r]) + d)
+        at = np.argmin(values)
+        assert indices[q] == at and residuals[q].tobytes() == values[at].tobytes()
+    assert len(calls) == 1 and calls[0].tobytes() == rows[:4].tobytes()
 
 
 def test_zero_crossing_rejects_non_table_input():
