@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .estimator import CqcFit, build_grid, fit_cqc, fit_oracle_contrast
+from .estimator import CqcFit, _queries, build_grid, fit_cqc, fit_oracle_contrast
 from .kernels import KernelSpec
 from .nuisance import CcdfEvaluator, Dataset, step_quantile
 from .pseudo import PseudoOutcomeKind
@@ -28,7 +28,7 @@ class _SeparatePredictor:
         self.ccdf = ccdf
 
     def __call__(self, y0s, xs) -> np.ndarray:
-        y0s = np.asarray(y0s, dtype=float).reshape(-1)
+        y0s, xs = _queries(y0s, xs)
         # F0(y0s[q] | xs[q]) as cdf_table gathers it: row q's running arm-0
         # weight at the last jump point <= y0s[q], 0 before the first.
         cums0 = np.cumsum(self.ccdf.weight_matrix(0, xs), axis=1)

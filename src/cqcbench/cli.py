@@ -201,10 +201,10 @@ def _axis(spec, values: np.ndarray) -> np.ndarray:
 def ingest_csv(path: str) -> Dataset:
     """Read a dataset CSV with columns y, a, x1..xd (d inferred from header).
 
-    A leading UTF-8 byte-order mark is skipped. A header naming a column
-    twice is rejected. Rows with missing, non-numeric, or non-finite fields,
-    or with a treatment value other than 0/1, are rejected with their file
-    line numbers.
+    A leading UTF-8 byte-order mark and blank lines are skipped. A header
+    naming a column twice is rejected. Rows with missing, non-numeric, or
+    non-finite fields, or with a treatment value other than 0/1, are rejected
+    with their file line numbers.
     """
     try:
         fh = open(path, newline="", encoding="utf-8-sig")
@@ -232,6 +232,8 @@ def ingest_csv(path: str) -> Dataset:
         fields = [columns[name] for name in ("y", "a", *expected)]
         records, bad = [], []
         for lineno, row in enumerate(reader, start=2):
+            if not row:  # a blank line
+                continue
             if len(row) != len(header):
                 bad.append((lineno, "wrong field count"))
                 continue

@@ -28,15 +28,10 @@ _MONOTONE_TOL = 1e-9
 
 
 def _runs(xs: np.ndarray):
-    """(first row of each run of equal consecutive rows, each row's run index).
-
-    Both are ``slice(None)`` when every row differs from the one before it,
-    so that indexing with them copies nothing.
-    """
-    starts = np.any(xs[1:] != xs[:-1], axis=1)
-    if starts.all():
-        return slice(None), slice(None)
-    return np.flatnonzero(np.r_[True, starts]), np.cumsum(np.r_[0, starts])
+    """(first row of each run of equal consecutive rows, each row's run index),
+    as index arrays; both are empty for no rows."""
+    starts = np.r_[True, np.any(xs[1:] != xs[:-1], axis=1)][: xs.shape[0]]
+    return np.flatnonzero(starts), np.cumsum(starts) - 1
 
 
 _ZERO_PLUG_INS = (lambda *_: 0.0,) * 2  # an IPW replicate's F1 mix and F0 table
@@ -73,24 +68,23 @@ class _ContrastReplicate:
         self._mix1, self._table0 = nuisance.ccdf.plug_ins(data2.x, *given) if dr else _ZERO_PLUG_INS
 
     def profile_many(self, y0s: np.ndarray, grid: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        """Contrast profiles h_hat(y0s[q], grid[l] | xs[q]) as an (m, p) table.
+        """Contrast profiles h_hat(y0s[q], grid[l] | xs[q]) as an (m, p) table,
+        one row per query (``estimate_cqc_many`` passes one query per run).
 
         The treated-indicator term sum_j w_j a_j c_j 1{y_j <= grid[l]} is a
-        prefix sum over the treated rows in outcome order. It and the DR F1
-        term depend on x only, so they are computed once per run of equal
-        consecutive rows of ``xs``; only the y0 term is computed per query.
-        The table is a fresh array, which ``ContrastFit`` averages in place.
+        prefix sum over the treated rows in outcome order. The table is a
+        fresh array, which ``ContrastFit`` averages in place.
         """
         d2 = self.data2
-        first, run = _runs(xs)
-        w_out = nw_weight_matrix(self.outer_kernel, xs[first], d2.x)
+        w_out = nw_weight_matrix(self.outer_kernel, xs, d2.x)
         rows1 = self._treated
-        x_part = prefix_gather(w_out[:, rows1] * self._c[rows1], d2.y[rows1], grid)
+        table = prefix_gather(w_out[:, rows1] * self._c[rows1], d2.y[rows1], grid)
         # sum_j w_j (1 - a_j c_j) F1(grid | x_j): the F1 part of the treated
         # term, -a_j c_j F1, merged with the DR correction's +F1.
-        x_part += self._mix1(w_out * (1.0 - self._a * self._c), grid)
-        s0 = np.einsum("qj,jq->q", w_out[run], self._t0(y0s))
-        return x_part[run] + s0[:, None]
+        table += self._mix1(w_out * (1.0 - self._a * self._c), grid)
+        # A fresh sum, not +=: freeing the gathered table raises glibc's mmap threshold, so later
+        # arrays of its size reuse heap pages (+= cost csv-surface-cqte 10%, 2-core x86-64 VM).
+        return table + np.einsum("qj,jq->q", w_out, self._t0(y0s))[:, None]
 
     def _t0(self, y0s: np.ndarray) -> np.ndarray:
         """The (n, len(y0s)) table of each regression row's y0 summand:
@@ -112,12 +106,11 @@ class _ContrastReplicate:
         weights or t0 columns is built: memory is O(runs n + levels n).
         """
         first, _ = _runs(xs)
-        starts = np.arange(y0s.size)[first]
         w_out = nw_weight_matrix(self.outer_kernel, xs[first], self.data2.x)
         levels, level = np.unique(y0s, return_inverse=True)
         t0 = self._t0(levels)
         terms = np.empty(y0s.size)
-        for w, lo, hi in zip(w_out, starts, np.r_[starts[1:], y0s.size]):
+        for w, lo, hi in zip(w_out, first, np.r_[first[1:], y0s.size]):
             terms[lo:hi] = w @ np.take(t0, level[lo:hi], axis=1)
         return terms
 
@@ -156,11 +149,14 @@ class ContrastFit:
 
 
 def _queries(y0s, xs):
-    """Query pairs (y0s[q], xs[q]) as a float vector and (m, d) rows."""
+    """Query pairs (y0s[q], xs[q]) as a float vector and (m, d) rows, with no NaN."""
     y0s = np.asarray(y0s, dtype=float).reshape(-1)
     xs = as_rows(xs)
     if xs.shape[0] != y0s.size:
         raise ValueError("y0s and xs must pair up one query per row")
+    nan = np.isnan(y0s) | np.isnan(xs).any(axis=1)
+    if nan.any():
+        raise ValueError(f"query {np.argmax(nan)} has a NaN y0 or covariate")
     return y0s, xs
 
 
@@ -269,25 +265,26 @@ def estimate_cqc_many(contrast: ContrastFit, grid, y0s, xs):
     corresponding grid end, and the argmin clamps there. Returns (g_hat,
     grid indices, residuals |projected value|), empty for no queries.
 
-    ``contrast.profile_many`` evaluates one row per run of equal consecutive
-    covariate rows, at the run's first query. Every query of a run differs
-    from it by its ``contrast.y0_terms`` minus the first query's, a constant
-    that is exactly 0.0 for the first query, and projection commutes with
-    adding a constant (Robertson, Wright & Dykstra 1988, ch. 1), so
-    ``isotonic.zero_crossing`` inverts every query from its run's row and
-    that shift, with the bits of projecting the shifted row when the shift
-    is exact. A batch whose runs are all of one query needs no shift and no
-    ``y0_terms`` call.
+    This is the one place that groups queries into runs of equal
+    consecutive covariate rows: ``contrast.profile_many`` evaluates one row
+    per run, at the run's first query. Every query of a run differs from it
+    by its ``contrast.y0_terms`` minus the first query's, a constant that is
+    exactly 0.0 for the first query, and projection commutes with adding a
+    constant (Robertson, Wright & Dykstra 1988, ch. 1), so one
+    ``isotonic.zero_crossing`` call inverts every query from its run's row
+    and that shift, with the bits of projecting the shifted row when the
+    shift is exact. A batch whose runs are all of one query needs no shift
+    and no ``y0_terms`` call.
     """
     grid = _check_grid(grid)
     y0s, xs = _queries(y0s, xs)
     first, run = _runs(xs)
     rows = contrast.profile_many(y0s[first], grid, xs[first])
-    if isinstance(run, slice):  # every query is a run of one
-        indices, residuals = zero_crossing(rows)
-    else:
+    shifts = None
+    if first.size < y0s.size:  # some run has two or more queries
         terms = contrast.y0_terms(y0s, xs)
-        indices, residuals = zero_crossing(rows, run, terms - terms[first][run])
+        shifts = terms - terms[first][run]
+    indices, residuals = zero_crossing(rows, run, shifts)
     return grid[indices], indices, residuals
 
 

@@ -130,6 +130,27 @@ def test_separate_predictor_reads_f0_at_tied_jumps_and_beyond_both_ends():
     assert batch.tolist() == expected
 
 
+@pytest.mark.parametrize("name", ["dr", "ipw", "separate", "oracle"])
+def test_every_estimator_rejects_a_nan_query_and_keeps_infinite_y0(name):
+    # A NaN y0 or covariate has no answer: every estimator rejects it,
+    # naming the first such query.
+    spec = DgpSpec("illustrative", gamma=2.0)
+    data = sample_dgp(spec, 600, seed=1)
+    nk, ok = KernelSpec("gaussian", 0.05), KernelSpec("gaussian", 0.1)
+    estimator = {
+        "dr": DrEstimator(nk, ok, cross_fit=True), "ipw": IpwEstimator(nk, ok, cross_fit=True),
+        "separate": SeparateEstimator(nk), "oracle": OracleEstimator(ok),
+    }[name]
+    predict = estimator.fit(data, seed=1, truth=truth(spec))
+    for y0s, xs in (([0.5, 0.5, np.nan], [[0.5], [0.2], [0.5]]),
+                    ([0.5, 0.5, 0.5], [[0.5], [0.2], [np.nan]])):
+        with pytest.raises(ValueError, match="query 2 has a NaN y0 or covariate"):
+            predict(y0s, xs)
+    # Infinite y0 are limits: -inf answers with the smallest treated outcome.
+    g_hat = predict([-np.inf, np.inf], [[0.5], [0.5]])
+    assert g_hat[0] == data.y[data.a == 1].min() and np.isfinite(g_hat[1])
+
+
 @pytest.mark.parametrize("estimator", [
     DrEstimator(NK, OK, cross_fit=False), DrEstimator(NK, OK, cross_fit=True),
     IpwEstimator(NK, OK, cross_fit=False), IpwEstimator(NK, OK, cross_fit=True),

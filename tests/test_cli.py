@@ -23,6 +23,7 @@ from cqcbench.cli import (
 )
 from cqcbench.baselines import DrEstimator, IpwEstimator
 from cqcbench.estimator import (
+    ContrastFit,
     _ContrastReplicate,
     build_grid,
     cross_fit_contrast,
@@ -84,6 +85,25 @@ def test_ingest_skips_utf8_byte_order_mark(tmp_path):
     marked = ingest_csv(str(tmp_path / "bom.csv"))
     for field in ("y", "x", "a"):
         assert getattr(marked, field).tobytes() == getattr(plain, field).tobytes()
+
+
+def test_ingest_skips_blank_lines_and_counts_them_in_line_numbers(tmp_path):
+    text = "y,a,x1\n1.5,1,0.2\n-0.5,0,0.9\n2.25,1,0.4\n"
+    plain = ingest_csv(write(tmp_path / "plain.csv", text))
+    variants = {
+        "end": text + "\n\n",
+        "middle": text.replace("\n-0.5", "\n\n\n-0.5"),
+        "crlf": text.replace("\n", "\r\n").replace("\r\n2.25", "\r\n\r\n2.25"),
+    }
+    for name, variant in variants.items():
+        blank = ingest_csv(write(tmp_path / f"{name}.csv", variant))
+        for field in ("y", "x", "a"):
+            got, want = getattr(blank, field), getattr(plain, field)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    # Line 3 is blank, so the short row is line 4.
+    path = write(tmp_path / "short.csv", "y,a,x1\n1.5,1,0.2\n\n-0.5,0\n")
+    with pytest.raises(DataError, match="rejected rows: line 4: wrong field count$"):
+        ingest_csv(path)
 
 
 def test_ingest_empty_file(tmp_path):
@@ -671,6 +691,45 @@ def test_surface_csv_is_the_estimators_surface(tmp_path, pseudo, estimator, cros
     lines = ["y," + ",".join(repr(float(v)) for v in x_vals)]
     lines += [repr(float(y)) + "," + ",".join(repr(float(v)) for v in row) for y, row in zip(ys, surface)]
     assert (tmp_path / "surface.csv").read_text() == "\n".join(lines) + "\n"
+
+
+def test_an_x_axis_of_equal_values_is_one_run_with_equal_columns(tmp_path, monkeypatch):
+    # Every query of a batch at one x is one run: one profile row, and each
+    # x column reads the same y0 levels, so the columns agree byte for byte.
+    data = sample_dgp(DgpSpec("illustrative", gamma=2.0), 300, 4)
+    path, flat = str(tmp_path / "data.csv"), str(tmp_path / "flat.csv")
+    write_dataset_csv(data, path)
+    write_dataset_csv(Dataset(data.y, np.full_like(data.x, 0.5), data.a), flat)
+    rows = []
+    profile_many = ContrastFit.profile_many
+
+    def counting(self, y0s, grid, xs):
+        rows.append(np.size(y0s))
+        return profile_many(self, y0s, grid, xs)
+
+    monkeypatch.setattr(ContrastFit, "profile_many", counting)
+    flags = ["--bandwidth-nuisance", "0.15", "--bandwidth-outer", "0.25", "--seed", "4"]
+    commands = {
+        "explicit": ["surface", "--input", path, "--y-grid", "5", "--x-grid", "0.5:0.5:4"],
+        "flat": ["surface", "--input", flat, "--y-grid", "5", "--x-grid", "4"],
+        "cqte": ["cqte", "--input", path, "--alphas", "0.1,0.5,0.9", "--x-grid", "0.5:0.5:4"],
+    }
+    for name, argv in commands.items():
+        out = tmp_path / name
+        assert main([*argv, "--out", str(out), *flags]) == 0
+        assert rows.pop() == 1 and not rows
+        if name == "cqte":
+            lines = (out / "cqte.csv").read_text().splitlines()[1:]
+            taus = {}
+            for line in lines:
+                alpha, x, tau = line.split(",")
+                assert x == "0.5"
+                taus.setdefault(alpha, set()).add(tau)
+            assert len(lines) == 12 and [len(t) for t in taus.values()] == [1, 1, 1]
+        else:
+            header, *lines = (out / "surface.csv").read_text().splitlines()
+            assert header == "y,0.5,0.5,0.5,0.5" and len(lines) == 5
+            assert all(len(set(line.split(",")[1:])) == 1 for line in lines)
 
 
 @pytest.mark.parametrize("seed", [0, 7, 13])
