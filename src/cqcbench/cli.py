@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import os
 import sys
@@ -72,6 +73,19 @@ _CROSS_FIT_FLAGS = {
 }
 
 
+def _read_utf8(path: str, error: type[ValueError]) -> str:
+    """The text of file ``path``, UTF-8 after any leading byte-order mark. A
+    byte that is not UTF-8 raises ``error`` naming its file line; OSError passes."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        head = raw[: exc.start]  # its line ends as universal newlines count them
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        raise error(f"{path}: line {line}: not UTF-8 ({exc.reason})") from None
+
+
 def _config_argv(parser: argparse.ArgumentParser, command: str, path: str) -> list[str]:
     """A config file's ``key = value`` lines as ``--key=value`` flags of ``command``.
 
@@ -79,8 +93,7 @@ def _config_argv(parser: argparse.ArgumentParser, command: str, path: str) -> li
     its file line and key.
     """
     try:
-        with open(path, encoding="utf-8-sig") as fh:
-            lines = fh.readlines()
+        lines = io.StringIO(_read_utf8(path, ConfigError), newline=None).readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     argv = []
@@ -105,6 +118,13 @@ def _config_argv(parser: argparse.ArgumentParser, command: str, path: str) -> li
             raise ConfigError(f"{path}:{lineno}: {key!r}: {exc}") from exc
         argv.append(flag)
     return argv
+
+
+def _path(text: str) -> str:
+    """A path flag's value: text without a NUL, which no file name can hold."""
+    if "\0" in text:
+        raise argparse.ArgumentTypeError("a path cannot contain a NUL character")
+    return text
 
 
 def _checked(convert, ok, message: str):
@@ -204,59 +224,71 @@ def ingest_csv(path: str) -> Dataset:
     A leading UTF-8 byte-order mark and blank lines are skipped. A header
     naming a column twice is rejected. Rows with missing, non-numeric, or
     non-finite fields, or with a treatment value other than 0/1, are rejected
-    with their file line numbers.
+    with the file lines they start on (a quoted field may span lines).
     """
     try:
-        fh = open(path, newline="", encoding="utf-8-sig")
+        text = _read_utf8(path, DataError)
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
+    rows = _numbered_rows(csv.reader(io.StringIO(text, newline="")), path)
+    try:
+        header = [name.strip() for name in next(rows)[1]]
+    except StopIteration:
+        raise DataError(f"{path}: empty file") from None
+    duplicates = sorted({name for name in header if header.count(name) > 1})
+    if duplicates:
+        raise DataError(f"{path}: duplicate column names {duplicates}")
+    columns = {name: i for i, name in enumerate(header)}
+    if "y" not in columns or "a" not in columns:
+        raise DataError(f"{path}: header must contain 'y' and 'a' columns")
+    x_names = [name for name in header if name.startswith("x")]
+    d = len(x_names)
+    expected = [f"x{k}" for k in range(1, d + 1)]
+    if d == 0 or sorted(x_names) != sorted(expected):
+        raise DataError(
+            f"{path}: covariate columns must be named x1..xd, got {x_names}"
+        )
+    fields = [columns[name] for name in ("y", "a", *expected)]
+    records, bad = [], []
+    for lineno, row in rows:
+        if not row:  # a blank line
+            continue
+        if len(row) != len(header):
+            bad.append((lineno, "wrong field count"))
+            continue
         try:
-            header = [name.strip() for name in next(reader)]
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        duplicates = sorted({name for name in header if header.count(name) > 1})
-        if duplicates:
-            raise DataError(f"{path}: duplicate column names {duplicates}")
-        columns = {name: i for i, name in enumerate(header)}
-        if "y" not in columns or "a" not in columns:
-            raise DataError(f"{path}: header must contain 'y' and 'a' columns")
-        x_names = [name for name in header if name.startswith("x")]
-        d = len(x_names)
-        expected = [f"x{k}" for k in range(1, d + 1)]
-        if d == 0 or sorted(x_names) != sorted(expected):
-            raise DataError(
-                f"{path}: covariate columns must be named x1..xd, got {x_names}"
-            )
-        fields = [columns[name] for name in ("y", "a", *expected)]
-        records, bad = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:  # a blank line
-                continue
-            if len(row) != len(header):
-                bad.append((lineno, "wrong field count"))
-                continue
-            try:
-                record = [float(row[i]) for i in fields]  # y, a, x1..xd
-            except ValueError:
-                bad.append((lineno, "non-numeric field"))
-                continue
-            if not all(map(math.isfinite, record)):
-                bad.append((lineno, "non-finite field"))
-                continue
-            if record[1] not in (0.0, 1.0):
-                bad.append((lineno, f"non-binary a={row[columns['a']]}"))
-                continue
-            records.append(record)
-        if bad:
-            detail = "; ".join(f"line {lineno}: {why}" for lineno, why in bad[:5])
-            more = "" if len(bad) <= 5 else f" (+{len(bad) - 5} more)"
-            raise DataError(f"{path}: rejected rows: {detail}{more}")
-        if not records:
-            raise DataError(f"{path}: no data rows")
+            record = [float(row[i]) for i in fields]  # y, a, x1..xd
+        except ValueError:
+            bad.append((lineno, "non-numeric field"))
+            continue
+        if not all(map(math.isfinite, record)):
+            bad.append((lineno, "non-finite field"))
+            continue
+        if record[1] not in (0.0, 1.0):
+            bad.append((lineno, f"non-binary a={row[columns['a']]}"))
+            continue
+        records.append(record)
+    if bad:
+        detail = "; ".join(f"line {lineno}: {why}" for lineno, why in bad[:5])
+        more = "" if len(bad) <= 5 else f" (+{len(bad) - 5} more)"
+        raise DataError(f"{path}: rejected rows: {detail}{more}")
+    if not records:
+        raise DataError(f"{path}: no data rows")
     table = np.array(records)  # the copies keep y and x C-contiguous
     return _checked_input(path, Dataset, table[:, 0].copy(), table[:, 2:].copy(), table[:, 1])
+
+
+def _numbered_rows(reader, path: str):
+    """Each row of a csv ``reader`` with the file line it starts on. A
+    ``csv.Error``, such as a field over ``csv.field_size_limit()``, is a data
+    error naming that line."""
+    lineno = reader.line_num + 1
+    try:
+        for row in reader:
+            yield lineno, row
+            lineno = reader.line_num + 1
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {lineno}: {exc}") from None
 
 
 def _checked_input(path: str, step, *args):
@@ -441,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_command(name, run, help, aliases=()):
         p = sub.add_parser(name, aliases=list(aliases), help=help)
         p.set_defaults(run=run)
-        p.add_argument("--config", help="flat key = value config file")
+        p.add_argument("--config", type=_path, help="flat key = value config file")
         p.add_argument("--seed", default=0,
                        type=_checked(int, lambda v: v >= 0, "seed must be nonnegative"))
         p.add_argument("--kernel", choices=KERNEL_FAMILIES, default="gaussian")
@@ -453,7 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", type=_grid_count, default="treated",
                        help="'treated' (every distinct treated outcome) or 'uniform:N' "
                             "(N points over the outcome range)")
-        p.add_argument("--out", help=f"output directory (default: ${OUT_DIR_ENV} or '.')")
+        p.add_argument("--out", type=_path,
+                       help=f"output directory (default: ${OUT_DIR_ENV} or '.')")
         return p
 
     p = add_command("simulate", cmd_simulate, "Monte-Carlo benchmark on a simulation DGP",
@@ -468,7 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
                    type=_checked(int, lambda v: v >= 1, "need at least 1 holdout draw"))
     p.add_argument("--estimators", type=_estimator_names, default=",".join(_ESTIMATORS),
                    help=f"comma list from {','.join(_ESTIMATORS)}")
-    p.add_argument("--dump-data", help="also write the seed replication's dataset CSV here")
+    p.add_argument("--dump-data", type=_path,
+                   help="also write the seed replication's dataset CSV here")
 
     surface = add_command("surface", cmd_surface, "fit on a CSV and write the gap surface",
                           aliases=["fit"])
@@ -477,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     cqte.add_argument("--alphas", type=_alpha_list, default="0.25,0.5,0.75",
                       help="comma list of levels in (0,1)")
     for p in (surface, cqte):
-        p.add_argument("--input")
+        p.add_argument("--input", type=_path)
         p.add_argument("--pseudo", choices=[kind.value for kind in PseudoOutcomeKind], default="dr")
         p.add_argument("--x-grid", type=_axis_spec, default="25", help="'N' or 'min:max:N'")
 

@@ -166,6 +166,31 @@ def _halves(dataset: Dataset, split) -> list:
     return [half.subset(arm_major(half)) for half in halves]
 
 
+def _fit_roles(dataset: Dataset, split, nuisance_kernel: KernelSpec, outer_kernel: KernelSpec,
+               kind, xi: float, cross_fit: bool) -> ContrastFit:
+    """Contrast fit: nuisances on half 1 (rows ``split[0]``), regression on
+    half 2, and with ``cross_fit`` the swapped roles too, evaluations averaged.
+
+    Every nuisance is an NW regression between the two halves, so one kernel
+    matrix K (regression half 2 by nuisance half 1) serves the first role,
+    and its C-ordered transpose Kt, taken before the first replicate
+    normalises K in place, has the bits of the second's: (a - b)^2 == (b - a)^2.
+    With both halves in ``arm_major`` order, the propensity reads a whole
+    matrix and each arm's weights are a column range of it, so the
+    half-by-half matrices are the fit's peak and, for DR, its fitted state;
+    a predict evaluates no nuisance kernel.
+    """
+    kind = PseudoOutcomeKind(kind)
+    d1, d2 = _halves(dataset, split)
+    roles = [(d1, d2), (d2, d1)] if cross_fit else [(d1, d2)]
+    nuisances = [fit_nuisance(train, nuisance_kernel, xi) for train, _ in roles]
+    k = kernel_matrix(nuisance_kernel, d2.x, d1.x)
+    kms = [k, transpose_strips(k)] if cross_fit else [k]
+    return ContrastFit(replicates=tuple(
+        _ContrastReplicate(nuis, regress, outer_kernel, kind, km)
+        for nuis, (_, regress), km in zip(nuisances, roles, kms)))
+
+
 def fit_contrast(
     dataset: Dataset,
     split: tuple[np.ndarray, np.ndarray],
@@ -174,17 +199,8 @@ def fit_contrast(
     kind: PseudoOutcomeKind = PseudoOutcomeKind.DR,
     xi: float = 0.05,
 ) -> ContrastFit:
-    """Single-direction contrast fit: nuisances on rows ``split[0]``, regression on ``split[1]``.
-
-    One kernel matrix between the halves gives the propensity and both arms'
-    weights, which are its column ranges since both halves are in
-    ``arm_major`` order.
-    """
-    kind = PseudoOutcomeKind(kind)
-    d1, d2 = _halves(dataset, split)
-    nuis = fit_nuisance(d1, nuisance_kernel, xi)
-    km = kernel_matrix(nuisance_kernel, d2.x, d1.x)
-    return ContrastFit(replicates=(_ContrastReplicate(nuis, d2, outer_kernel, kind, km),))
+    """``_fit_roles`` on ``split``, one role."""
+    return _fit_roles(dataset, split, nuisance_kernel, outer_kernel, kind, xi, False)
 
 
 def cross_fit_contrast(
@@ -195,26 +211,9 @@ def cross_fit_contrast(
     kind: PseudoOutcomeKind = PseudoOutcomeKind.DR,
     xi: float = 0.05,
 ) -> ContrastFit:
-    """Contrast fit averaged over the two role assignments of a random split.
-
-    Both replicates' nuisances are NW regressions between the same two halves,
-    so one kernel matrix K (regression half 2 by nuisance half 1) and its
-    C-ordered transpose Kt give the bits of ``fit_contrast`` on each role
-    assignment: (a - b)^2 == (b - a)^2. K serves the first replicate and Kt
-    the second. With both halves in ``arm_major`` order, each arm's weights
-    are a column range of its matrix, so the two half-by-half matrices are
-    the fit's peak and, for DR, its fitted state; a predict evaluates no
-    nuisance kernel.
-    """
-    kind = PseudoOutcomeKind(kind)
-    d1, d2 = _halves(dataset, make_split(dataset, seed))
-    nuis1, nuis2 = fit_nuisance(d1, nuisance_kernel, xi), fit_nuisance(d2, nuisance_kernel, xi)
-    k = kernel_matrix(nuisance_kernel, d2.x, d1.x)
-    kt = transpose_strips(k)
-    return ContrastFit(replicates=(
-        _ContrastReplicate(nuis1, d2, outer_kernel, kind, k),
-        _ContrastReplicate(nuis2, d1, outer_kernel, kind, kt),
-    ))
+    """``_fit_roles`` on ``make_split(dataset, seed)``, both roles."""
+    return _fit_roles(dataset, make_split(dataset, seed), nuisance_kernel, outer_kernel, kind, xi,
+                      True)
 
 
 def fit_oracle_contrast(dataset: Dataset, exact_nuisance, outer_kernel: KernelSpec) -> ContrastFit:

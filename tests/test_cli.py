@@ -426,16 +426,29 @@ def test_config_file_error_names_line_and_key(tmp_path, capsys, line):
     assert os.listdir(tmp_path) == ["run.cfg"]
 
 
-@pytest.mark.parametrize("text", [None, "seed 7\n"], ids=["missing-file", "line-without-equals"])
+@pytest.mark.parametrize(
+    "text",
+    [None, b"seed 7\n", b"dgp = illustrative\n\xff = 1\n", b"dump_data = a\0b.csv\n"],
+    ids=["missing-file", "line-without-equals", "not-utf8", "nul-in-path"],
+)
 def test_unreadable_config_file_is_one_line_config_error(tmp_path, capsys, text):
     cfg = tmp_path / "run.cfg"
     if text is not None:
-        cfg.write_text(text)
+        cfg.write_bytes(text)
     out = tmp_path / "out"
     assert main(["simulate", "--dgp", "illustrative", "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and str(cfg) in err and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["input", "out"])
+def test_nul_in_a_config_path_names_line_and_key(tmp_path, capsys, monkeypatch, key):
+    monkeypatch.chdir(tmp_path)
+    cfg = write(tmp_path / "run.cfg", f"input = {synthetic_csv(tmp_path, n=60)}\n{key} = a\0b\n")
+    assert main(["surface", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cfg}:2: {key!r}: ") and err.count("\n") == 1
 
 
 def _accepts(build, value) -> bool:
@@ -547,15 +560,20 @@ def test_bad_rows_are_data_error(tmp_path):
 
 @pytest.mark.parametrize(
     "text, reason",
-    [("y,a,x1\n1,1,abc\n2,0,0.5\n", "line 2: non-numeric field"),
-     ("y,a,x1\n", "no data rows"),
-     (None, "cannot open")],
-    ids=["non-numeric-field", "header-only", "missing-input"],
+    [(b"y,a,x1\n1,1,abc\n2,0,0.5\n", "line 2: non-numeric field"),
+     (b"y,a,x1\n", "no data rows"),
+     (None, "cannot open"),
+     (b"y,a,x1\n1,0,0.1\n2,1,0.\xff\n3,0,0.3\n4,1,0.4\n", "data.csv: line 3: not UTF-8"),
+     (b"y,a,x1\n1,0,0.1\n2,1,0." + b"1" * 200000 + b"\n3,0,0.3\n",
+      "data.csv: line 3: field larger than field limit"),
+     (b'y,a,x1\n"1\n",1,0.2\n2,1,0.3\n3,2,0.4\n', "rejected rows: line 5: non-binary a=2")],
+    ids=["non-numeric-field", "header-only", "missing-input", "not-utf8", "oversize-field",
+         "line-of-a-row-after-a-quoted-newline"],
 )
 def test_unreadable_input_is_one_line_data_error(tmp_path, capsys, text, reason):
     path = tmp_path / "data.csv"
     if text is not None:
-        path.write_text(text)
+        path.write_bytes(text)
     out = tmp_path / "out"
     assert main(["surface", "--input", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
