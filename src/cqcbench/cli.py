@@ -4,8 +4,9 @@ Subcommands:
 
 - ``simulate`` (alias ``benchmark``): run the Monte-Carlo benchmark on a
   simulation DGP and write ``errors.csv``, plus ``failures.csv`` (why each
-  failed replication failed) when a fit or predict raised; a run without
-  failures removes an earlier ``failures.csv``.
+  failed replication failed) when a fit or predict raised one of
+  ``simlab.RECORDED_FAILURES``; a run without failures removes an earlier
+  ``failures.csv``. Any other exception stops the run.
 - ``surface`` (alias ``fit``): fit the doubly robust estimator on an input
   CSV and write the treated-minus-untreated gap surface over a (y, x1) grid,
   holding other covariates at their medians.

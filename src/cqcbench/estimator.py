@@ -21,7 +21,7 @@ import numpy as np
 # Unused here: bench/test_bench.py reads estimator.pava_project as a binding its patcher restores.
 from .isotonic import pava_project, zero_crossing  # noqa: F401
 from .kernels import KernelSpec, as_rows, kernel_matrix, nw_weight_matrix, transpose_strips
-from .nuisance import Dataset, arm_major, fit_nuisance, make_split, prefix_gather
+from .nuisance import Dataset, SingleArmError, arm_major, fit_nuisance, make_split, prefix_gather
 from .pseudo import PseudoOutcomeKind
 
 _MONOTONE_TOL = 1e-9
@@ -237,7 +237,7 @@ def build_grid(dataset: Dataset, count: int | None = None) -> np.ndarray:
     if count is None:
         points = dataset.y[dataset.a == 1]
         if points.size == 0:
-            raise ValueError("no treated observations to build a grid from")
+            raise SingleArmError("no treated observations to build a grid from")
     elif count < 1:
         raise ValueError("uniform grid needs a positive point count")
     else:

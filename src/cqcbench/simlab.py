@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # nw_weight_matrix is unused here, but bench/test_bench.py checks this binding.
-from .kernels import as_rows, nw_weight_matrix  # noqa: F401
-from .nuisance import Dataset
+from .kernels import DegenerateMassError, as_rows, nw_weight_matrix  # noqa: F401
+from .nuisance import Dataset, SingleArmError
 
 FAMILIES = ("illustrative", "tendim", "linear_cqc", "uniform_h")
 
@@ -241,6 +241,10 @@ class EstimatorResult:
 
 # One estimator fit or predict that raised: ``error`` is the exception's type name.
 FailureRecord = namedtuple("FailureRecord", "estimator replication seed error message")
+# What a replication can raise on valid settings: one arm too small to fit
+# (tiny n), no kernel mass after the retry (a narrow box kernel), and an
+# array too large for memory. Anything else is a bug and stops the run.
+RECORDED_FAILURES = (SingleArmError, DegenerateMassError, MemoryError)
 
 
 @dataclass
@@ -289,8 +293,9 @@ def run_experiment(
     Each replication r draws a training set and a holdout under seed
     ``base_seed ^ r``, fits every estimator, and records the mean absolute
     gap between the estimated and exact outcome maps over the holdout. An
-    estimator failure is counted and recorded (``ErrorReport.failures``), not
-    raised. 95% intervals use 1.96 * sd / sqrt(R) over the successful
+    estimator failure of a ``RECORDED_FAILURES`` class is counted and recorded
+    (``ErrorReport.failures``), not raised; any other exception propagates.
+    95% intervals use 1.96 * sd / sqrt(R) over the successful
     replications.
     """
     if replications < 2:
@@ -317,7 +322,7 @@ def run_experiment(
                 # A fit keeps its weight matrices and CDF tables; free them
                 # before the next fit.
                 del predictor
-            except Exception as exc:
+            except RECORDED_FAILURES as exc:
                 failure_counts[j] += 1
                 failures.append(FailureRecord(est.name, r, rep_seed, type(exc).__name__, str(exc)))
     results = []

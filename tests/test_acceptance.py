@@ -30,6 +30,7 @@ from cqcbench.simlab import (
 
 from dgp_draws import draw_given_x
 from isotonic_oracle import dp_isotonic_fit
+from margins import at_most, below, describe, holds
 from scalar_oracle import oracle_pseudo
 
 # Benchmark configuration shared by the Monte-Carlo criteria (gaussian
@@ -47,12 +48,12 @@ def _report(num: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num}: {detail}"
 
 
-def test_criterion_1_pseudo_outcome_conditionally_unbiased():
+def criterion_1_margins(base_seed=314):
     spec = DgpSpec("illustrative", gamma=6.0)
     oracle = truth(spec)
     x = 0.3
     y0 = y1 = 0.0
-    ys, arms = draw_given_x(spec, x, 100_000, seed=314)
+    ys, arms = draw_given_x(spec, x, 100_000, seed=base_seed)
 
     x_row = np.array([[x]])
     pi = float(oracle.propensity.many(x_row)[0])
@@ -74,12 +75,12 @@ def test_criterion_1_pseudo_outcome_conditionally_unbiased():
 
     target = float(oracle.h(y0, y1, np.array([x]))[0])
     se = values.std(ddof=1) / np.sqrt(values.size)
-    gap = abs(values.mean() - target)
-    _report(
-        1,
-        gap < 3.0 * se,
-        f"|MC mean - target| = {gap:.5f} vs 3*SE = {3 * se:.5f} (target {target:.5f})",
-    )
+    return {"|MC mean - target| < 3 SE": below(abs(values.mean() - target), 3.0 * se)}
+
+
+def test_criterion_1_pseudo_outcome_conditionally_unbiased():
+    margins = criterion_1_margins()
+    _report(1, holds(margins), describe(margins))
 
 
 def test_criterion_2_pava_exactness():
@@ -165,8 +166,7 @@ def test_criterion_3_truth_oracle_identities():
     )
 
 
-@pytest.mark.slow
-def test_criterion_4_error_ordering_at_fixed_size():
+def criterion_4_margins(base_seed=4040):
     spec = DgpSpec("illustrative", gamma=6.0)
     estimators = [
         DrEstimator(NK, OK, xi=XI, cross_fit=True),
@@ -175,28 +175,26 @@ def test_criterion_4_error_ordering_at_fixed_size():
         OracleEstimator(OK, xi=XI),
     ]
     report = run_experiment(
-        spec, estimators, n_total=1000, replications=100, holdout=200, base_seed=4040
+        spec, estimators, n_total=1000, replications=100, holdout=200, base_seed=base_seed
     )
     dr = report.by_name("dr")
     ipw = report.by_name("ipw")
     sep = report.by_name("separate")
     orc = report.by_name("oracle")
-    ok = (
-        orc.mean_abs_error <= dr.mean_abs_error
-        and dr.ci_high < ipw.ci_low
-        and dr.ci_high < sep.ci_low
-    )
-    _report(
-        4,
-        ok,
-        f"oracle {orc.mean_abs_error:.3f} <= dr {dr.mean_abs_error:.3f}; "
-        f"dr CI high {dr.ci_high:.3f} < ipw CI low {ipw.ci_low:.3f} "
-        f"and < separate CI low {sep.ci_low:.3f}",
-    )
+    return {
+        "oracle <= dr": at_most(orc.mean_abs_error, dr.mean_abs_error),
+        "dr CI high < ipw CI low": below(dr.ci_high, ipw.ci_low),
+        "dr CI high < separate CI low": below(dr.ci_high, sep.ci_low),
+    }
 
 
 @pytest.mark.slow
-def test_criterion_5_error_decreases_with_sample_size():
+def test_criterion_4_error_ordering_at_fixed_size():
+    margins = criterion_4_margins()
+    _report(4, holds(margins), describe(margins))
+
+
+def criterion_5_margins(base_seed=5050):
     spec = DgpSpec("illustrative", gamma=6.0)
     means = []
     for n_total in (200, 1000, 5000):
@@ -206,20 +204,22 @@ def test_criterion_5_error_decreases_with_sample_size():
             n_total=n_total,
             replications=50,
             holdout=200,
-            base_seed=5050,
+            base_seed=base_seed,
         )
         means.append(report.results[0].mean_abs_error)
-    ok = means[0] > means[1] > means[2]
-    _report(
-        5,
-        ok,
-        "dr mean error strictly decreasing over n in (200, 1000, 5000): "
-        + " > ".join(f"{m:.3f}" for m in means),
-    )
+    return {
+        "dr error at n 1000 < at n 200": below(means[1], means[0]),
+        "dr error at n 5000 < at n 1000": below(means[2], means[1]),
+    }
 
 
 @pytest.mark.slow
-def test_criterion_6_gamma_robustness():
+def test_criterion_5_error_decreases_with_sample_size():
+    margins = criterion_5_margins()
+    _report(5, holds(margins), describe(margins))
+
+
+def criterion_6_margins(base_seed=6060):
     results = {}
     for gamma in (2.0, 10.0):
         spec = DgpSpec("illustrative", gamma=gamma)
@@ -229,26 +229,26 @@ def test_criterion_6_gamma_robustness():
             n_total=1000,
             replications=50,
             holdout=200,
-            base_seed=6060,
+            base_seed=base_seed,
         )
         results[gamma] = report
     dr2 = results[2.0].by_name("dr")
     dr10 = results[10.0].by_name("dr")
     sep2 = results[2.0].by_name("separate")
     sep10 = results[10.0].by_name("separate")
-    mild = dr10.mean_abs_error < 2.0 * dr2.mean_abs_error
-    separated = sep10.ci_low > sep2.ci_high
-    _report(
-        6,
-        mild and separated,
-        f"dr: {dr10.mean_abs_error:.3f} at gamma=10 < 2x {dr2.mean_abs_error:.3f} "
-        f"at gamma=2; separate grows {sep2.mean_abs_error:.3f} -> "
-        f"{sep10.mean_abs_error:.3f} with CI separation",
-    )
+    return {
+        "dr at gamma 10 < 2x dr at gamma 2": below(dr10.mean_abs_error, 2.0 * dr2.mean_abs_error),
+        "separate CI high at gamma 2 < CI low at gamma 10": below(sep2.ci_high, sep10.ci_low),
+    }
 
 
 @pytest.mark.slow
-def test_criterion_7_identity_family_sanity():
+def test_criterion_6_gamma_robustness():
+    margins = criterion_6_margins()
+    _report(6, holds(margins), describe(margins))
+
+
+def criterion_7_margins(base_seed=7070):
     spec = DgpSpec("tendim", gamma=1.0, seed=3)
     report = run_experiment(
         spec,
@@ -260,42 +260,48 @@ def test_criterion_7_identity_family_sanity():
         n_total=2000,
         replications=4,
         holdout=200,
-        base_seed=7070,
+        base_seed=base_seed,
     )
     dr = report.by_name("dr").mean_abs_error
     sep = report.by_name("separate").mean_abs_error
-    ok = dr < sep or (dr < 0.5 and sep < 0.5)
-    _report(7, ok, f"identity-map data: dr {dr:.3f} vs separate {sep:.3f}")
+    return {"identity-map data: dr < separate, or both < 0.5": (
+        max(sep - dr, 0.5 - max(dr, sep)), True)}
 
 
 @pytest.mark.slow
-def test_criterion_8_constant_contrast_family():
-    spec = DgpSpec("uniform_h", gamma=0.0)
-    oracle = truth(spec)
-    xs10 = np.linspace(0.05, 0.95, 10)
-    h_values = oracle.h(0.2, 1.0, xs10)
-    bit_identical = len(set(h_values.tolist())) == 1
+def test_criterion_7_identity_family_sanity():
+    margins = criterion_7_margins()
+    _report(7, holds(margins), describe(margins))
 
+
+def criterion_8_margins(base_seed=8000):
+    spec = DgpSpec("uniform_h", gamma=0.0)
+    xs10 = np.linspace(0.05, 0.95, 10)
     nk = KernelSpec("gaussian", 0.1)
     ok_kernel = KernelSpec("gaussian", 0.2)
     spreads = {}
     for n_total in (500, 2000):
         per_seed = []
-        for seed in range(5):
-            data = sample_dgp(spec, n_total, seed=8000 + seed)
-            contrast = fit_contrast(
-                data, make_split(data, 8000 + seed), nk, ok_kernel, xi=XI
-            )
+        for seed in range(base_seed, base_seed + 5):
+            data = sample_dgp(spec, n_total, seed=seed)
+            contrast = fit_contrast(data, make_split(data, seed), nk, ok_kernel, xi=XI)
             fitted = contrast.profile_many(np.full(xs10.size, 0.2), [1.0], xs10)[:, 0]
             per_seed.append(np.std(fitted))
         spreads[n_total] = float(np.mean(per_seed))
-    shrinks = spreads[2000] < spreads[500]
+    return {"fitted spread over 10 x values at n 2000 < at n 500": below(spreads[2000],
+                                                                          spreads[500])}
+
+
+@pytest.mark.slow
+def test_criterion_8_constant_contrast_family():
+    h_values = truth(DgpSpec("uniform_h", gamma=0.0)).h(0.2, 1.0, np.linspace(0.05, 0.95, 10))
+    bit_identical = len(set(h_values.tolist())) == 1
+    margins = criterion_8_margins()
     _report(
         8,
-        bit_identical and shrinks,
+        bit_identical and holds(margins),
         f"truth h(0.2, 1.0 | x) bit-identical across 10 x values "
-        f"(= {float(h_values[0])!r}); fitted spread {spreads[500]:.4f} -> "
-        f"{spreads[2000]:.4f} as n grows 500 -> 2000",
+        f"(= {float(h_values[0])!r}); {describe(margins)}",
     )
 
 

@@ -7,7 +7,7 @@ from cqcbench.baselines import DrEstimator, IpwEstimator, OracleEstimator, Separ
 from cqcbench.estimator import build_grid, fit_contrast
 from cqcbench.isotonic import pava_project
 from cqcbench.kernels import KernelSpec
-from cqcbench.nuisance import Dataset, make_split
+from cqcbench.nuisance import CcdfEvaluator, Dataset, make_split
 from cqcbench.simlab import DgpSpec, sample_dgp, sample_holdout, truth
 
 NK = KernelSpec("gaussian", 0.1)
@@ -205,3 +205,46 @@ def test_covariate_and_bandwidth_scaling_by_a_power_of_two_keeps_estimates_exact
         nk, ok = (KernelSpec(kernel, h * 2.0**k) for h in bandwidths)
         scaled = Dataset(data.y, data.x * 2.0**k, data.a)
         assert make(nk, ok).fit(scaled, seed=5)(y0s, xs * 2.0**k).tobytes() == g_hat.tobytes()
+
+
+def _increasing_maps(levels):
+    """Strictly increasing outcome maps T. Ranks are over ``levels``, the sorted
+    finite values that T meets; each map keeps -inf below and +inf above them."""
+    return {
+        "rank": lambda v: np.where(np.isinf(v), v, np.searchsorted(levels, v).astype(float)),
+        "exp": lambda v: np.exp(v / 0.7),  # -inf goes to 0, below every exp(y)
+        "odd-polynomial": lambda v: 0.5 * v + v**3 + 0.1 * v**5,
+    }
+
+
+@pytest.mark.parametrize("kernel", ["gaussian", "box"])
+@pytest.mark.parametrize("name", list(SCALED_ESTIMATORS))
+def test_strictly_increasing_outcome_map_carries_every_estimate_exactly(name, kernel):
+    # Outcomes enter only through comparisons (indicators, searchsorted gathers,
+    # step quantiles), and the grid is the treated outcomes, so for a strictly
+    # increasing T, fit(T(y))(T(y0), x) is T(fit(y)(y0, x)) bit for bit, and so
+    # is a fitted arm-0 quantile. The oracle, a uniform grid, an 'N' y axis and
+    # CQTE differences compute with outcome values, and are not covered.
+    # Queries: distinct x rows, runs of nine y0 levels at three x rows, the
+    # fitted arm-0 quantiles that cqc_to_cqte queries at those rows, and +-inf.
+    spec = DgpSpec("illustrative", gamma=4.0)
+    data = sample_dgp(spec, 300, seed=5)
+    nk, ok = KernelSpec(kernel, 0.1), KernelSpec(kernel, 0.15)
+    alphas, run_xs = [0.1, 0.5, 0.9], np.array([[0.2], [0.5], [0.8]])
+
+    def arm0_quantiles(dataset):
+        return np.concatenate([CcdfEvaluator(nk, dataset).quantile(0, alphas, x) for x in run_xs])
+
+    quantiles = arm0_quantiles(data)
+    y0s, xs = sample_holdout(spec, 30, seed=6)
+    y0s = np.r_[y0s, np.tile(np.linspace(-1.0, 3.0, 9), 3), quantiles, -np.inf, np.inf]
+    xs = np.r_[xs, np.repeat(run_xs, 9, axis=0), np.repeat(run_xs, 3, axis=0), run_xs[:2]]
+    make = SCALED_ESTIMATORS[name]
+    g_hat = make(nk, ok).fit(data, seed=5)(y0s, xs)
+    levels = np.unique(np.r_[data.y, y0s[np.isfinite(y0s)]])
+    for label, transform in _increasing_maps(levels).items():
+        assert np.all(np.diff(transform(levels)) > 0), label  # injective on the data
+        mapped = Dataset(transform(data.y), data.x, data.a)
+        assert arm0_quantiles(mapped).tobytes() == transform(quantiles).tobytes(), label
+        g_mapped = make(nk, ok).fit(mapped, seed=5)(transform(y0s), xs)
+        assert g_mapped.tobytes() == transform(g_hat).tobytes(), label

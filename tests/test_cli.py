@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from margins import below, holds
 from scalar_oracle import step_quantile
 from cqcbench import cli
 from cqcbench.cli import (
@@ -33,6 +34,9 @@ from cqcbench.estimator import (
 from cqcbench.kernels import KernelSpec
 from cqcbench.nuisance import CcdfEvaluator, Dataset
 from cqcbench.simlab import FAMILIES, DgpSpec, sample_dgp
+
+# A numpy warning on any CLI path is a bug, as a traceback would be.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def write(path, text):
@@ -104,6 +108,15 @@ def test_ingest_skips_blank_lines_and_counts_them_in_line_numbers(tmp_path):
     path = write(tmp_path / "short.csv", "y,a,x1\n1.5,1,0.2\n\n-0.5,0\n")
     with pytest.raises(DataError, match="rejected rows: line 4: wrong field count$"):
         ingest_csv(path)
+    # So a command reads the same data and writes the same surface.
+    path = synthetic_csv(tmp_path, gamma=6.0, n=300, seed=0)
+    lines = open(path).read().splitlines(keepends=True)
+    blank = write(tmp_path / "blank.csv", "".join(lines[:2] + ["\n"] + lines[2:] + ["\n\n"]))
+    for name, data in (("plain", path), ("blank", blank)):
+        argv = ["surface", "--input", data, "--y-grid", "5", "--x-grid", "5"]
+        assert main([*argv, "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "plain" / "surface.csv").read_bytes() == (
+        tmp_path / "blank" / "surface.csv").read_bytes()
 
 
 def test_ingest_empty_file(tmp_path):
@@ -215,6 +228,28 @@ def test_simulate_writes_error_report(tmp_path):
     assert lines[0] == "estimator,mean_abs_error,ci_low,ci_high,replications"
     assert len(lines) == 3
     assert lines[1].startswith("dr,") and lines[2].startswith("separate,")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--dgp", "tendim", "--kernel", "box", "--bandwidth-nuisance", "0.6",
+     "--bandwidth-outer", "1.6", "--n", "400", "--estimators", "dr,separate"],
+    ["--dgp", "linear_cqc", "--n", "300", "--estimators", "dr,oracle"],
+    ["--dgp", "uniform_h", "--n", "300", "--estimators", "dr,oracle"],
+], ids=["tendim-box", "linear_cqc", "uniform_h"])
+def test_simulate_fits_every_replication(tmp_path, argv):
+    dump = tmp_path / "data.csv"
+    argv = ["simulate", *argv, "--replications", "2", "--holdout", "20", "--out", str(tmp_path),
+            "--dump-data", str(dump)]
+    assert main(argv) == 0
+    args = resolve_config(argv)
+    reference = sample_dgp(args.spec, args.n, args.seed)  # d = 10 on tendim
+    data = ingest_csv(str(dump))
+    assert all(getattr(data, f).tobytes() == getattr(reference, f).tobytes() for f in "yxa")
+    header, *rows = (tmp_path / "errors.csv").read_text().splitlines()
+    assert header == "estimator,mean_abs_error,ci_low,ci_high,replications"
+    assert [row.split(",")[0] for row in rows] == argv[argv.index("--estimators") + 1].split(",")
+    assert all(row.endswith(",2") for row in rows)
+    assert not (tmp_path / "failures.csv").exists()
 
 
 def test_simulate_four_default_estimator_rows(tmp_path):
@@ -500,6 +535,15 @@ def test_config_cross_fit_off_is_no_cross_fit_flag(tmp_path):
     assert (from_file.pop("config"), from_flag.pop("config")) == (cfg, None)
     assert from_file == from_flag and from_flag["cross_fit"] is False
     assert resolve_config(base + ["--config", cfg, "--cross-fit"]).cross_fit is True
+    # A surface run from a file with a byte-order mark writes what its flags write.
+    data = synthetic_csv(tmp_path, gamma=6.0, n=300, seed=0)
+    settings = f"input = {data}\nout = {tmp_path / 'file'}\ny_grid = 5\nx_grid = 5\n"
+    (tmp_path / "surface.cfg").write_text(f"\ufeff{settings}cross_fit = off\n", encoding="utf-8")
+    assert main(["surface", "--config", str(tmp_path / "surface.cfg")]) == 0
+    flags = ["--input", data, "--y-grid", "5", "--x-grid", "5", "--no-cross-fit"]
+    assert main(["surface", *flags, "--out", str(tmp_path / "flags")]) == 0
+    assert (tmp_path / "file" / "surface.csv").read_bytes() == (
+        tmp_path / "flags" / "surface.csv").read_bytes()
 
 
 def test_simulate_has_no_pseudo_flag(tmp_path, capsys):
@@ -588,6 +632,55 @@ def synthetic_csv(tmp_path, family="illustrative", gamma=0.0, n=400, seed=2):
     return path
 
 
+def isolated_csv(tmp_path):
+    # Isolated covariates in both arms (x1 = 3, 5, ..., 13): their propensity
+    # and arm weight rows take the degenerate-mass retry.
+    rng = np.random.default_rng(1)
+    x1 = np.r_[rng.uniform(0.0, 1.0, 300), [3, 5, 7, 9, 11, 13]]
+    a = np.r_[(rng.uniform(size=300) < 0.5).astype(int), [0, 1] * 3]
+    y = np.sin(3 * x1) + a + rng.normal(size=306)
+    path = str(tmp_path / "isolated.csv")
+    write_dataset_csv(Dataset(y, x1, a), path)
+    return path
+
+
+# The illustrative and tendim inputs are what simulate --dump-data writes at
+# its default gamma and seed.
+INPUTS = {
+    "illustrative": lambda tmp_path: synthetic_csv(tmp_path, "illustrative", 6.0, 300, 0),
+    "tendim": lambda tmp_path: synthetic_csv(tmp_path, "tendim", 6.0, 400, 0),
+    "isolated": isolated_csv,
+}
+
+
+@pytest.mark.parametrize("data, argv, shape", [
+    ("illustrative", ["surface", "--y-grid", "5", "--x-grid", "5"], (5, 6)),
+    ("illustrative", ["surface", "--y-grid", "40", "--x-grid", "3", "--pseudo", "ipw",
+                      "--no-cross-fit"], (40, 4)),
+    ("illustrative", ["cqte", "--alphas", "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9", "--x-grid", "3"],
+     (27, 3)),
+    ("illustrative", ["cqte", "--grid", "uniform:40", "--x-grid", "5"], (15, 3)),
+    ("tendim", ["cqte", "--x-grid", "3"], (9, 3)),
+    ("tendim", ["surface", "--no-cross-fit", "--y-grid", "5", "--x-grid", "3"], (5, 4)),
+    ("isolated", ["surface", "--kernel", "box", "--bandwidth-nuisance", "0.05", "--no-cross-fit"],
+     (25, 26)),
+    ("isolated", ["surface", "--kernel", "box", "--bandwidth-nuisance", "0.05", "--cross-fit"],
+     (25, 26)),
+], ids=["illustrative-surface", "illustrative-ipw-runs-of-40", "illustrative-cqte-runs-of-9",
+        "illustrative-cqte-uniform-grid", "tendim-cqte",
+        "tendim-surface-no-cross-fit", "isolated-no-cross-fit", "isolated-cross-fit"])
+def test_command_writes_its_table(tmp_path, data, argv, shape):
+    path = INPUTS[data](tmp_path)
+    assert main([*argv, "--input", path, "--out", str(tmp_path)]) == 0
+    table = np.loadtxt(tmp_path / f"{argv[0]}.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert table.shape == shape and np.isfinite(table).all()
+    if argv[0] == "surface":  # every estimate, a gap plus its y, is a treated outcome
+        data = ingest_csv(path)
+        treated = np.unique(data.y[data.a == 1])
+        g = (table[:, 1:] + table[:, :1]).ravel()
+        assert np.isclose(g[:, None], treated[None, :], rtol=1e-12, atol=0).any(axis=1).all()
+
+
 def test_surface_row_count_matches_y_grid(tmp_path):
     path = synthetic_csv(tmp_path)
     code = main(
@@ -618,9 +711,9 @@ def test_fit_alias_writes_surface(tmp_path):
     assert (tmp_path / "surface.csv").exists()
 
 
-def test_surface_near_zero_for_identity_map_data(tmp_path):
+def surface_near_zero_margins(tmp_path, base_seed=5):
     # Identical treated/untreated laws: the gap surface should hover near 0.
-    path = synthetic_csv(tmp_path, family="tendim", gamma=0.5, n=900, seed=5)
+    path = synthetic_csv(tmp_path, family="tendim", gamma=0.5, n=900, seed=base_seed)
     code = main(
         [
             "surface", "--input", path, "--out", str(tmp_path),
@@ -631,11 +724,16 @@ def test_surface_near_zero_for_identity_map_data(tmp_path):
     assert code == 0
     lines = (tmp_path / "surface.csv").read_text().strip().splitlines()
     body = np.array([[float(v) for v in line.split(",")[1:]] for line in lines[1:]])
-    assert np.abs(body).max() < 0.45
+    return {"max |gap| < 0.45": below(np.abs(body).max(), 0.45)}
 
 
-def test_cqte_rows_and_flat_truth(tmp_path):
-    path = synthetic_csv(tmp_path, gamma=0.0, n=700, seed=6)
+def test_surface_near_zero_for_identity_map_data(tmp_path):
+    margins = surface_near_zero_margins(tmp_path)
+    assert holds(margins), margins
+
+
+def cqte_flat_truth_margins(tmp_path, base_seed=6):
+    path = synthetic_csv(tmp_path, gamma=0.0, n=700, seed=base_seed)
     code = main(
         [
             "cqte", "--input", path, "--out", str(tmp_path),
@@ -653,10 +751,18 @@ def test_cqte_rows_and_flat_truth(tmp_path):
         by_alpha.setdefault(float(alpha), []).append(float(tau))
     # flat-frequency truth: zero at the median, symmetric at 0.25/0.75
     med = np.mean(by_alpha[0.5])
-    assert abs(med) < 0.35
     lo, hi = np.mean(by_alpha[0.25]), np.mean(by_alpha[0.75])
-    assert lo < med < hi
-    assert abs((hi - med) + (lo - med)) < 0.5
+    return {
+        "|median| < 0.35": below(abs(med), 0.35),
+        "lo < median": below(lo, med),
+        "median < hi": below(med, hi),
+        "|asymmetry| < 0.5": below(abs((hi - med) + (lo - med)), 0.5),
+    }
+
+
+def test_cqte_rows_and_flat_truth(tmp_path):
+    margins = cqte_flat_truth_margins(tmp_path)
+    assert holds(margins), margins
 
 
 def test_cqte_csv_is_alpha_major_and_matches_batch_inversion(tmp_path):
@@ -787,20 +893,31 @@ def test_outcome_scaling_by_a_power_of_two_scales_surface_and_cqte_exactly(tmp_p
             assert table[:, fixed:].tobytes() == (base[name][1][:, fixed:] * scale).tobytes()
 
 
+def descending_profiles(self, y0s, grid, xs):
+    return np.tile(np.linspace(1.0, -1.0, np.size(grid)), (np.size(y0s), 1))
+
+
 @pytest.mark.parametrize("pseudo, code", [("ipw", 3), ("dr", 0)])
 def test_cli_asserts_monotone_profiles_for_ipw_only(tmp_path, capsys, monkeypatch, pseudo, code):
-    def descending(self, y0s, grid, xs):
-        return np.tile(np.linspace(1.0, -1.0, np.size(grid)), (np.size(y0s), 1))
-
     # Each replicate's profile descends; ContrastFit.profile_many, which holds
     # the check, averages them.
-    monkeypatch.setattr(_ContrastReplicate, "profile_many", descending)
+    monkeypatch.setattr(_ContrastReplicate, "profile_many", descending_profiles)
     path = synthetic_csv(tmp_path, n=200)
     argv = ["surface", "--input", path, "--out", str(tmp_path), "--y-grid", "3", "--x-grid", "2"]
     assert main([*argv, "--pseudo", pseudo]) == code
     err = capsys.readouterr().err
     if code:
         assert err.startswith("numerical failure:") and err.count("\n") == 1
+
+
+def test_a_bug_stops_simulate_with_one_line_numerical_failure(tmp_path, capsys, monkeypatch):
+    # A descending IPW profile raises AssertionError, which simulate does not
+    # record as a failed replication.
+    monkeypatch.setattr(_ContrastReplicate, "profile_many", descending_profiles)
+    assert main(simulate_args(tmp_path, **{"--estimators": "ipw"})) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: IPW contrast profile") and err.count("\n") == 1
+    assert not (tmp_path / "errors.csv").exists()
 
 
 def test_out_of_memory_is_one_line_numerical_failure(tmp_path, capsys, monkeypatch):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from contrast_oracle import dense_cdf_table, dense_profile_many, independent_cross_fit
 from isotonic_oracle import numpy_stack_pava, per_row_inversion
+from margins import at_most, below, holds
 from scalar_oracle import scalar_contrast
 from cqcbench.estimator import (
     ContrastFit,
@@ -467,6 +468,11 @@ def test_exact_cqte_route_matches_truth(family, gamma):
      pytest.param("illustrative", 6.0, 0.42, 0.46, id="illustrative-gamma6")],
 )
 def test_fitted_cqte_tracks_truth(family, gamma, mean_bound, level_bound):
+    margins = fitted_cqte_margins(family, gamma, mean_bound, level_bound)
+    assert holds(margins), margins
+
+
+def fitted_cqte_margins(family, gamma, mean_bound, level_bound, base_seed=0):
     spec = DgpSpec(family, gamma=gamma)
     oracle = truth(spec)
     alphas = np.array([0.25, 0.5, 0.75])
@@ -474,15 +480,15 @@ def test_fitted_cqte_tracks_truth(family, gamma, mean_bound, level_bound):
     expected = np.vstack([oracle.cqte(alpha, xs) for alpha in alphas])
     nk, ok = KernelSpec("gaussian", 0.05), KernelSpec("gaussian", 0.1)
     errors = []
-    for seed in range(10):
+    for seed in range(base_seed, base_seed + 10):
         data = sample_dgp(spec, 2000, seed)
         fit = fit_cqc(data, seed, nk, ok, "dr", 0.05, True, None)
         arm0 = CcdfEvaluator(nk, data)
         tau = cqc_to_cqte(fit, lambda a, x: arm0.quantile(0, a, x), alphas, xs)
         errors.append(np.abs(tau - expected).mean(axis=1))
     per_alpha = np.mean(errors, axis=0)
-    assert per_alpha.mean() < mean_bound
-    assert per_alpha.max() < level_bound
+    return {f"mean error < {mean_bound}": below(per_alpha.mean(), mean_bound),
+            f"worst level's error < {level_bound}": below(per_alpha.max(), level_bound)}
 
 
 # CQTE against the truth with exact arm-0 quantiles, n = 2000, seeds 0-9, for
@@ -501,6 +507,11 @@ def test_fitted_cqte_tracks_truth(family, gamma, mean_bound, level_bound):
 )
 def test_exact_quantile_cqte_tracks_truth_and_dr_beats_separate(family, gamma, oracle_bound,
                                                                   dr_bound):
+    margins = exact_quantile_cqte_margins(family, gamma, oracle_bound, dr_bound)
+    assert holds(margins), margins
+
+
+def exact_quantile_cqte_margins(family, gamma, oracle_bound, dr_bound, base_seed=0):
     spec = DgpSpec(family, gamma=gamma)
     oracle = truth(spec)
     alphas = np.array([0.25, 0.5, 0.75])
@@ -508,7 +519,7 @@ def test_exact_quantile_cqte_tracks_truth_and_dr_beats_separate(family, gamma, o
     expected = np.vstack([oracle.cqte(alpha, xs) for alpha in alphas])
     nk, ok = KernelSpec("gaussian", 0.05), KernelSpec("gaussian", 0.1)
     errors = {"oracle": [], "dr": [], "separate": []}
-    for seed in range(10):
+    for seed in range(base_seed, base_seed + 10):
         data = sample_dgp(spec, 2000, seed)
         fits = {
             "oracle": OracleEstimator(ok).fit(data, seed, truth=oracle),
@@ -519,9 +530,9 @@ def test_exact_quantile_cqte_tracks_truth_and_dr_beats_separate(family, gamma, o
             tau = cqc_to_cqte(fit, lambda a, x: oracle.ccdf.quantile(0, a, x), alphas, xs)
             errors[name].append(np.abs(tau - expected).mean())
     mean = {name: np.mean(errs) for name, errs in errors.items()}
-    assert mean["oracle"] < oracle_bound
-    assert mean["dr"] < dr_bound
-    assert mean["dr"] < mean["separate"]
+    return {f"oracle error < {oracle_bound}": below(mean["oracle"], oracle_bound),
+            f"dr error < {dr_bound}": below(mean["dr"], dr_bound),
+            "dr error < separate error": below(mean["dr"], mean["separate"])}
 
 
 @pytest.mark.parametrize("kind, monotone", [("dr", False), ("ipw", True)])
@@ -965,13 +976,19 @@ def test_ipw_estimates_monotone_in_y0():
     assert np.all(np.diff(g_hat) >= 0)
 
 
-def test_oracle_contrast_uses_full_sample():
+def oracle_contrast_margins(base_seed=1):
     spec = DgpSpec("illustrative", gamma=0.0)
-    data = sample_dgp(spec, 300, seed=1)
+    data = sample_dgp(spec, 300, seed=base_seed)
     contrast = fit_oracle_contrast(data, truth(spec), OK)
     assert contrast.replicates[0].data2.n == data.n
     # gamma=0 truth: both CDFs are 1/2 at zero, so the contrast vanishes.
-    assert contrast.profile_many([0.0], [0.0], [[0.5]])[0, 0] == pytest.approx(0.0, abs=0.12)
+    value = contrast.profile_many([0.0], [0.0], [[0.5]])[0, 0]
+    return {"|h(0, 0 | 0.5)| <= 0.12": at_most(abs(value), 0.12)}
+
+
+def test_oracle_contrast_uses_full_sample():
+    margins = oracle_contrast_margins()
+    assert holds(margins), margins
 
 
 def test_cqcfit_rejects_bad_grid():

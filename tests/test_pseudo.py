@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dgp_draws import draw_given_x
+from margins import below, holds
 from scalar_oracle import dr_pseudo, ipw_pseudo, oracle_pseudo
 
 from cqcbench.kernels import KernelSpec
@@ -113,18 +114,23 @@ def test_ipw_pseudo_monotone_in_thresholds():
         assert values_y0 == sorted(values_y0, reverse=True)
 
 
-def test_oracle_pseudo_conditionally_unbiased_quick():
-    # Small-scale check of the conditional-unbiasedness property; the
-    # acceptance suite runs the full-size version.
+def pseudo_unbiased_margins(base_seed=99):
     spec = DgpSpec("illustrative", gamma=6.0)
     oracle = truth(spec)
     x = 0.3
     y0, y1 = 0.0, 0.5
-    ys, arms = draw_given_x(spec, x, 20000, seed=99)
+    ys, arms = draw_given_x(spec, x, 20000, seed=base_seed)
     x_arr = np.array([x])
     values = np.array(
         [oracle_pseudo(y, x_arr, a, y0, y1, oracle) for y, a in zip(ys[:4000], arms[:4000])]
     )
     target = float(oracle.h(y0, y1, x_arr)[0])
     se = values.std(ddof=1) / np.sqrt(values.size)
-    assert abs(values.mean() - target) < 4 * se
+    return {"|mean - target| < 4 SE": below(abs(values.mean() - target), 4 * se)}
+
+
+def test_oracle_pseudo_conditionally_unbiased_quick():
+    # Small-scale check of the conditional-unbiasedness property; the
+    # acceptance suite runs the full-size version.
+    margins = pseudo_unbiased_margins()
+    assert holds(margins), margins

@@ -4,8 +4,8 @@ from scipy.special import ndtri
 
 from cqcbench import simlab
 from cqcbench.baselines import DrEstimator, OracleEstimator, SeparateEstimator
-from cqcbench.kernels import KernelSpec
-from cqcbench.nuisance import CcdfEvaluator
+from cqcbench.kernels import DegenerateMassError, KernelSpec
+from cqcbench.nuisance import CcdfEvaluator, SingleArmError
 from cqcbench.simlab import (
     FAMILIES,
     DgpSpec,
@@ -15,6 +15,7 @@ from cqcbench.simlab import (
     truth,
 )
 from dgp_draws import draw_given_x
+from margins import at_most, below, holds
 
 NK = KernelSpec("gaussian", 0.08)
 OK = KernelSpec("gaussian", 0.12)
@@ -43,11 +44,16 @@ def test_tendim_beta_frozen_per_seed():
     assert a.beta.shape == (10,)
 
 
-def test_sample_flat_gamma_arm0_is_standard_normal():
-    data = sample_dgp(DgpSpec("illustrative", gamma=0.0), 4000, seed=0)
+def flat_gamma_arm0_margins(base_seed=0):
+    data = sample_dgp(DgpSpec("illustrative", gamma=0.0), 4000, seed=base_seed)
     arm0 = data.y[data.a == 0]
-    assert abs(arm0.mean()) < 4.0 / np.sqrt(arm0.size)
-    assert arm0.std() == pytest.approx(1.0, abs=0.1)
+    return {"|mean| < 4/sqrt(n)": below(abs(arm0.mean()), 4.0 / np.sqrt(arm0.size)),
+            "|sd - 1| <= 0.1": at_most(abs(arm0.std() - 1.0), 0.1)}
+
+
+def test_sample_flat_gamma_arm0_is_standard_normal():
+    margins = flat_gamma_arm0_margins()
+    assert holds(margins), margins
 
 
 def test_sample_uniform_family_support():
@@ -58,11 +64,17 @@ def test_sample_uniform_family_support():
     assert (arm1 >= 0.0).all() and (arm1 <= 2.0).all()
 
 
-def test_sample_treated_fraction_tracks_mean_propensity():
+def treated_fraction_margins(base_seed=2):
     spec = DgpSpec("illustrative", gamma=6.0)
-    data = sample_dgp(spec, 6000, seed=2)
+    data = sample_dgp(spec, 6000, seed=base_seed)
     pi = truth(spec).propensity.many(data.x)
-    assert data.a.mean() == pytest.approx(pi.mean(), abs=4.0 / np.sqrt(data.n))
+    return {"|treated share - mean pi| <= 4/sqrt(n)":
+            at_most(abs(data.a.mean() - pi.mean()), 4.0 / np.sqrt(data.n))}
+
+
+def test_sample_treated_fraction_tracks_mean_propensity():
+    margins = treated_fraction_margins()
+    assert holds(margins), margins
 
 
 def test_sample_deterministic_and_seed_sensitive():
@@ -244,18 +256,27 @@ def test_holdout_draws_from_untreated_conditional():
     assert (ys >= 0.0).all() and (ys <= 1.0).all()  # arm-0 support only
 
 
-def test_draw_given_x_fixes_covariate():
-    ys, arms = draw_given_x(DgpSpec("illustrative", gamma=6.0), 0.3, 2000, seed=6)
+def draw_given_x_margins(base_seed=6):
+    ys, arms = draw_given_x(DgpSpec("illustrative", gamma=6.0), 0.3, 2000, seed=base_seed)
     assert ys.shape == (2000,)
     pi = float(truth(DgpSpec("illustrative", gamma=6.0)).propensity.many([[0.3]])[0])
-    assert arms.mean() == pytest.approx(pi, abs=4.0 / np.sqrt(2000))
+    return {"|treated share - pi| <= 4/sqrt(n)":
+            at_most(abs(arms.mean() - pi), 4.0 / np.sqrt(2000))}
+
+
+def test_draw_given_x_fixes_covariate():
+    margins = draw_given_x_margins()
+    assert holds(margins), margins
 
 
 class FailingEstimator:
     name = "broken"
 
+    def __init__(self, error=DegenerateMassError):
+        self.error = error
+
     def fit(self, dataset, seed, truth=None):
-        raise RuntimeError("synthetic failure")
+        raise self.error("synthetic failure")
 
 
 def test_run_experiment_counts_failures_without_crashing():
@@ -279,7 +300,7 @@ class FailsFirstFit:
     def fit(self, dataset, seed, truth=None):
         self.fits += 1
         if self.fits == 1:
-            raise RuntimeError("synthetic failure")
+            raise DegenerateMassError("synthetic failure")
         return SeparateEstimator(NK).fit(dataset, seed, truth=truth)
 
 
@@ -318,6 +339,24 @@ def test_run_experiment_records_why_each_replication_failed():
         f"controls-only,0,5,SingleArmError,{message}\n"
         f"controls-only,1,4,SingleArmError,{message}\n"
     )
+
+
+@pytest.mark.parametrize("error, recorded", [
+    (SingleArmError, True), (DegenerateMassError, True), (MemoryError, True),
+    (AssertionError, False), (IndexError, False), (ValueError, False), (RuntimeError, False),
+], ids=lambda value: value.__name__ if isinstance(value, type) else None)
+def test_run_experiment_records_only_the_documented_failures(error, recorded):
+    # A tiny n, a narrow box kernel or a large n fail legitimately; any other
+    # exception is a bug, and the run stops.
+    def run():
+        return run_experiment(DgpSpec("illustrative"), [FailingEstimator(error)], 80, 2,
+                              holdout=20)
+
+    if recorded:
+        assert [failure.error for failure in run().failures] == [error.__name__] * 2
+    else:
+        with pytest.raises(error, match="synthetic failure"):
+            run()
 
 
 def test_report_lookup_of_an_unknown_estimator_raises_key_error():
@@ -373,27 +412,54 @@ def test_run_experiment_ci_half_width_definition():
     assert row.mean_abs_error - row.ci_low == pytest.approx(expected)
 
 
-def test_oracle_error_decreases_with_sample_size_identity_family():
+def oracle_error_in_n_margins(base_seed=17):
     spec = DgpSpec("tendim", gamma=1.0, seed=2)
     est = OracleEstimator(KernelSpec("gaussian", 1.5))
     means = []
     for n in (200, 1000):
-        report = run_experiment(spec, [est], n, 3, holdout=100, base_seed=17)
+        report = run_experiment(spec, [est], n, 3, holdout=100, base_seed=base_seed)
         means.append(report.results[0].mean_abs_error)
-    assert means[1] < means[0]
+    return {"error at n 1000 < at n 200": below(means[1], means[0])}
 
 
-def test_oracle_error_gamma_invariant_for_doubling_map():
-    # The target map never depends on the sine frequency, and with exact
-    # nuisances every component of the smoothed contrast still crosses zero
-    # at the true map, so the oracle error should move very little in gamma.
-    means, halves = [], []
-    for gamma in (0.0, 10.0):
-        spec = DgpSpec("illustrative", gamma=gamma)
-        report = run_experiment(
-            spec, [OracleEstimator(OK)], 400, 8, holdout=100, base_seed=23
-        )
-        means.append(report.results[0].mean_abs_error)
-        halves.append(report.results[0].ci_half_width)
-    pooled_se = np.hypot(halves[0] / 1.96, halves[1] / 1.96)
-    assert abs(means[0] - means[1]) < 3.0 * pooled_se
+def test_oracle_error_decreases_with_sample_size_identity_family():
+    margins = oracle_error_in_n_margins()
+    assert holds(margins), margins
+
+
+def oracle_beats_separate_margins(base_seed=23):
+    report = run_experiment(
+        DgpSpec("illustrative", gamma=10.0), [OracleEstimator(OK), SeparateEstimator(NK)],
+        400, 8, holdout=100, base_seed=base_seed,
+    )
+    return {"oracle CI high < separate CI low":
+            below(report.by_name("oracle").ci_high, report.by_name("separate").ci_low)}
+
+
+def test_oracle_beats_separate_at_high_gamma_for_doubling_map():
+    # The target map does not depend on the sine frequency, but the oracle's
+    # error does (see the next test). What holds in distribution is that exact
+    # nuisances keep it well ahead of the separate plug-in, whose nuisance
+    # smoothing blurs the sine (mean 1.59): the two intervals were apart at
+    # every one of 100 base seeds (tests/mc_audit.json).
+    margins = oracle_beats_separate_margins()
+    assert holds(margins), margins
+
+
+def oracle_gamma_trend_margins(base_seed=23):
+    means = [
+        run_experiment(DgpSpec("illustrative", gamma=gamma), [OracleEstimator(OK)], 400, 16,
+                       holdout=100, base_seed=base_seed).results[0].mean_abs_error
+        for gamma in (0.0, 10.0)
+    ]
+    growth = means[1] - means[0]
+    return {"0.06 < growth": below(0.06, growth), "growth < 0.32": below(growth, 0.32)}
+
+
+def test_oracle_error_grows_with_gamma_for_doubling_map():
+    # At gamma 10 the sine's period (0.2) is close to the outer bandwidth, so
+    # the oracle's error grows from gamma 0 (0.42 to 0.61 at 200 replications).
+    # Over base seeds 1 + 97k (k < 100) the growth at these 16 replications had
+    # mean 0.190, sd 0.033 and range 0.112 to 0.269; the band is mean +- 4 sd.
+    margins = oracle_gamma_trend_margins()
+    assert holds(margins), margins
