@@ -36,7 +36,7 @@ from .baselines import DrEstimator, IpwEstimator, OracleEstimator, SeparateEstim
 from .kernels import KERNEL_FAMILIES, DegenerateMassError, KernelSpec
 from .nuisance import CcdfEvaluator, Dataset, SingleArmError
 from .pseudo import PseudoOutcomeKind
-from .simlab import FAMILIES, DgpSpec, run_experiment, sample_dgp
+from .simlab import FAMILIES, DgpSpec, replication_seeds, run_experiment, sample_dgp
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -383,8 +383,9 @@ def _estimator_names(text: str) -> list[str]:
 def cmd_simulate(args: argparse.Namespace) -> int:
     estimators = [_ESTIMATORS[name](args) for name in args.estimators]
     path = _out_path(args, "errors.csv")
-    if args.dump_data is not None:
-        write_dataset_csv(sample_dgp(args.spec, args.n, args.seed), args.dump_data)
+    if args.dump_data is not None:  # replication 0's training draw
+        train_seed = replication_seeds(args.seed, 1)[0][0]
+        write_dataset_csv(sample_dgp(args.spec, args.n, train_seed), args.dump_data)
     report = run_experiment(
         args.spec,
         estimators,

@@ -11,6 +11,7 @@ want standardised covariates must pre-scale.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,8 +145,9 @@ def nw_weight_matrix(spec: KernelSpec, queries, train_xs, km=None) -> np.ndarray
         km[retry[done]] = rows[done]
         retry = retry[~done]
     if retry.size:
-        raise DegenerateMassError(f"no kernel mass at query point {q[retry[0]]!r} "
-                                  f"(after {MAX_DOUBLINGS} bandwidth doublings)")
+        with np.printoptions(linewidth=sys.maxsize):  # one line at any d
+            raise DegenerateMassError(f"no kernel mass at query point {q[retry[0]]!r} "
+                                      f"(after {MAX_DOUBLINGS} bandwidth doublings)")
     return km
 
 

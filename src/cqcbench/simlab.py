@@ -35,7 +35,6 @@ from .nuisance import Dataset, SingleArmError
 
 FAMILIES = ("illustrative", "tendim", "linear_cqc", "uniform_h")
 
-_HOLDOUT_SALT = 0x484F4C44  # decorrelates holdout draws from training draws
 _TENDIM_BETA_SCALE = 0.2
 
 
@@ -140,10 +139,13 @@ class ExactCcdf:
 
 @dataclass
 class TruthOracle:
-    """Exact nuisances and estimands of one DGP.
+    """Exact nuisances and the estimand ``g`` of one DGP.
 
     ``propensity`` and ``ccdf`` satisfy the fitted-nuisance interface, so the
-    oracle plugs directly into the pseudo-outcome and contrast machinery.
+    oracle plugs directly into the pseudo-outcome and contrast machinery. The
+    CDF contrast h(y0, y1 | x) is ``ccdf.cdf_table(1, [y1], x)`` minus
+    ``ccdf.cdf_table(0, [y0], x)``, and the CQTE at level alpha is
+    ``ccdf.quantile(1, alpha, x) - ccdf.quantile(0, alpha, x)``.
     """
 
     spec: DgpSpec
@@ -162,18 +164,6 @@ class TruthOracle:
             out = (ys + 0.5) * (0.5 * rows[:, 0] + 1.5)
         shape = np.broadcast_shapes(np.shape(out), (rows.shape[0],))
         return np.broadcast_to(out, shape).copy()
-
-    def h(self, y0, y1, xs) -> np.ndarray:
-        """CDF contrast F1(y1|x) - F0(y0|x); y0/y1 broadcast against the x rows."""
-        (loc0, scale0), (loc1, scale1) = _arm_params(self.spec, as_rows(xs))
-        cdf = _base(self.spec).cdf
-        return cdf((y1 - loc1) / scale1) - cdf((y0 - loc0) / scale0)
-
-    def cqte(self, alpha: float, xs) -> np.ndarray:
-        """Quantile treatment effect: gap between the arms' alpha-quantiles."""
-        (loc0, scale0), (loc1, scale1) = _arm_params(self.spec, as_rows(xs))
-        z = _base(self.spec).quantile(alpha)
-        return (loc1 + scale1 * z) - (loc0 + scale0 * z)
 
 
 def truth(spec: DgpSpec) -> TruthOracle:
@@ -220,6 +210,19 @@ def sample_holdout(spec: DgpSpec, size: int, seed: int):
     return ys, xs
 
 
+def replication_seeds(base_seed: int, replications: int) -> list[tuple[int, int, int]]:
+    """Replication r's (training, holdout, fit) seeds, as Python ints.
+
+    They come from child r of ``SeedSequence(base_seed).spawn(replications)``.
+    Its spawn key is (r,), so replication r's seeds do not depend on
+    ``replications``, and no two base seeds or replications share a stream.
+    """
+    if base_seed < 0:
+        raise ValueError("base seed must be nonnegative")
+    children = np.random.SeedSequence(base_seed).spawn(replications)
+    return [tuple(int(s) for s in child.generate_state(3)) for child in children]
+
+
 @dataclass(frozen=True)
 class EstimatorResult:
     """Aggregated benchmark row for one estimator."""
@@ -247,6 +250,15 @@ FailureRecord = namedtuple("FailureRecord", "estimator replication seed error me
 RECORDED_FAILURES = (SingleArmError, DegenerateMassError, MemoryError)
 
 
+def _csv_text(header, rows) -> str:
+    """CSV text under ``header``; a float cell is its ``repr``, as ``str`` gives it."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
 @dataclass
 class ErrorReport:
     """Per-estimator error summary of one Monte-Carlo experiment, and a
@@ -258,20 +270,12 @@ class ErrorReport:
     failures: list = field(default_factory=list)
 
     def csv_text(self) -> str:
-        lines = ["estimator,mean_abs_error,ci_low,ci_high,replications"]
-        for row in self.results:
-            lines.append(
-                f"{row.name},{row.mean_abs_error!r},{row.ci_low!r},"
-                f"{row.ci_high!r},{row.replications}"
-            )
-        return "\n".join(lines) + "\n"
+        rows = [(row.name, row.mean_abs_error, row.ci_low, row.ci_high, row.replications)
+                for row in self.results]
+        return _csv_text(("estimator", "mean_abs_error", "ci_low", "ci_high", "replications"), rows)
 
     def failures_csv_text(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(FailureRecord._fields)
-        writer.writerows(self.failures)
-        return out.getvalue()
+        return _csv_text(FailureRecord._fields, self.failures)
 
     def by_name(self, name: str) -> EstimatorResult:
         for row in self.results:
@@ -290,8 +294,8 @@ def run_experiment(
 ) -> ErrorReport:
     """Repeatedly refit every estimator on fresh data and score it on holdouts.
 
-    Each replication r draws a training set and a holdout under seed
-    ``base_seed ^ r``, fits every estimator, and records the mean absolute
+    Each replication r draws a training set and a holdout, and fits every
+    estimator, under its ``replication_seeds``; it records the mean absolute
     gap between the estimated and exact outcome maps over the holdout. An
     estimator failure of a ``RECORDED_FAILURES`` class is counted and recorded
     (``ErrorReport.failures``), not raised; any other exception propagates.
@@ -305,18 +309,18 @@ def run_experiment(
         raise ValueError("need at least one estimator")
     if holdout < 1:
         raise ValueError("need at least 1 holdout draw")
+    seeds = replication_seeds(base_seed, replications)
     oracle = truth(spec)
     errors = np.full((replications, len(estimators)), np.nan)
     failure_counts = np.zeros(len(estimators), dtype=int)
     failures = []
-    for r in range(replications):
-        rep_seed = base_seed ^ r
-        data = sample_dgp(spec, n_total, rep_seed)
-        hold_y, hold_x = sample_holdout(spec, holdout, rep_seed ^ _HOLDOUT_SALT)
+    for r, (train_seed, holdout_seed, fit_seed) in enumerate(seeds):
+        data = sample_dgp(spec, n_total, train_seed)
+        hold_y, hold_x = sample_holdout(spec, holdout, holdout_seed)
         g_star = oracle.g(hold_y, hold_x)
         for j, est in enumerate(estimators):
             try:
-                predictor = est.fit(data, rep_seed, truth=oracle)
+                predictor = est.fit(data, fit_seed, truth=oracle)
                 g_hat = np.asarray(predictor(hold_y, hold_x), dtype=float)
                 errors[r, j] = float(np.mean(np.abs(g_hat - g_star)))
                 # A fit keeps its weight matrices and CDF tables; free them
@@ -324,26 +328,13 @@ def run_experiment(
                 del predictor
             except RECORDED_FAILURES as exc:
                 failure_counts[j] += 1
-                failures.append(FailureRecord(est.name, r, rep_seed, type(exc).__name__, str(exc)))
+                failures.append(FailureRecord(est.name, r, fit_seed, type(exc).__name__, str(exc)))
     results = []
     for j, est in enumerate(estimators):
         col = errors[:, j]
         ok = col[np.isfinite(col)]
-        if ok.size >= 2:
-            mean = float(ok.mean())
-            half = float(1.96 * ok.std(ddof=1) / math.sqrt(ok.size))
-        elif ok.size == 1:
-            mean, half = float(ok[0]), float("nan")
-        else:
-            mean, half = float("nan"), float("nan")
-        results.append(
-            EstimatorResult(
-                name=est.name,
-                mean_abs_error=mean,
-                ci_half_width=half,
-                replications=int(ok.size),
-                failures=int(failure_counts[j]),
-            )
-        )
+        mean = float(ok.mean()) if ok.size else float("nan")
+        half = float(1.96 * ok.std(ddof=1) / math.sqrt(ok.size)) if ok.size >= 2 else float("nan")
+        results.append(EstimatorResult(est.name, mean, half, int(ok.size), int(failure_counts[j])))
     return ErrorReport(results=results, replications=replications, per_replication=errors,
                        failures=failures)

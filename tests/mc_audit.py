@@ -10,10 +10,12 @@ clears its bound, in the quantity's units; a pass needs the test's own
 comparison to hold for every margin.
 
 Other base seeds do not share a dataset with the test's own or with each
-other. A test that draws from seeds ``base`` to ``base + span - 1``, or from
-``base ^ r`` for ``r < span`` (``run_experiment``'s replications), gets the
+other. A test that draws from seeds ``base`` to ``base + span - 1`` gets the
 bases ``base + k * 2**m`` for k = 1..COUNT, where 2**m is the smallest power
-of two no smaller than the span. The gamma tests use the bases 1 + 97k.
+of two no smaller than the span. ``run_experiment``'s replications draw from
+``SeedSequence(base)`` children, which no two bases share, so its spans only
+keep the bases the same as for a test of the same span. The gamma tests use
+the bases 1 + 97k.
 
 Not audited, because they hold for every draw: PAVA's exactness and
 contraction laws (criterion 2), determinism (criterion 9), support and

@@ -8,12 +8,14 @@ batch evaluators ``propensity.many`` and ``ccdf.cdf_table`` at one point each
 (``_pi`` and ``_cdf``), and weight the regression rows with
 ``resolve_weights``, so they share no batch arithmetic with the library's
 profiles. ``step_quantile`` inverts one CDF at one level with
-``searchsorted``, where the library counts entries row-wise.
+``searchsorted``, where the library counts entries row-wise. ``exact_h`` and
+``exact_cqte`` read the CDF contrast and the CQTE off an exact (or fitted)
+``ccdf``.
 """
 
 import numpy as np
 
-from cqcbench.kernels import resolve_weights
+from cqcbench.kernels import as_rows, resolve_weights
 from cqcbench.nuisance import CcdfEvaluator
 from cqcbench.pseudo import PseudoOutcomeKind
 
@@ -28,6 +30,18 @@ def _pi(propensity, x) -> float:
 def _cdf(ccdf, arm: int, y: float, x) -> float:
     """F_arm(y | x) at one threshold and one covariate row."""
     return float(ccdf.cdf_table(arm, [y], np.reshape(x, (1, -1)))[0, 0])
+
+
+def exact_h(ccdf, y0, y1, xs) -> np.ndarray:
+    """h(y0, y1 | x) = F1(y1 | x) - F0(y0 | x) per x row; y0 and y1 broadcast against the rows."""
+    rows = as_rows(xs)
+    y0, y1 = (np.broadcast_to(y, len(rows)) for y in (y0, y1))
+    return np.diagonal(ccdf.cdf_table(1, y1, rows)) - np.diagonal(ccdf.cdf_table(0, y0, rows))
+
+
+def exact_cqte(ccdf, alpha: float, xs) -> np.ndarray:
+    """The gap between the arms' alpha-quantiles, Q1(alpha | x) - Q0(alpha | x), per x row."""
+    return np.array([ccdf.quantile(1, alpha, x) - ccdf.quantile(0, alpha, x) for x in as_rows(xs)])
 
 
 def dr_pseudo(y: float, x, a: int, y0: float, y1: float, nuisance) -> float:

@@ -31,7 +31,7 @@ from cqcbench.simlab import (
 from dgp_draws import draw_given_x
 from isotonic_oracle import dp_isotonic_fit
 from margins import at_most, below, describe, holds
-from scalar_oracle import oracle_pseudo
+from scalar_oracle import exact_h, oracle_pseudo
 
 # Benchmark configuration shared by the Monte-Carlo criteria (gaussian
 # kernels; the nuisance bandwidth resolves the sine wiggle at gamma <= 10,
@@ -73,7 +73,7 @@ def criterion_1_margins(base_seed=314):
     )
     np.testing.assert_array_equal(spot, values[:200])
 
-    target = float(oracle.h(y0, y1, np.array([x]))[0])
+    target = float(exact_h(oracle.ccdf, y0, y1, np.array([x]))[0])
     se = values.std(ddof=1) / np.sqrt(values.size)
     return {"|MC mean - target| < 3 SE": below(abs(values.mean() - target), 3.0 * se)}
 
@@ -157,7 +157,7 @@ def test_criterion_3_truth_oracle_identities():
                 [oracle.ccdf.cdf_table(0, [y], xs[j : j + 1])[0, 0] for j in range(50)]
             )
             worst_f = max(worst_f, float(np.max(np.abs(f1 - f0))))
-            worst_h = max(worst_h, float(np.max(np.abs(oracle.h(y_vec, g_val, xs)))))
+            worst_h = max(worst_h, float(np.max(np.abs(exact_h(oracle.ccdf, y_vec, g_val, xs)))))
     _report(
         3,
         worst_f <= 1e-9 and worst_h <= 1e-9,
@@ -294,7 +294,8 @@ def criterion_8_margins(base_seed=8000):
 
 @pytest.mark.slow
 def test_criterion_8_constant_contrast_family():
-    h_values = truth(DgpSpec("uniform_h", gamma=0.0)).h(0.2, 1.0, np.linspace(0.05, 0.95, 10))
+    h_values = exact_h(truth(DgpSpec("uniform_h", gamma=0.0)).ccdf, 0.2, 1.0,
+                       np.linspace(0.05, 0.95, 10))
     bit_identical = len(set(h_values.tolist())) == 1
     margins = criterion_8_margins()
     _report(

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from contrast_oracle import dense_cdf_table, dense_profile_many, independent_cross_fit
 from isotonic_oracle import numpy_stack_pava, per_row_inversion
 from margins import at_most, below, holds
-from scalar_oracle import scalar_contrast
+from scalar_oracle import exact_cqte, exact_h, scalar_contrast
 from cqcbench.estimator import (
     ContrastFit,
     CqcFit,
@@ -450,7 +450,7 @@ def test_exact_cqte_route_matches_truth(family, gamma):
         alphas,
         xs,
     )
-    expected = np.vstack([oracle.cqte(alpha, xs) for alpha in alphas])
+    expected = np.vstack([exact_cqte(oracle.ccdf, alpha, xs) for alpha in alphas])
     np.testing.assert_allclose(tau, expected, rtol=0, atol=1e-12)
 
 
@@ -477,7 +477,7 @@ def fitted_cqte_margins(family, gamma, mean_bound, level_bound, base_seed=0):
     oracle = truth(spec)
     alphas = np.array([0.25, 0.5, 0.75])
     xs = np.linspace(0.1, 0.9, 9)
-    expected = np.vstack([oracle.cqte(alpha, xs) for alpha in alphas])
+    expected = np.vstack([exact_cqte(oracle.ccdf, alpha, xs) for alpha in alphas])
     nk, ok = KernelSpec("gaussian", 0.05), KernelSpec("gaussian", 0.1)
     errors = []
     for seed in range(base_seed, base_seed + 10):
@@ -516,7 +516,7 @@ def exact_quantile_cqte_margins(family, gamma, oracle_bound, dr_bound, base_seed
     oracle = truth(spec)
     alphas = np.array([0.25, 0.5, 0.75])
     xs = np.linspace(0.1, 0.9, 9)
-    expected = np.vstack([oracle.cqte(alpha, xs) for alpha in alphas])
+    expected = np.vstack([exact_cqte(oracle.ccdf, alpha, xs) for alpha in alphas])
     nk, ok = KernelSpec("gaussian", 0.05), KernelSpec("gaussian", 0.1)
     errors = {"oracle": [], "dr": [], "separate": []}
     for seed in range(base_seed, base_seed + 10):
@@ -796,7 +796,7 @@ def test_cross_fit_error_no_worse_than_worst_replicate():
     for _ in range(20):
         y0, y1 = sorted(rng.normal(size=2))
         x = rng.uniform(0, 1, 1)
-        target = float(oracle.h(y0, y1, x.reshape(1, -1))[0])
+        target = float(exact_h(oracle.ccdf, y0, y1, x.reshape(1, -1))[0])
         combined = abs(contrast.profile_many([y0], [y1], x)[0, 0] - target)
         parts = [abs(replicate_value(rep, y0, y1, x) - target) for rep in contrast.replicates]
         assert combined <= max(parts) + 1e-12

@@ -3,7 +3,7 @@ import pytest
 
 from dgp_draws import draw_given_x
 from margins import below, holds
-from scalar_oracle import dr_pseudo, ipw_pseudo, oracle_pseudo
+from scalar_oracle import dr_pseudo, exact_h, ipw_pseudo, oracle_pseudo
 
 from cqcbench.kernels import KernelSpec
 from cqcbench.nuisance import Dataset, NuisanceModel, fit_nuisance
@@ -124,7 +124,7 @@ def pseudo_unbiased_margins(base_seed=99):
     values = np.array(
         [oracle_pseudo(y, x_arr, a, y0, y1, oracle) for y, a in zip(ys[:4000], arms[:4000])]
     )
-    target = float(oracle.h(y0, y1, x_arr)[0])
+    target = float(exact_h(oracle.ccdf, y0, y1, x_arr)[0])
     se = values.std(ddof=1) / np.sqrt(values.size)
     return {"|mean - target| < 4 SE": below(abs(values.mean() - target), 4 * se)}
 

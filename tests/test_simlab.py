@@ -16,6 +16,7 @@ from cqcbench.simlab import (
 )
 from dgp_draws import draw_given_x
 from margins import at_most, below, holds
+from scalar_oracle import exact_cqte, exact_h
 
 NK = KernelSpec("gaussian", 0.08)
 OK = KernelSpec("gaussian", 0.12)
@@ -107,7 +108,7 @@ def test_truth_linear_family_map():
 
 def test_truth_uniform_contrast_value():
     oracle = truth(DgpSpec("uniform_h", gamma=0.0))
-    assert oracle.h(0.2, 1.0, np.array([[0.5]]))[0] == pytest.approx(0.3)
+    assert exact_h(oracle.ccdf, 0.2, 1.0, np.array([[0.5]]))[0] == pytest.approx(0.3)
 
 
 def test_truth_uniform_contrast_constant_across_x():
@@ -116,23 +117,7 @@ def test_truth_uniform_contrast_constant_across_x():
     oracle = truth(DgpSpec("uniform_h", gamma=6.0))
     xs = np.linspace(0, 1, 10)
     s = np.sin(6.0 * np.pi * xs)
-    np.testing.assert_allclose(oracle.h(s + 0.2, 2.0 * s + 1.0, xs), 0.3, atol=1e-12)
-
-
-@pytest.mark.parametrize("family", FAMILIES)
-def test_truth_contrast_is_the_exact_cdf_contrast(family):
-    # Thresholds inside and outside each arm's support, at x = 0.3 and more.
-    spec = DgpSpec(family, gamma=1.0 if family == "tendim" else 6.0, seed=1)
-    oracle = truth(spec)
-    if family == "tendim":
-        xs = np.random.default_rng(0).uniform(-1, 1, (7, 10))
-    else:
-        xs = np.array([[0.0], [0.3], [0.45], [0.7], [1.0]])
-    for y0, y1 in [(-1.0, 3.0), (0.2, 1.0), (3.0, -1.0), (-4.0, -4.0), (0.5, 5.0)]:
-        expected = (
-            oracle.ccdf.cdf_table(1, [y1], xs)[:, 0] - oracle.ccdf.cdf_table(0, [y0], xs)[:, 0]
-        )
-        np.testing.assert_allclose(oracle.h(y0, y1, xs), expected, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(exact_h(oracle.ccdf, s + 0.2, 2.0 * s + 1.0, xs), 0.3, atol=1e-12)
 
 
 def test_truth_propensity_range():
@@ -216,9 +201,9 @@ def test_exact_cdf_table_matches_its_unbuffered_form(family):
 def test_truth_cqte_symmetry_flat_gamma():
     oracle = truth(DgpSpec("illustrative", gamma=0.0))
     xs = np.array([[0.2], [0.8]])
-    np.testing.assert_allclose(oracle.cqte(0.5, xs), 0.0, atol=1e-12)
+    np.testing.assert_allclose(exact_cqte(oracle.ccdf, 0.5, xs), 0.0, atol=1e-12)
     np.testing.assert_allclose(
-        oracle.cqte(0.25, xs), -oracle.cqte(0.75, xs), atol=1e-12
+        exact_cqte(oracle.ccdf, 0.25, xs), -exact_cqte(oracle.ccdf, 0.75, xs), atol=1e-12
     )
 
 
@@ -245,7 +230,7 @@ def test_truth_identity_relations_all_families():
             )
             np.testing.assert_allclose(f1, f0, atol=1e-9)
             np.testing.assert_allclose(
-                oracle.h(np.full(12, y), g_val, xs), 0.0, atol=1e-9
+                exact_h(oracle.ccdf, np.full(12, y), g_val, xs), 0.0, atol=1e-9
             )
 
 
@@ -330,15 +315,49 @@ def test_run_experiment_records_why_each_replication_failed():
     assert report.by_name("controls-only").failures == 2
     assert report.by_name("separate").failures == 0
     message = "propensity fit needs both treatment arms"
+    (_, _, seed0), (_, _, seed1) = simlab.replication_seeds(5, 2)  # the fit seeds
     assert report.failures == [
-        simlab.FailureRecord("controls-only", 0, 5, "SingleArmError", message),
-        simlab.FailureRecord("controls-only", 1, 4, "SingleArmError", message),
+        simlab.FailureRecord("controls-only", 0, seed0, "SingleArmError", message),
+        simlab.FailureRecord("controls-only", 1, seed1, "SingleArmError", message),
     ]
     assert report.failures_csv_text() == (
         "estimator,replication,seed,error,message\n"
-        f"controls-only,0,5,SingleArmError,{message}\n"
-        f"controls-only,1,4,SingleArmError,{message}\n"
+        f"controls-only,0,{seed0},SingleArmError,{message}\n"
+        f"controls-only,1,{seed1},SingleArmError,{message}\n"
     )
+
+
+class Recording:
+    """The separate estimator, keeping each fit's seed and data and each
+    predict's holdout."""
+
+    name = "recording"
+
+    def __init__(self):
+        self.calls = []
+
+    def fit(self, dataset, seed, truth=None):
+        predictor = SeparateEstimator(NK).fit(dataset, seed)
+
+        def predict(ys, xs):
+            self.calls.append((seed, dataset.y, dataset.x, dataset.a, ys, xs))
+            return predictor(ys, xs)
+
+        return predict
+
+
+def test_replication_draws_do_not_depend_on_the_replication_count():
+    calls = {}
+    for replications in (2, 5):
+        estimator = Recording()
+        run_experiment(DgpSpec("illustrative"), [estimator], 80, replications, holdout=20)
+        calls[replications] = estimator.calls
+    assert len(calls[5]) == 5
+    for ours, theirs in zip(calls[2], calls[5]):
+        # The fit seed is a Python int, which the bench stores as JSON.
+        assert ours[0] == theirs[0] and type(ours[0]) is int
+        for mine, other in zip(ours[1:], theirs[1:]):
+            assert mine.tobytes() == other.tobytes()
 
 
 @pytest.mark.parametrize("error, recorded", [
@@ -400,6 +419,8 @@ def test_run_experiment_validates_inputs():
         run_experiment(spec, [], 100, 3)
     with pytest.raises(ValueError, match="holdout"):
         run_experiment(spec, [SeparateEstimator(NK)], 100, 3, holdout=0)
+    with pytest.raises(ValueError, match="base seed must be nonnegative"):
+        run_experiment(spec, [SeparateEstimator(NK)], 100, 3, base_seed=-1)
 
 
 def test_run_experiment_ci_half_width_definition():
