@@ -151,6 +151,28 @@ def test_every_estimator_rejects_a_nan_query_and_keeps_infinite_y0(name):
     assert g_hat[0] == data.y[data.a == 1].min() and np.isfinite(g_hat[1])
 
 
+@pytest.mark.parametrize("estimator", [
+    DrEstimator(NK, OK, cross_fit=False), DrEstimator(NK, OK, cross_fit=True),
+    IpwEstimator(NK, OK, cross_fit=False), IpwEstimator(NK, OK, cross_fit=True),
+    SeparateEstimator(NK),
+], ids=["dr", "dr-cross-fit", "ipw", "ipw-cross-fit", "separate"])
+def test_outcome_scaling_by_a_power_of_two_scales_estimates_exactly(estimator):
+    # Scaling outcomes by 2^k leaves every indicator, weight and CDF value
+    # unchanged and scales the grid exactly, so fit(2^k y)(2^k y0, x) is
+    # 2^k fit(y)(y0, x) bit for bit. Queries: distinct x rows, then runs of
+    # nine y0 levels at each of three x rows.
+    spec = DgpSpec("illustrative", gamma=4.0)
+    data = sample_dgp(spec, 400, seed=5)
+    y0s, xs = sample_holdout(spec, 40, seed=6)
+    y0s = np.r_[y0s, np.tile(np.linspace(-1.0, 3.0, 9), 3)]
+    xs = np.r_[xs, np.repeat([[0.2], [0.5], [0.8]], 9, axis=0)]
+    g_hat = estimator.fit(data, seed=5)(y0s, xs)
+    for k in (-3, -1, 1, 5):
+        scaled = Dataset(data.y * 2.0**k, data.x, data.a)
+        g_scaled = estimator.fit(scaled, seed=5)(y0s * 2.0**k, xs)
+        assert g_scaled.tobytes() == (g_hat * 2.0**k).tobytes()
+
+
 SCALED_ESTIMATORS = {
     "dr": lambda nk, ok: DrEstimator(nk, ok, cross_fit=False),
     "dr-cross-fit": lambda nk, ok: DrEstimator(nk, ok, cross_fit=True),
@@ -192,8 +214,6 @@ def _increasing_maps(levels):
         "rank": lambda v: np.where(np.isinf(v), v, np.searchsorted(levels, v).astype(float)),
         "exp": lambda v: np.exp(v / 0.7),  # -inf goes to 0, below every exp(y)
         "odd-polynomial": lambda v: 0.5 * v + v**3 + 0.1 * v**5,
-        # Exact in floating point, so the estimates scale as well as keep their order.
-        **{f"times-2^{k}": lambda v, k=k: v * 2.0**k for k in (-3, -1, 1, 5)},
     }
 
 
