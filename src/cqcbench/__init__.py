@@ -10,15 +10,7 @@ runner, and a CSV-based CLI.
 
 from .kernels import DegenerateMassError, KernelSpec, nw_weight_matrix, resolve_weights
 from .isotonic import IsotonicResult, pava_project
-from .nuisance import (
-    CcdfEvaluator,
-    Dataset,
-    NuisanceModel,
-    PropensityEvaluator,
-    SingleArmError,
-    fit_nuisance,
-    make_split,
-)
+from .nuisance import CcdfEvaluator, Dataset, PropensityEvaluator, SingleArmError, make_split
 from .pseudo import PseudoOutcomeKind
 from .estimator import (
     ContrastFit,

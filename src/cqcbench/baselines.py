@@ -19,23 +19,8 @@ import numpy as np
 
 from .estimator import CqcFit, _queries, build_grid, fit_cqc, fit_oracle_contrast
 from .kernels import KernelSpec
-from .nuisance import CcdfEvaluator, Dataset, step_quantile
+from .nuisance import CcdfEvaluator, Dataset, _step_gather, step_quantile
 from .pseudo import PseudoOutcomeKind
-
-
-class _SeparatePredictor:
-    def __init__(self, ccdf):
-        self.ccdf = ccdf
-
-    def __call__(self, y0s, xs) -> np.ndarray:
-        y0s, xs = _queries(y0s, xs)
-        # F0(y0s[q] | xs[q]) as cdf_table gathers it: row q's running arm-0
-        # weight at the last jump point <= y0s[q], 0 before the first.
-        cums0 = np.cumsum(self.ccdf.weight_matrix(0, xs), axis=1)
-        last = np.searchsorted(self.ccdf.arm_outcomes(0), y0s, side="right") - 1
-        alphas = np.where(last >= 0, cums0[np.arange(y0s.size), last], 0.0)
-        cums1 = np.cumsum(self.ccdf.weight_matrix(1, xs), axis=1)
-        return step_quantile(self.ccdf.arm_outcomes(1), cums1, alphas)
 
 
 class DrEstimator:
@@ -78,8 +63,18 @@ class SeparateEstimator:
     def __init__(self, kernel: KernelSpec):
         self.kernel = kernel
 
-    def fit(self, dataset: Dataset, seed: int, truth=None) -> _SeparatePredictor:
-        return _SeparatePredictor(CcdfEvaluator(self.kernel, dataset))
+    def fit(self, dataset: Dataset, seed: int, truth=None):
+        ccdf = CcdfEvaluator(self.kernel, dataset)
+
+        def predict(y0s, xs) -> np.ndarray:
+            # F0(y0s[q] | xs[q]), read before arm 1's table is built, then
+            # arm 1's generalised inverse at that level.
+            y0s, xs = _queries(y0s, xs)
+            alphas = _step_gather(ccdf.cumulative(0, xs), ccdf.arm_outcomes(0), y0s,
+                                  np.arange(y0s.size))
+            return step_quantile(ccdf.arm_outcomes(1), ccdf.cumulative(1, xs), alphas)
+
+        return predict
 
 
 class OracleEstimator:

@@ -36,7 +36,7 @@ from .baselines import DrEstimator, IpwEstimator, OracleEstimator, SeparateEstim
 from .kernels import KERNEL_FAMILIES, DegenerateMassError, KernelSpec
 from .nuisance import CcdfEvaluator, Dataset, SingleArmError
 from .pseudo import PseudoOutcomeKind
-from .simlab import FAMILIES, DgpSpec, replication_seeds, run_experiment, sample_dgp
+from .simlab import FAMILIES, DgpSpec, csv_text, replication_seeds, run_experiment, sample_dgp
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -311,8 +311,7 @@ def _cells(values) -> list[str]:
 
 def _write_table(path: str, header: list[str], columns) -> None:
     """Write equal-length 1-D ``columns`` under ``header`` as a CSV, through ``_atomic_write``."""
-    rows = map(",".join, zip(*map(_cells, columns)))
-    _atomic_write(path, "\n".join([",".join(header), *rows]) + "\n")
+    _atomic_write(path, csv_text(header, zip(*map(_cells, columns))))
 
 
 def write_dataset_csv(dataset: Dataset, path: str) -> None:

@@ -21,7 +21,8 @@ import numpy as np
 # Unused here: bench/test_bench.py reads estimator.pava_project as a binding its patcher restores.
 from .isotonic import pava_project, zero_crossing  # noqa: F401
 from .kernels import KernelSpec, as_rows, kernel_matrix, nw_weight_matrix, transpose_strips
-from .nuisance import Dataset, SingleArmError, arm_major, fit_nuisance, make_split, prefix_gather
+from .nuisance import (CcdfEvaluator, Dataset, PropensityEvaluator, SingleArmError, arm_major,
+                       make_split, prefix_gather)
 from .pseudo import PseudoOutcomeKind
 
 _MONOTONE_TOL = 1e-9
@@ -40,32 +41,32 @@ _ZERO_PLUG_INS = (lambda *_: 0.0,) * 2  # an IPW replicate's F1 mix and F0 table
 class _ContrastReplicate:
     """One nuisance-then-regress pass: fixed regression rows, fixed nuisances.
 
-    ``nuisance`` may be a fitted model or an exact (closed-form) one; it
-    evaluates its propensity ``pi`` and, for DR, its plug-in CDFs ``(mix1,
-    table0) = ccdf.plug_ins(data2.x)`` at the regression rows. ``mix1(u,
-    ys)`` is ``u @ cdf_table(1, ys, data2.x)`` without the clip to [0, 1],
-    and ``table0(ys)`` is ``cdf_table(0, ys, data2.x)``. The IPW
-    pseudo-outcome is the DR one with both zero (``_ZERO_PLUG_INS``). A
-    fitted nuisance is given ``km``, the unnormalised kernel matrix between
-    ``data2``'s rows and its training half in ``arm_major`` order: the
-    propensity reads it, and DR's plug-ins keep it as their weights. An exact
-    nuisance is given none.
+    ``propensity`` and ``ccdf`` may be fitted evaluators or exact
+    (closed-form) ones, kept as attributes; they give ``pi`` and, for DR, the
+    plug-in CDFs ``(mix1, table0) = ccdf.plug_ins(data2.x)`` at the
+    regression rows. ``mix1(u, ys)`` is ``u @ cdf_table(1, ys, data2.x)``
+    without the clip to [0, 1], and ``table0(ys)`` is ``cdf_table(0, ys,
+    data2.x)``. The IPW pseudo-outcome is the DR one with both zero
+    (``_ZERO_PLUG_INS``). Fitted nuisances are given ``km``, the unnormalised
+    kernel matrix between ``data2``'s rows and its training half in
+    ``arm_major`` order: the propensity reads it, and DR's plug-ins keep it as
+    their weights. Exact nuisances are given none.
     """
 
-    def __init__(self, nuisance, data2: Dataset, outer_kernel: KernelSpec, kind: PseudoOutcomeKind,
-                 km=None):
-        self.nuisance = nuisance
+    def __init__(self, propensity, ccdf, data2: Dataset, outer_kernel: KernelSpec,
+                 kind: PseudoOutcomeKind, km=None):
+        self.propensity, self.ccdf = propensity, ccdf
         self.data2 = data2
         self.outer_kernel = outer_kernel
         self.kind = kind
         given = () if km is None else (km,)
-        pi = nuisance.propensity.many(data2.x, *given)
+        pi = propensity.many(data2.x, *given)
         self._a = data2.a.astype(float)
         self._c = (self._a - pi) / (pi * (1.0 - pi))
         treated = data2.arm_indices(1)
         self._treated = treated[np.argsort(data2.y[treated], kind="stable")]
         dr = kind is PseudoOutcomeKind.DR
-        self._mix1, self._table0 = nuisance.ccdf.plug_ins(data2.x, *given) if dr else _ZERO_PLUG_INS
+        self._mix1, self._table0 = ccdf.plug_ins(data2.x, *given) if dr else _ZERO_PLUG_INS
 
     def profile_many(self, y0s: np.ndarray, grid: np.ndarray, xs: np.ndarray) -> np.ndarray:
         """Contrast profiles h_hat(y0s[q], grid[l] | xs[q]) as an (m, p) table,
@@ -183,12 +184,13 @@ def _fit_roles(dataset: Dataset, split, nuisance_kernel: KernelSpec, outer_kerne
     kind = PseudoOutcomeKind(kind)
     d1, d2 = _halves(dataset, split)
     roles = [(d1, d2), (d2, d1)] if cross_fit else [(d1, d2)]
-    nuisances = [fit_nuisance(train, nuisance_kernel, xi) for train, _ in roles]
+    nuisances = [(PropensityEvaluator(nuisance_kernel, train, xi),
+                  CcdfEvaluator(nuisance_kernel, train)) for train, _ in roles]
     k = kernel_matrix(nuisance_kernel, d2.x, d1.x)
     kms = [k, transpose_strips(k)] if cross_fit else [k]
     return ContrastFit(replicates=tuple(
-        _ContrastReplicate(nuis, regress, outer_kernel, kind, km)
-        for nuis, (_, regress), km in zip(nuisances, roles, kms)))
+        _ContrastReplicate(*nuisance, regress, outer_kernel, kind, km)
+        for nuisance, (_, regress), km in zip(nuisances, roles, kms)))
 
 
 def fit_contrast(
@@ -223,8 +225,9 @@ def fit_oracle_contrast(dataset: Dataset, exact_nuisance, outer_kernel: KernelSp
     regression rows, so with closed-form nuisances there is nothing to split.
     The pseudo-outcome is the doubly robust one.
     """
-    return ContrastFit(replicates=(_ContrastReplicate(exact_nuisance, dataset, outer_kernel,
-                                                      PseudoOutcomeKind.DR),))
+    rep = _ContrastReplicate(exact_nuisance.propensity, exact_nuisance.ccdf, dataset, outer_kernel,
+                             PseudoOutcomeKind.DR)
+    return ContrastFit(replicates=(rep,))
 
 
 def build_grid(dataset: Dataset, count: int | None = None) -> np.ndarray:

@@ -43,12 +43,14 @@ def step_quantile(jumps: np.ndarray, cums: np.ndarray, alphas):
     return jumps[np.minimum(pos, jumps.size - 1)]
 
 
-def _step_gather(cums: np.ndarray, points: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    # The (m, len(ys)) table of the running sums ``cums``, whose columns the
-    # ascending ``points`` label, at the last point <= each y; 0 before the first.
+def _step_gather(cums: np.ndarray, points: np.ndarray, ys: np.ndarray,
+                 rows=slice(None)) -> np.ndarray:
+    # The running sums ``cums``, whose columns the ascending ``points`` label, at
+    # the last point <= each y; 0 before the first. By default the (m, len(ys))
+    # table; with ``rows`` = arange(m), one value per row, row q read at ys[q].
     last = np.searchsorted(points, ys, side="right") - 1
-    table = cums[:, last]
-    table[:, last < 0] = 0.0
+    table = cums[rows, last]
+    table[..., last < 0] = 0.0
     return table
 
 
@@ -176,17 +178,22 @@ class CcdfEvaluator:
     def weight_matrix(self, arm: int, queries, km=None) -> np.ndarray:
         return nw_weight_matrix(self.kernel, queries, self.xs[self._arms[arm]], km)
 
+    def cumulative(self, arm: int, queries, km=None) -> np.ndarray:
+        """``weight_matrix(arm, queries, km)`` summed along each row in place:
+        row q holds the arm's CDF at queries[q] at each jump point."""
+        weights = self.weight_matrix(arm, queries, km)
+        return np.cumsum(weights, axis=1, out=weights)
+
     def cdf_table(self, arm: int, ys, queries, cums=None) -> np.ndarray:
         """CDF values F(ys[l] | queries[j], arm) as a (len(queries), len(ys)) table.
 
-        ``cums``, if given, is the arm's weight matrix at ``queries`` summed
-        along each row, as ``plug_ins`` keeps arm 0's; the table is then a
-        column gather of it, and no kernel is evaluated.
+        ``cums``, if given, is ``cumulative(arm, queries)``, as ``plug_ins``
+        keeps arm 0's; the table is then a column gather of it, and no kernel
+        is evaluated.
         """
         ys = np.asarray(ys, dtype=float).reshape(-1)
         if cums is None:
-            cums = self.weight_matrix(arm, queries)
-            np.cumsum(cums, axis=1, out=cums)
+            cums = self.cumulative(arm, queries)
         table = _step_gather(cums, self.arm_outcomes(arm), ys)
         return np.clip(table, 0.0, 1.0, out=table)
 
@@ -205,8 +212,7 @@ class CcdfEvaluator:
         if km is None:
             km = kernel_matrix(self.kernel, queries, self.xs)
         weights1 = self.weight_matrix(1, queries, km[:, self._arms[1]])
-        cums0 = self.weight_matrix(0, queries, km[:, self._arms[0]])
-        np.cumsum(cums0, axis=1, out=cums0)
+        cums0 = self.cumulative(0, queries, km[:, self._arms[0]])
 
         def mix(u, ys):
             ys = np.asarray(ys, dtype=float).reshape(-1)
@@ -222,16 +228,3 @@ class CcdfEvaluator:
             raise ValueError("alpha must lie in [0, 1]")
         weights = resolve_weights(self.kernel, x, self.xs[self._arms[arm]])
         return step_quantile(self.arm_outcomes(arm), np.cumsum(weights), alphas)
-
-
-@dataclass
-class NuisanceModel:
-    """Fitted propensity and CCDF evaluators."""
-
-    propensity: PropensityEvaluator
-    ccdf: CcdfEvaluator
-
-
-def fit_nuisance(dataset: Dataset, kernel: KernelSpec, xi: float = 0.05) -> NuisanceModel:
-    """Fit both nuisances on one split of the data."""
-    return NuisanceModel(PropensityEvaluator(kernel, dataset, xi), CcdfEvaluator(kernel, dataset))

@@ -250,7 +250,7 @@ FailureRecord = namedtuple("FailureRecord", "estimator replication seed error me
 RECORDED_FAILURES = (SingleArmError, DegenerateMassError, MemoryError)
 
 
-def _csv_text(header, rows) -> str:
+def csv_text(header, rows) -> str:
     """CSV text under ``header``; a float cell is its ``repr``, as ``str`` gives it."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
@@ -272,10 +272,10 @@ class ErrorReport:
     def csv_text(self) -> str:
         rows = [(row.name, row.mean_abs_error, row.ci_low, row.ci_high, row.replications)
                 for row in self.results]
-        return _csv_text(("estimator", "mean_abs_error", "ci_low", "ci_high", "replications"), rows)
+        return csv_text(("estimator", "mean_abs_error", "ci_low", "ci_high", "replications"), rows)
 
     def failures_csv_text(self) -> str:
-        return _csv_text(FailureRecord._fields, self.failures)
+        return csv_text(FailureRecord._fields, self.failures)
 
     def by_name(self, name: str) -> EstimatorResult:
         for row in self.results:

@@ -41,7 +41,7 @@ def dense_profile_many(rep, y0s, grid, xs) -> np.ndarray:
     """Profiles of one replicate with fitted (DR or IPW) nuisances."""
     d2 = rep.data2
     a = d2.a.astype(float)
-    pi = np.asarray(rep.nuisance.propensity.many(d2.x), dtype=float)
+    pi = np.asarray(rep.propensity.many(d2.x), dtype=float)
     c = (a - pi) / (pi * (1.0 - pi))
     w_out = nw_weight_matrix(rep.outer_kernel, xs, d2.x)
     ind1 = (d2.y[:, None] <= grid[None, :]).astype(float)
@@ -51,8 +51,8 @@ def dense_profile_many(rep, y0s, grid, xs) -> np.ndarray:
     if rep.kind is PseudoOutcomeKind.IPW:
         s0 = np.einsum("qj,jq->q", w_out, un[:, None] * ind0)
         return (w_out * ac[None, :]) @ ind1 + s0[:, None]
-    f1_grid = dense_cdf_table(rep.nuisance.ccdf, 1, grid, d2.x)
-    f0_q = dense_cdf_table(rep.nuisance.ccdf, 0, y0s, d2.x)
+    f1_grid = dense_cdf_table(rep.ccdf, 1, grid, d2.x)
+    f0_q = dense_cdf_table(rep.ccdf, 0, y0s, d2.x)
     t0 = un[:, None] * (ind0 - f0_q) - f0_q
     s0 = np.einsum("qj,jq->q", w_out, t0)
     return (w_out * ac[None, :]) @ (ind1 - f1_grid) + w_out @ f1_grid + s0[:, None]

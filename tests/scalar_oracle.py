@@ -45,7 +45,9 @@ def exact_cqte(ccdf, alpha: float, xs) -> np.ndarray:
 
 
 def dr_pseudo(y: float, x, a: int, y0: float, y1: float, nuisance) -> float:
-    """Doubly robust pseudo-outcome under a fitted (or exact) nuisance model.
+    """Doubly robust pseudo-outcome under fitted (or exact) nuisances: ``nuisance``
+    is anything with a ``propensity`` and a ``ccdf``, such as a contrast
+    replicate or a simulation truth.
 
     The indicator threshold follows the observation's own arm: y1 when
     treated, y0 when untreated.
@@ -75,9 +77,9 @@ def scalar_contrast(rep, y0: float, y1: float, x) -> float:
     d2 = rep.data2
     rows = [(d2.y[j], d2.x[j], int(d2.a[j])) for j in range(d2.n)]
     if rep.kind is PseudoOutcomeKind.IPW:
-        phi = [ipw_pseudo(y, xj, a, y0, y1, rep.nuisance.propensity) for y, xj, a in rows]
+        phi = [ipw_pseudo(y, xj, a, y0, y1, rep.propensity) for y, xj, a in rows]
     else:
-        phi = [dr_pseudo(y, xj, a, y0, y1, rep.nuisance) for y, xj, a in rows]
+        phi = [dr_pseudo(y, xj, a, y0, y1, rep) for y, xj, a in rows]
     return float(resolve_weights(rep.outer_kernel, x, d2.x) @ np.array(phi))
 
 

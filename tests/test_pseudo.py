@@ -1,3 +1,5 @@
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
@@ -6,10 +8,12 @@ from margins import below, holds
 from scalar_oracle import dr_pseudo, exact_h, ipw_pseudo, oracle_pseudo
 
 from cqcbench.kernels import KernelSpec
-from cqcbench.nuisance import Dataset, NuisanceModel, fit_nuisance
+from cqcbench.nuisance import CcdfEvaluator, Dataset, PropensityEvaluator
 from cqcbench.simlab import DgpSpec, truth
 
 X = np.array([0.0])
+# The (propensity, ccdf) pair that ``dr_pseudo`` reads.
+Nuisance = namedtuple("Nuisance", "propensity ccdf")
 
 
 class StubPropensity:
@@ -31,7 +35,7 @@ class StubCcdf:
 
 
 def stub_nuisance(pi, table):
-    return NuisanceModel(propensity=StubPropensity(pi), ccdf=StubCcdf(table))
+    return Nuisance(StubPropensity(pi), StubCcdf(table))
 
 
 def test_dr_pseudo_treated_hand_value():
@@ -93,7 +97,8 @@ def test_dr_pseudo_bounded_by_clipped_propensity():
         (rng.uniform(size=60) < 0.5).astype(int),
     )
     xi = 0.05
-    nuis = fit_nuisance(data, KernelSpec("gaussian", 0.2), xi=xi)
+    kernel = KernelSpec("gaussian", 0.2)
+    nuis = Nuisance(PropensityEvaluator(kernel, data, xi), CcdfEvaluator(kernel, data))
     bound = 1.0 / xi + 1.0
     for _ in range(200):
         y = float(rng.normal())
