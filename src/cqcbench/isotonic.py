@@ -98,9 +98,7 @@ def _chord_bounds(suffix: np.ndarray, at: np.ndarray):
 def _crossings(suffix: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """Per row, the smallest argmax of T(s) + shift * (p - s), the suffix sums
     of the row plus its shift: the first index where that row projects to >= 0."""
-    if shifts.any():
-        suffix = suffix + shifts[:, None] * np.arange(suffix.shape[1] - 1, -1, -1.0)
-    return suffix.argmax(axis=1)
+    return (suffix + shifts[:, None] * np.arange(suffix.shape[1] - 1, -1, -1.0)).argmax(axis=1)
 
 
 def _windows(rows: np.ndarray, tol: np.ndarray, top: np.ndarray, bottom: np.ndarray):

@@ -56,12 +56,16 @@ class KernelSpec:
             raise ValueError("bandwidth must be positive, with a nonzero finite square")
 
 
-def as_rows(xs) -> np.ndarray:
-    """Covariates as an (n, d) float array; a scalar or a vector is one covariate."""
+def as_rows(xs, dim=None) -> np.ndarray:
+    """Covariates as an (n, d) float array; a scalar or a vector is one covariate.
+    With ``dim``, d must equal it: the one check of a covariate array's width."""
     rows = np.asarray(xs, dtype=float)
     if rows.ndim > 2:
         raise ValueError("covariates must form an (n, d) array")
-    return rows.reshape(-1, 1) if rows.ndim < 2 else rows
+    rows = rows.reshape(-1, 1) if rows.ndim < 2 else rows
+    if dim is not None and rows.shape[1] != dim:
+        raise ValueError(f"dimension mismatch: {rows.shape[1]} vs {dim}")
+    return rows
 
 
 def _kernel_from_sq(spec: KernelSpec, sq_dists: np.ndarray) -> np.ndarray:
@@ -91,11 +95,8 @@ def _sq_dist_matrix(queries: np.ndarray, train: np.ndarray) -> np.ndarray:
 
 def kernel_matrix(spec: KernelSpec, queries, train) -> np.ndarray:
     """Kernel evaluations for every (query, training point) pair."""
-    q = as_rows(queries)
     t = as_rows(train)
-    if q.shape[1] != t.shape[1]:
-        raise ValueError(f"dimension mismatch: {q.shape[1]} vs {t.shape[1]}")
-    return _kernel_from_sq(spec, _sq_dist_matrix(q, t))
+    return _kernel_from_sq(spec, _sq_dist_matrix(as_rows(queries, t.shape[1]), t))
 
 
 def transpose_strips(m: np.ndarray) -> np.ndarray:

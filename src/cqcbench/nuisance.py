@@ -71,7 +71,7 @@ def prefix_gather(weights: np.ndarray, points: np.ndarray, ys: np.ndarray) -> np
 class Dataset:
     """Observations (outcome, covariate vector, binary treatment).
 
-    ``x`` is coerced to an (n, d) float array by ``kernels.as_rows``.
+    ``y`` and ``a`` are flattened; ``x`` is coerced to an (n, d) float array by ``kernels.as_rows``.
     """
 
     y: np.ndarray
@@ -80,11 +80,11 @@ class Dataset:
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=float).reshape(-1)
-        self.a = np.asarray(self.a)
+        self.a = np.asarray(self.a).reshape(-1)
         self.x = as_rows(self.x)
         if self.y.size == 0:
             raise ValueError("dataset must be nonempty")
-        if not (self.y.size == self.x.shape[0] == self.a.shape[0]):
+        if not (self.y.size == self.x.shape[0] == self.a.size):
             raise ValueError("y, x, a must have equal length")
         if not (np.isfinite(self.y).all() and np.isfinite(self.x).all()):
             raise ValueError("outcomes and covariates must be finite")
@@ -139,17 +139,21 @@ class PropensityEvaluator:
 
     def many(self, xs, km=None) -> np.ndarray:
         """Clamped propensities at ``xs``: (km @ a) / (row sums of km), where
-        ``km`` is the unnormalised kernel matrix between ``xs`` and the
-        training rows, the caller's if given. ``km`` is only read. Rows
-        without kernel mass take ``nw_weight_matrix``'s retry policy."""
+        ``km``, the caller's if given, is the unnormalised (queries, training
+        rows) kernel matrix. It is only read. Rows without kernel mass take
+        ``nw_weight_matrix``'s retry policy."""
+        xs = as_rows(xs, self.xs.shape[1])
         if km is None:
             km = kernel_matrix(self.kernel, xs, self.xs)
+        elif km.shape != (xs.shape[0], self.xs.shape[0]):
+            raise ValueError(f"kernel matrix is {km.shape}, not (queries, training rows) "
+                             f"{(xs.shape[0], self.xs.shape[0])}")
         totals = km.sum(axis=1)
         retry = np.nonzero(totals <= 0.0)[0]
         totals[retry] = 1.0
         pi = np.divide(km @ self.treatments, totals, out=totals)
         if retry.size:
-            pi[retry] = nw_weight_matrix(self.kernel, as_rows(xs)[retry], self.xs) @ self.treatments
+            pi[retry] = nw_weight_matrix(self.kernel, xs[retry], self.xs) @ self.treatments
         return np.clip(pi, self.xi, 1.0 - self.xi, out=pi)
 
 

@@ -105,7 +105,7 @@ class ExactPropensity:
         self.spec = spec
 
     def many(self, xs) -> np.ndarray:
-        return 0.4 * _sine_term(self.spec, as_rows(xs)) + 0.5
+        return 0.4 * _sine_term(self.spec, as_rows(xs, self.spec.dim)) + 0.5
 
 
 class ExactCcdf:
@@ -117,7 +117,7 @@ class ExactCcdf:
     def cdf_table(self, arm: int, ys, queries) -> np.ndarray:
         """The standardised thresholds and their CDF values fill one buffer."""
         ys = np.asarray(ys, dtype=float).reshape(-1)
-        loc, scale = _arm_params(self.spec, as_rows(queries))[arm]
+        loc, scale = _arm_params(self.spec, as_rows(queries, self.spec.dim))[arm]
         table = np.subtract(ys[None, :], loc[:, None])
         np.divide(table, scale[:, None], out=table)
         return _base(self.spec).cdf(table, out=table)
@@ -133,7 +133,7 @@ class ExactCcdf:
         alphas = np.asarray(alphas, dtype=float)
         if not np.all((alphas >= 0.0) & (alphas <= 1.0)):
             raise ValueError("alpha must lie in [0, 1]")
-        loc, scale = _arm_params(self.spec, as_rows(np.reshape(x, (1, -1))))[arm]
+        loc, scale = _arm_params(self.spec, as_rows(np.reshape(x, (1, -1)), self.spec.dim))[arm]
         return loc[0] + scale[0] * _base(self.spec).quantile(alphas)
 
 
@@ -155,7 +155,7 @@ class TruthOracle:
     def g(self, ys, xs) -> np.ndarray:
         """Treated outcome at the same conditional quantile as untreated ys."""
         ys = np.asarray(ys, dtype=float)
-        rows = as_rows(xs)
+        rows = as_rows(xs, self.spec.dim)
         if self.spec.family in ("illustrative", "uniform_h"):
             out = 2.0 * ys
         elif self.spec.family == "tendim":
@@ -298,9 +298,10 @@ def run_experiment(
     estimator, under its ``replication_seeds``; it records the mean absolute
     gap between the estimated and exact outcome maps over the holdout. An
     estimator failure of a ``RECORDED_FAILURES`` class is counted and recorded
-    (``ErrorReport.failures``), not raised; any other exception propagates.
-    95% intervals use 1.96 * sd / sqrt(R) over the successful
-    replications.
+    (``ErrorReport.failures``), not raised; any other exception propagates,
+    as does the ``ValueError`` naming an estimator whose estimates do not
+    have the holdout's shape. 95% intervals use 1.96 * sd / sqrt(R) over the
+    successful replications.
     """
     if replications < 2:
         raise ValueError("need at least 2 replications for a confidence interval")
@@ -322,6 +323,9 @@ def run_experiment(
             try:
                 predictor = est.fit(data, fit_seed, truth=oracle)
                 g_hat = np.asarray(predictor(hold_y, hold_x), dtype=float)
+                if g_hat.shape != g_star.shape:
+                    raise ValueError(f"estimator {est.name!r} returned estimates of shape "
+                                     f"{g_hat.shape} for a holdout of shape {g_star.shape}")
                 errors[r, j] = float(np.mean(np.abs(g_hat - g_star)))
                 # A fit keeps its weight matrices and CDF tables; free them
                 # before the next fit.

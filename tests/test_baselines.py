@@ -99,6 +99,17 @@ def test_estimators_share_harness_contract():
         assert (g_hat <= data.y[data.a == 1].max()).all()
 
 
+def test_a_treatment_column_fits_as_the_flat_vector():
+    # Dataset flattens ``a``, so an (n, 1) column is the same dataset.
+    spec = DgpSpec("illustrative", gamma=2.0)
+    data = sample_dgp(spec, 240, seed=9)
+    column = Dataset(data.y, data.x, data.a[:, None])
+    y0s, xs = sample_holdout(spec, 20, seed=10)
+    for est in (DrEstimator(NK, OK, cross_fit=True), IpwEstimator(NK, OK), SeparateEstimator(NK)):
+        flat_g = est.fit(data, seed=9)(y0s, xs)
+        assert est.fit(column, seed=9)(y0s, xs).tobytes() == flat_g.tobytes()
+
+
 def test_oracle_estimator_requires_truth():
     data = sample_dgp(DgpSpec("illustrative", gamma=2.0), 100, seed=0)
     with pytest.raises(ValueError):

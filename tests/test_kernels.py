@@ -94,6 +94,12 @@ def test_kernel_dimension_mismatch():
         kernel_matrix(BOX1, [[0.0, 0.0]], [[1.0]])
     with pytest.raises(ValueError, match=r"\(n, d\)"):
         as_rows(np.zeros((2, 2, 2)))
+    # With a width, as_rows is the one covariate-width check, kernel_matrix's included.
+    assert as_rows(0.5, 1).shape == (1, 1) and as_rows([[1.0, 2.0]], 2).shape == (1, 2)
+    for call in (lambda: as_rows([[0.0, 0.0]], 1),
+                 lambda: kernel_matrix(BOX1, [[0.0, 0.0]], [[1.0]])):
+        with pytest.raises(ValueError, match="^dimension mismatch: 2 vs 1$"):
+            call()
 
 
 def test_nw_weights_hand_count():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,19 @@ def test_propensity_reads_a_given_kernel_matrix_without_writing_it():
     assert km[-1].sum() == 0.0
     assert prop.many(xs, km).tobytes() == prop.many(xs).tobytes()
     assert km.tobytes() == before
+
+
+def test_propensity_rejects_a_kernel_matrix_of_the_wrong_shape():
+    # A 3-row matrix for 5 queries would otherwise give 3 propensities.
+    rng = np.random.default_rng(3)
+    data = Dataset(rng.normal(size=60), rng.uniform(0, 1, (60, 1)), np.arange(60) % 2)
+    prop = PropensityEvaluator(KernelSpec("gaussian", 0.1), data)
+    xs = rng.uniform(0, 1, (5, 1))
+    for rows, train in ((xs[:3], data.x), (xs, data.x[:59])):
+        km = kernel_matrix(prop.kernel, rows, train)
+        expected = f"kernel matrix is {km.shape}, not (queries, training rows) (5, 60)"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            prop.many(xs, km)
 
 
 def test_ccdf_step_values():

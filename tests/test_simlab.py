@@ -151,6 +151,21 @@ def test_ccdf_quantile_contract_is_shared(source):
         ccdf.quantile(0, 1.5, x)
 
 
+def test_exact_nuisances_check_the_covariate_width_as_the_fitted_ones_do():
+    # A two-column x for a one-covariate family is an error, not its first column.
+    spec = DgpSpec("linear_cqc", gamma=2.0)
+    wide, oracle = np.array([[0.3, 0.9]]), truth(spec)
+    with pytest.raises(ValueError) as fitted:
+        CcdfEvaluator(NK, sample_dgp(spec, 200, seed=1)).quantile(0, 0.5, [0.3, 0.9])
+    assert str(fitted.value) == "dimension mismatch: 2 vs 1"
+    for call in (lambda: oracle.ccdf.quantile(0, 0.5, [0.3, 0.9]),
+                 lambda: oracle.ccdf.cdf_table(0, [0.0], wide),
+                 lambda: oracle.propensity.many(wide),
+                 lambda: oracle.g([0.0], wide)):
+        with pytest.raises(ValueError, match=f"^{fitted.value}$"):
+            call()
+
+
 def _plug_in_setup(source, arm):
     spec = DgpSpec("illustrative", gamma=2.0)
     data = sample_dgp(spec, 200, seed=3)
@@ -376,6 +391,23 @@ def test_run_experiment_records_only_the_documented_failures(error, recorded):
     else:
         with pytest.raises(error, match="synthetic failure"):
             run()
+
+
+class ColumnEstimates:
+    """The separate estimator with its estimates as an (m, 1) column."""
+
+    name = "column"
+
+    def fit(self, dataset, seed, truth=None):
+        predictor = SeparateEstimator(NK).fit(dataset, seed)
+        return lambda ys, xs: predictor(ys, xs)[:, None]
+
+
+def test_run_experiment_rejects_estimates_of_the_wrong_shape():
+    # (m, 1) - (m,) would broadcast to an (m, m) gap and score a wrong error.
+    with pytest.raises(ValueError, match=r"^estimator 'column' returned estimates of shape "
+                                         r"\(20, 1\) for a holdout of shape \(20,\)$"):
+        run_experiment(DgpSpec("illustrative"), [ColumnEstimates()], 80, 2, holdout=20)
 
 
 def test_report_lookup_of_an_unknown_estimator_raises_key_error():
