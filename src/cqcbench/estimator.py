@@ -150,14 +150,15 @@ class ContrastFit:
 
 
 def _queries(y0s, xs):
-    """Query pairs (y0s[q], xs[q]) as a float vector and (m, d) rows, with no NaN."""
+    """Query pairs (y0s[q], xs[q]) as a float vector and (m, d) rows, with no NaN
+    y0 and finite covariates."""
     y0s = np.asarray(y0s, dtype=float).reshape(-1)
     xs = as_rows(xs)
     if xs.shape[0] != y0s.size:
         raise ValueError("y0s and xs must pair up one query per row")
-    nan = np.isnan(y0s) | np.isnan(xs).any(axis=1)
-    if nan.any():
-        raise ValueError(f"query {np.argmax(nan)} has a NaN y0 or covariate")
+    bad = np.isnan(y0s) | ~np.isfinite(xs).all(axis=1)
+    if bad.any():
+        raise ValueError(f"query {np.argmax(bad)} has a NaN y0 or a non-finite covariate")
     return y0s, xs
 
 
@@ -234,8 +235,9 @@ def build_grid(dataset: Dataset, count: int | None = None) -> np.ndarray:
     """Sorted, strictly increasing evaluation grid of candidate treated outcomes.
 
     ``None`` uses every distinct treated outcome; a ``count`` spaces that many
-    points over the outcome range, as a fallback for sparse arms. Adding +0.0
-    maps -0.0 to 0.0, so the grid does not depend on row order.
+    points over the outcome range, as a fallback for sparse arms; a range whose
+    width overflows raises ``ValueError``. Adding +0.0 maps -0.0 to 0.0, so the
+    grid does not depend on row order.
     """
     if count is None:
         points = dataset.y[dataset.a == 1]
@@ -244,7 +246,10 @@ def build_grid(dataset: Dataset, count: int | None = None) -> np.ndarray:
     elif count < 1:
         raise ValueError("uniform grid needs a positive point count")
     else:
-        points = np.linspace(dataset.y.min(), dataset.y.max(), count)
+        lo, hi = float(dataset.y.min()), float(dataset.y.max())
+        if not np.isfinite(hi - lo):
+            raise ValueError("the outcome range overflows; a uniform grid needs a finite max - min")
+        points = np.linspace(lo, hi, count)
     return np.unique(points + 0.0)
 
 
@@ -252,6 +257,8 @@ def _check_grid(grid: np.ndarray) -> np.ndarray:
     grid = np.asarray(grid, dtype=float).reshape(-1)
     if grid.size == 0:
         raise ValueError("evaluation grid must be nonempty")
+    if not np.isfinite(grid).all():
+        raise ValueError("evaluation grid must be finite")
     if grid.size > 1 and not np.all(np.diff(grid) > 0):
         raise ValueError("evaluation grid must be strictly increasing")
     return grid

@@ -58,13 +58,18 @@ class KernelSpec:
 
 def as_rows(xs, dim=None) -> np.ndarray:
     """Covariates as an (n, d) float array; a scalar or a vector is one covariate.
-    With ``dim``, d must equal it: the one check of a covariate array's width."""
+    With ``dim``, d must equal it and every row must be finite: the one check of
+    a covariate array that enters a nuisance or a kernel as queries."""
     rows = np.asarray(xs, dtype=float)
     if rows.ndim > 2:
         raise ValueError("covariates must form an (n, d) array")
     rows = rows.reshape(-1, 1) if rows.ndim < 2 else rows
-    if dim is not None and rows.shape[1] != dim:
-        raise ValueError(f"dimension mismatch: {rows.shape[1]} vs {dim}")
+    if dim is not None:
+        if rows.shape[1] != dim:
+            raise ValueError(f"dimension mismatch: {rows.shape[1]} vs {dim}")
+        finite = np.isfinite(rows)
+        if not finite.all():
+            raise ValueError(f"covariate row {np.argmin(finite.all(axis=1))} is not finite")
     return rows
 
 

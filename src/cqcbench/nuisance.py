@@ -5,6 +5,25 @@ given covariates) and the per-arm conditional outcome CDFs. Both are fitted
 with Nadaraya-Watson regression on the first data split and evaluated on the
 second, so that estimation noise in the nuisances is independent of the rows
 used for the downstream pseudo-outcome regression.
+
+The nuisance contract. The fitted evaluators here and the exact ones in
+``simlab`` (``ExactPropensity``, ``ExactCcdf``) answer four batch calls alike:
+``propensity.many(xs)``, ``ccdf.cdf_table(arm, ys, queries)``,
+``ccdf.plug_ins(queries)`` and ``ccdf.quantile(arm, alphas, x)``. Each
+argument has one rule, checked by one helper that both kinds call, so a
+malformed call raises the same ``ValueError`` from either kind:
+
+- ``arm`` is 0 or 1 (``check_arm``);
+- ``alphas`` lie in [0, 1], NaN excluded (``check_levels``);
+- ``ys``, here and in the plug-ins ``mix(u, ys)`` and ``table(ys)``, are
+  flattened, and none is NaN; -inf and +inf are limits (``as_thresholds``);
+- ``xs``, ``queries`` and ``x`` have the nuisance's covariate width, and
+  every row is finite (``kernels.as_rows(xs, dim)``).
+
+Valid calls give the same shapes from both kinds, and CDF values in [0, 1]
+that are nondecreasing in y. At levels 0 and 1, exact quantiles are the
+support's ends (-inf and +inf for a normal base), and fitted ones are jump
+points: the smallest, and the first where the cumulative weight reaches 1.
 """
 
 from __future__ import annotations
@@ -20,6 +39,29 @@ _QUANTILE_SLACK = 1e-9
 
 class SingleArmError(ValueError):
     """A fit that needs both treatment arms saw only one."""
+
+
+def check_arm(arm) -> int:
+    """``arm``, which must be 0 (untreated) or 1 (treated)."""
+    if arm not in (0, 1):
+        raise ValueError(f"arm must be 0 or 1, not {arm!r}")
+    return arm
+
+
+def check_levels(alphas) -> np.ndarray:
+    """Quantile levels as a float array, each in [0, 1]."""
+    alphas = np.asarray(alphas, dtype=float)
+    if not np.all((alphas >= 0.0) & (alphas <= 1.0)):  # NaN levels included
+        raise ValueError("alpha must lie in [0, 1]")
+    return alphas
+
+
+def as_thresholds(ys) -> np.ndarray:
+    """CDF thresholds as a flat float array; -inf and +inf are limits, NaN is an error."""
+    ys = np.asarray(ys, dtype=float).reshape(-1)
+    if np.isnan(ys).any():
+        raise ValueError(f"threshold {np.argmax(np.isnan(ys))} is NaN")
+    return ys
 
 
 def step_quantile(jumps: np.ndarray, cums: np.ndarray, alphas):
@@ -177,10 +219,10 @@ class CcdfEvaluator:
 
     def arm_outcomes(self, arm: int) -> np.ndarray:
         """Outcomes of the given arm, ascending (the CDF's jump points)."""
-        return self.ys[self._arms[arm]]
+        return self.ys[self._arms[check_arm(arm)]]
 
     def weight_matrix(self, arm: int, queries, km=None) -> np.ndarray:
-        return nw_weight_matrix(self.kernel, queries, self.xs[self._arms[arm]], km)
+        return nw_weight_matrix(self.kernel, queries, self.xs[self._arms[check_arm(arm)]], km)
 
     def cumulative(self, arm: int, queries, km=None) -> np.ndarray:
         """``weight_matrix(arm, queries, km)`` summed along each row in place:
@@ -195,7 +237,7 @@ class CcdfEvaluator:
         keeps arm 0's; the table is then a column gather of it, and no kernel
         is evaluated.
         """
-        ys = np.asarray(ys, dtype=float).reshape(-1)
+        ys = as_thresholds(ys)
         if cums is None:
             cums = self.cumulative(arm, queries)
         table = _step_gather(cums, self.arm_outcomes(arm), ys)
@@ -219,7 +261,7 @@ class CcdfEvaluator:
         cums0 = self.cumulative(0, queries, km[:, self._arms[0]])
 
         def mix(u, ys):
-            ys = np.asarray(ys, dtype=float).reshape(-1)
+            ys = as_thresholds(ys)
             return prefix_gather(u @ weights1, self.arm_outcomes(1), ys)
 
         return mix, lambda ys: self.cdf_table(0, ys, queries, cums0)
@@ -227,8 +269,6 @@ class CcdfEvaluator:
     def quantile(self, arm: int, alphas, x):
         """Generalised inverse inf{y : F(y) >= alpha} over the jump points at
         every level in ``alphas``, from one weight row at ``x``."""
-        alphas = np.asarray(alphas, dtype=float)
-        if not np.all((alphas >= 0.0) & (alphas <= 1.0)):
-            raise ValueError("alpha must lie in [0, 1]")
-        weights = resolve_weights(self.kernel, x, self.xs[self._arms[arm]])
+        alphas = check_levels(alphas)
+        weights = resolve_weights(self.kernel, x, self.xs[self._arms[check_arm(arm)]])
         return step_quantile(self.arm_outcomes(arm), np.cumsum(weights), alphas)

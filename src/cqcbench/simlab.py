@@ -31,7 +31,7 @@ import numpy as np
 
 # nw_weight_matrix is unused here, but bench/test_bench.py checks this binding.
 from .kernels import DegenerateMassError, as_rows, nw_weight_matrix  # noqa: F401
-from .nuisance import Dataset, SingleArmError
+from .nuisance import Dataset, SingleArmError, as_thresholds, check_arm, check_levels
 
 FAMILIES = ("illustrative", "tendim", "linear_cqc", "uniform_h")
 
@@ -99,7 +99,7 @@ def _base(spec: DgpSpec) -> _Base:
 
 
 class ExactPropensity:
-    """Closed-form propensity with the fitted evaluator's interface."""
+    """Closed-form propensity under the nuisance contract (``nuisance``'s docstring)."""
 
     def __init__(self, spec: DgpSpec):
         self.spec = spec
@@ -109,14 +109,15 @@ class ExactPropensity:
 
 
 class ExactCcdf:
-    """Closed-form per-arm conditional CDFs with the fitted evaluator's interface."""
+    """Closed-form per-arm conditional CDFs under the nuisance contract
+    (``nuisance``'s docstring)."""
 
     def __init__(self, spec: DgpSpec):
         self.spec = spec
 
     def cdf_table(self, arm: int, ys, queries) -> np.ndarray:
         """The standardised thresholds and their CDF values fill one buffer."""
-        ys = np.asarray(ys, dtype=float).reshape(-1)
+        ys, arm = as_thresholds(ys), check_arm(arm)
         loc, scale = _arm_params(self.spec, as_rows(queries, self.spec.dim))[arm]
         table = np.subtract(ys[None, :], loc[:, None])
         np.divide(table, scale[:, None], out=table)
@@ -124,15 +125,15 @@ class ExactCcdf:
 
     def plug_ins(self, queries):
         """``(mix, table)``: ``u @ cdf_table(1, ys, queries)`` and
-        ``cdf_table(0, ys, queries)``, as the fitted evaluator's."""
+        ``cdf_table(0, ys, queries)``, as the fitted evaluator's; ``queries``
+        are checked here, as the fitted evaluator checks them."""
+        queries = as_rows(queries, self.spec.dim)
         return (lambda u, ys: u @ self.cdf_table(1, ys, queries),
                 lambda ys: self.cdf_table(0, ys, queries))
 
     def quantile(self, arm: int, alphas, x):
         """Arm quantiles loc + scale * Z_alpha at every level in ``alphas``, at one x."""
-        alphas = np.asarray(alphas, dtype=float)
-        if not np.all((alphas >= 0.0) & (alphas <= 1.0)):
-            raise ValueError("alpha must lie in [0, 1]")
+        alphas, arm = check_levels(alphas), check_arm(arm)
         loc, scale = _arm_params(self.spec, as_rows(np.reshape(x, (1, -1)), self.spec.dim))[arm]
         return loc[0] + scale[0] * _base(self.spec).quantile(alphas)
 
@@ -141,9 +142,10 @@ class ExactCcdf:
 class TruthOracle:
     """Exact nuisances and the estimand ``g`` of one DGP.
 
-    ``propensity`` and ``ccdf`` satisfy the fitted-nuisance interface, so the
-    oracle plugs directly into the pseudo-outcome and contrast machinery. The
-    CDF contrast h(y0, y1 | x) is ``ccdf.cdf_table(1, [y1], x)`` minus
+    ``propensity`` and ``ccdf`` keep the nuisance contract that ``nuisance``'s
+    docstring states for fitted and exact kinds alike, so the oracle plugs
+    directly into the pseudo-outcome and contrast machinery. The CDF contrast
+    h(y0, y1 | x) is ``ccdf.cdf_table(1, [y1], x)`` minus
     ``ccdf.cdf_table(0, [y0], x)``, and the CQTE at level alpha is
     ``ccdf.quantile(1, alpha, x) - ccdf.quantile(0, alpha, x)``.
     """

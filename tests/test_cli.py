@@ -1024,6 +1024,17 @@ def test_overflowing_gap_is_one_line_numerical_failure(tmp_path, capsys, argv):
     assert not (tmp_path / f"{argv[0]}.csv").exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowing_outcome_range_of_a_uniform_grid_is_one_line_data_error(tmp_path, capsys):
+    path = overflow_csv(tmp_path)
+    argv = ["surface", "--grid", "uniform:5", "--x-grid", "0:1:3", "--input", path,
+            "--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "the outcome range overflows" in err
+    assert err.count("\n") == 1
+
+
 def straddling_csv(tmp_path, column):
     # Untreated outcomes (column "y") or covariates ("x1") near +-1.7e308 with
     # both signs, so that column's range overflows.

@@ -1007,5 +1007,7 @@ def test_oracle_contrast_uses_full_sample():
 
 
 def test_cqcfit_rejects_bad_grid():
-    with pytest.raises(ValueError):
-        CqcFit(LinearContrast(), np.array([2.0, 1.0]))
+    for grid, rule in (([2.0, 1.0], "strictly increasing"), ([np.nan], "finite"),
+                       ([-np.inf, 0.0, np.inf], "finite")):
+        with pytest.raises(ValueError, match=f"^evaluation grid must be {rule}$"):
+            CqcFit(LinearContrast(), np.array(grid))

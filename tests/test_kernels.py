@@ -100,6 +100,12 @@ def test_kernel_dimension_mismatch():
                  lambda: kernel_matrix(BOX1, [[0.0, 0.0]], [[1.0]])):
         with pytest.raises(ValueError, match="^dimension mismatch: 2 vs 1$"):
             call()
+    # It also rejects a non-finite row, naming it; without a width nothing is checked.
+    assert np.isnan(as_rows([0.5, np.nan])[1, 0])
+    for bad in (np.nan, np.inf, -np.inf):
+        for call in (lambda: as_rows([0.5, bad], 1), lambda: kernel_matrix(BOX1, [0.5, bad], [1.0])):
+            with pytest.raises(ValueError, match="^covariate row 1 is not finite$"):
+                call()
 
 
 def test_nw_weights_hand_count():

@@ -212,14 +212,6 @@ def test_generalised_inverse_step_examples():
     np.testing.assert_array_equal(levels, [2.0, 4.0, 2.0, 1.0])
 
 
-def test_generalised_inverse_alpha_out_of_range():
-    ccdf = CcdfEvaluator(WIDE_BOX, four_point_arm1_dataset())
-    with pytest.raises(ValueError):
-        ccdf.quantile(1, 1.5, np.array([0.0]))
-    with pytest.raises(ValueError):
-        ccdf.quantile(1, [0.5, -0.1], np.array([0.0]))
-
-
 def test_row_wise_step_quantile_matches_scalar_reference():
     rng = np.random.default_rng(5)
     m = 12
@@ -268,17 +260,3 @@ def test_generalised_inverse_round_trip_laws():
     jumps = ccdf.arm_outcomes(1)
     levels = ccdf.cdf_table(1, jumps, x[None])[0]
     assert np.all(ccdf.quantile(1, levels, x) <= jumps + 1e-12)
-
-
-def test_ccdf_monotone_in_y():
-    rng = np.random.default_rng(3)
-    data = Dataset(
-        rng.normal(size=50),
-        rng.uniform(0, 1, (50, 1)),
-        (rng.uniform(size=50) < 0.5).astype(int),
-    )
-    ccdf = CcdfEvaluator(KernelSpec("gaussian", 0.2), data)
-    ys = np.linspace(-3, 3, 60)
-    table = ccdf.cdf_table(1, ys, np.array([[0.5], [0.9]]))
-    assert np.all(np.diff(table, axis=1) >= 0)
-    assert (table >= 0).all() and (table <= 1).all()

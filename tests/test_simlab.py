@@ -5,7 +5,7 @@ from scipy.special import ndtri
 from cqcbench import simlab
 from cqcbench.baselines import DrEstimator, OracleEstimator, SeparateEstimator
 from cqcbench.kernels import DegenerateMassError, KernelSpec
-from cqcbench.nuisance import CcdfEvaluator, SingleArmError
+from cqcbench.nuisance import SingleArmError
 from cqcbench.simlab import (
     FAMILIES,
     DgpSpec,
@@ -135,67 +135,6 @@ def test_truth_quantile_matches_scipy():
     s = np.sin(2.0 * np.pi * 0.3)
     assert oracle.ccdf.quantile(0, 0.8, x) == pytest.approx(s + ndtri(0.8))
     assert oracle.ccdf.quantile(1, 0.8, x) == pytest.approx(2 * s + 2 * ndtri(0.8))
-
-
-@pytest.mark.parametrize("source", ["fitted", "exact"])
-def test_ccdf_quantile_contract_is_shared(source):
-    spec = DgpSpec("illustrative", gamma=2.0)
-    if source == "fitted":
-        ccdf = CcdfEvaluator(NK, sample_dgp(spec, 200, seed=1))
-    else:
-        ccdf = truth(spec).ccdf
-    x = np.array([0.3])
-    assert ccdf.quantile(0, [0.25, 0.5, 0.75], x).shape == (3,)
-    assert np.ndim(ccdf.quantile(0, 0.5, x)) == 0
-    with pytest.raises(ValueError):
-        ccdf.quantile(0, 1.5, x)
-
-
-def test_exact_nuisances_check_the_covariate_width_as_the_fitted_ones_do():
-    # A two-column x for a one-covariate family is an error, not its first column.
-    spec = DgpSpec("linear_cqc", gamma=2.0)
-    wide, oracle = np.array([[0.3, 0.9]]), truth(spec)
-    with pytest.raises(ValueError) as fitted:
-        CcdfEvaluator(NK, sample_dgp(spec, 200, seed=1)).quantile(0, 0.5, [0.3, 0.9])
-    assert str(fitted.value) == "dimension mismatch: 2 vs 1"
-    for call in (lambda: oracle.ccdf.quantile(0, 0.5, [0.3, 0.9]),
-                 lambda: oracle.ccdf.cdf_table(0, [0.0], wide),
-                 lambda: oracle.propensity.many(wide),
-                 lambda: oracle.g([0.0], wide)):
-        with pytest.raises(ValueError, match=f"^{fitted.value}$"):
-            call()
-
-
-def _plug_in_setup(source, arm):
-    spec = DgpSpec("illustrative", gamma=2.0)
-    data = sample_dgp(spec, 200, seed=3)
-    ccdf = CcdfEvaluator(NK, data) if source == "fitted" else truth(spec).ccdf
-    points = np.sort(data.y[data.a == arm])
-    # Jump points with repeats, between them, and beyond both ends.
-    ys = np.concatenate([points[:5], points[:5], points[::7] + 1e-3, [points[0] - 1, points[-1] + 1]])
-    return ccdf, ys
-
-
-@pytest.mark.parametrize("source", ["fitted", "exact"])
-def test_ccdf_mixer_is_weighted_sum_of_cdf_table(source):
-    # The first plug-in mixes arm 1's CDF table over signed row weights.
-    ccdf, ys = _plug_in_setup(source, 1)
-    rng = np.random.default_rng(5)
-    rows = rng.uniform(0.0, 1.0, (40, 1))
-    u = rng.normal(size=(6, rows.shape[0]))  # signed mixing weights
-    mix, _ = ccdf.plug_ins(rows)
-    for grid in (np.sort(ys), ys, ys[:1]):
-        np.testing.assert_allclose(mix(u, grid), u @ ccdf.cdf_table(1, grid, rows), rtol=0, atol=1e-12)
-
-
-@pytest.mark.parametrize("source", ["fitted", "exact"])
-def test_ccdf_tabulator_is_cdf_table(source):
-    # The second plug-in is arm 0's CDF table, bit for bit.
-    ccdf, ys = _plug_in_setup(source, 0)
-    rows = np.random.default_rng(6).uniform(0.0, 1.0, (40, 1))
-    _, table = ccdf.plug_ins(rows)
-    for grid in (np.sort(ys), ys, ys[:1]) * 2:  # later calls see the kept state unchanged
-        assert table(grid).tobytes() == ccdf.cdf_table(0, grid, rows).tobytes()
 
 
 @pytest.mark.parametrize("family", FAMILIES)
