@@ -19,7 +19,7 @@ import numpy as np
 
 from .estimator import CqcFit, _queries, build_grid, fit_cqc, fit_oracle_contrast
 from .kernels import KernelSpec
-from .nuisance import CcdfEvaluator, Dataset, _step_gather, step_quantile
+from .nuisance import XI, CcdfEvaluator, Dataset, _step_gather, step_quantile
 from .pseudo import PseudoOutcomeKind
 
 
@@ -33,7 +33,7 @@ class DrEstimator:
         self,
         nuisance_kernel: KernelSpec,
         outer_kernel: KernelSpec,
-        xi: float = 0.05,
+        xi: float = XI,
         cross_fit: bool = False,
         grid_count: int | None = None,
     ):
@@ -85,7 +85,7 @@ class OracleEstimator:
     def __init__(
         self,
         outer_kernel: KernelSpec,
-        xi: float = 0.05,  # unused: exact propensities are never clipped
+        xi: float = XI,  # unused: exact propensities are never clipped
         grid_count: int | None = None,
     ):
         self.outer_kernel = outer_kernel

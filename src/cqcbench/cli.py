@@ -34,7 +34,7 @@ import numpy as np
 from .estimator import cqc_to_cqte, fit_cqc, surface_eval
 from .baselines import DrEstimator, IpwEstimator, OracleEstimator, SeparateEstimator
 from .kernels import KERNEL_FAMILIES, DegenerateMassError, KernelSpec
-from .nuisance import CcdfEvaluator, Dataset, SingleArmError
+from .nuisance import XI, CcdfEvaluator, Dataset, SingleArmError
 from .pseudo import PseudoOutcomeKind
 from .simlab import FAMILIES, DgpSpec, csv_text, replication_seeds, run_experiment, sample_dgp
 
@@ -480,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--kernel", choices=KERNEL_FAMILIES, default="gaussian")
         p.add_argument("--bandwidth-nuisance", type=_bandwidth, default=0.1)
         p.add_argument("--bandwidth-outer", type=_bandwidth, default=0.1)
-        p.add_argument("--xi", default=0.05,
+        p.add_argument("--xi", default=XI,
                        type=_checked(float, lambda v: 0.0 < v <= 0.5, "xi must lie in (0, 0.5]"))
         p.add_argument("--cross-fit", action=argparse.BooleanOptionalAction, default=True)
         p.add_argument("--grid", type=_grid_count, default="treated",

@@ -21,8 +21,8 @@ import numpy as np
 # Unused here: bench/test_bench.py reads estimator.pava_project as a binding its patcher restores.
 from .isotonic import pava_project, zero_crossing  # noqa: F401
 from .kernels import KernelSpec, as_rows, kernel_matrix, nw_weight_matrix, transpose_strips
-from .nuisance import (CcdfEvaluator, Dataset, PropensityEvaluator, SingleArmError, arm_major,
-                       make_split, prefix_gather)
+from .nuisance import (XI, CcdfEvaluator, Dataset, PropensityEvaluator, SingleArmError, arm_major,
+                       as_thresholds, make_split, prefix_gather)
 from .pseudo import PseudoOutcomeKind
 
 _MONOTONE_TOL = 1e-9
@@ -121,8 +121,10 @@ class ContrastFit:
     """Evaluator for the regressed pseudo-outcome contrast h_hat(y0, y1 | x).
 
     Holds one replicate, or two role-swapped replicates whose evaluations are
-    averaged (cross-fitting). IPW profiles are nondecreasing by construction,
-    so an IPW descent beyond ``_MONOTONE_TOL`` is a bug: it raises AssertionError.
+    averaged (cross-fitting). A profile grid may come in any order. IPW
+    profiles are nondecreasing in the grid point by construction, so an IPW
+    fall beyond ``_MONOTONE_TOL`` between grid points in nondecreasing order
+    is a bug: it raises AssertionError.
     """
 
     replicates: tuple
@@ -137,10 +139,12 @@ class ContrastFit:
 
     def profile_many(self, y0s, grid, xs) -> np.ndarray:
         y0s, xs = _queries(y0s, xs)
-        profiles = self._mean("profile_many", y0s, np.asarray(grid, dtype=float).reshape(-1), xs)
-        if (self.replicates[0].kind is PseudoOutcomeKind.IPW
-                and np.any(np.diff(profiles, axis=1) < -_MONOTONE_TOL)):
-            raise AssertionError("IPW contrast profile is not monotone before projection")
+        grid = as_thresholds(grid)
+        profiles = self._mean("profile_many", y0s, grid, xs)
+        if self.replicates[0].kind is PseudoOutcomeKind.IPW:
+            falls = np.any(np.diff(profiles, axis=1) < -_MONOTONE_TOL, axis=0)
+            if np.any(falls & (grid[1:] >= grid[:-1])):
+                raise AssertionError("IPW contrast profile is not monotone before projection")
         return profiles
 
     def y0_terms(self, y0s, xs) -> np.ndarray:
@@ -150,15 +154,11 @@ class ContrastFit:
 
 
 def _queries(y0s, xs):
-    """Query pairs (y0s[q], xs[q]) as a float vector and (m, d) rows, with no NaN
-    y0 and finite covariates."""
-    y0s = np.asarray(y0s, dtype=float).reshape(-1)
-    xs = as_rows(xs)
+    """Query pairs (y0s[q], xs[q]) as thresholds (``as_thresholds``) and (m, d) rows
+    (``as_rows``), one of each per query."""
+    y0s, xs = as_thresholds(y0s), as_rows(xs)
     if xs.shape[0] != y0s.size:
         raise ValueError("y0s and xs must pair up one query per row")
-    bad = np.isnan(y0s) | ~np.isfinite(xs).all(axis=1)
-    if bad.any():
-        raise ValueError(f"query {np.argmax(bad)} has a NaN y0 or a non-finite covariate")
     return y0s, xs
 
 
@@ -200,7 +200,7 @@ def fit_contrast(
     nuisance_kernel: KernelSpec,
     outer_kernel: KernelSpec,
     kind: PseudoOutcomeKind = PseudoOutcomeKind.DR,
-    xi: float = 0.05,
+    xi: float = XI,
 ) -> ContrastFit:
     """``_fit_roles`` on ``split``, one role."""
     return _fit_roles(dataset, split, nuisance_kernel, outer_kernel, kind, xi, False)
@@ -212,7 +212,7 @@ def cross_fit_contrast(
     nuisance_kernel: KernelSpec,
     outer_kernel: KernelSpec,
     kind: PseudoOutcomeKind = PseudoOutcomeKind.DR,
-    xi: float = 0.05,
+    xi: float = XI,
 ) -> ContrastFit:
     """``_fit_roles`` on ``make_split(dataset, seed)``, both roles."""
     return _fit_roles(dataset, make_split(dataset, seed), nuisance_kernel, outer_kernel, kind, xi,
@@ -370,8 +370,7 @@ def surface_eval(fit: CqcFit, y_grid, x_grid) -> np.ndarray:
     """Treated-minus-untreated gap over a (y, x) grid, row-major in y: cell
     [i, k] is g_hat(y_grid[i] | x_grid[k]) - y_grid[i], from ``_gap_table``
     with the y axis at every x."""
-    ys = np.asarray(y_grid, dtype=float).reshape(-1)
-    xs = as_rows(x_grid)
+    ys, xs = as_thresholds(y_grid), as_rows(x_grid)
     if ys.size == 0 or xs.shape[0] == 0:
         raise ValueError("surface grids must be nonempty")
     return _gap_table(fit, np.broadcast_to(ys, (xs.shape[0], ys.size)), xs)

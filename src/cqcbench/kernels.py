@@ -48,28 +48,24 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in KERNEL_FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
-        try:
-            square = float(self.bandwidth) ** 2
-        except OverflowError:  # above sqrt(max float)
-            square = math.inf
+        square = float(self.bandwidth) * float(self.bandwidth)  # overflows to inf, where ** raises
         if not (self.bandwidth > 0 and 0 < square < math.inf):
             raise ValueError("bandwidth must be positive, with a nonzero finite square")
 
 
 def as_rows(xs, dim=None) -> np.ndarray:
     """Covariates as an (n, d) float array; a scalar or a vector is one covariate.
-    With ``dim``, d must equal it and every row must be finite: the one check of
-    a covariate array that enters a nuisance or a kernel as queries."""
+    Every row must be finite, and with ``dim``, d must equal it: the one check of
+    a covariate array that enters the library."""
     rows = np.asarray(xs, dtype=float)
     if rows.ndim > 2:
         raise ValueError("covariates must form an (n, d) array")
     rows = rows.reshape(-1, 1) if rows.ndim < 2 else rows
-    if dim is not None:
-        if rows.shape[1] != dim:
-            raise ValueError(f"dimension mismatch: {rows.shape[1]} vs {dim}")
-        finite = np.isfinite(rows)
-        if not finite.all():
-            raise ValueError(f"covariate row {np.argmin(finite.all(axis=1))} is not finite")
+    if dim is not None and rows.shape[1] != dim:
+        raise ValueError(f"dimension mismatch: {rows.shape[1]} vs {dim}")
+    finite = np.isfinite(rows)
+    if not finite.all():
+        raise ValueError(f"covariate row {np.argmin(finite.all(axis=1))} is not finite")
     return rows
 
 
@@ -159,4 +155,4 @@ def nw_weight_matrix(spec: KernelSpec, queries, train_xs, km=None) -> np.ndarray
 
 def resolve_weights(spec: KernelSpec, x, train_xs) -> np.ndarray:
     """Nadaraya-Watson weights of one query point: one row of ``nw_weight_matrix``."""
-    return nw_weight_matrix(spec, as_rows(x).reshape(1, -1), train_xs)[0]
+    return nw_weight_matrix(spec, np.reshape(x, (1, -1)), train_xs)[0]

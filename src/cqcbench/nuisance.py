@@ -16,9 +16,11 @@ malformed call raises the same ``ValueError`` from either kind:
 - ``arm`` is 0 or 1 (``check_arm``);
 - ``alphas`` lie in [0, 1], NaN excluded (``check_levels``);
 - ``ys``, here and in the plug-ins ``mix(u, ys)`` and ``table(ys)``, are
-  flattened, and none is NaN; -inf and +inf are limits (``as_thresholds``);
-- ``xs``, ``queries`` and ``x`` have the nuisance's covariate width, and
-  every row is finite (``kernels.as_rows(xs, dim)``).
+  flattened, and none is NaN; -inf and +inf are limits (``as_thresholds``).
+  So are an estimator's y0s, its profile grid (in any order) and surface y axis;
+- ``xs``, ``queries`` and ``x`` have the nuisance's covariate width
+  (``kernels.as_rows(xs, dim)``), and every covariate array the library
+  takes has finite rows (``as_rows``, with or without a width).
 
 Valid calls give the same shapes from both kinds, and CDF values in [0, 1]
 that are nondecreasing in y. At levels 0 and 1, exact quantiles are the
@@ -35,6 +37,8 @@ import numpy as np
 from .kernels import KernelSpec, as_rows, kernel_matrix, nw_weight_matrix, resolve_weights
 
 _QUANTILE_SLACK = 1e-9
+
+XI = 0.05  # the default propensity clip: estimates are clamped into [XI, 1 - XI]
 
 
 class SingleArmError(ValueError):
@@ -128,8 +132,8 @@ class Dataset:
             raise ValueError("dataset must be nonempty")
         if not (self.y.size == self.x.shape[0] == self.a.size):
             raise ValueError("y, x, a must have equal length")
-        if not (np.isfinite(self.y).all() and np.isfinite(self.x).all()):
-            raise ValueError("outcomes and covariates must be finite")
+        if not np.isfinite(self.y).all():
+            raise ValueError("outcomes must be finite")
         if not np.isin(self.a, (0, 1)).all():
             raise ValueError("treatment indicator must be 0 or 1")
         self.a = self.a.astype(np.int64)
@@ -169,7 +173,7 @@ def make_split(dataset: Dataset, seed: int) -> tuple[np.ndarray, np.ndarray]:
 class PropensityEvaluator:
     """NW regression of ``dataset``'s treatment indicator, clamped into [xi, 1 - xi]."""
 
-    def __init__(self, kernel: KernelSpec, dataset: Dataset, xi: float = 0.05):
+    def __init__(self, kernel: KernelSpec, dataset: Dataset, xi: float = XI):
         if not 0.0 < xi <= 0.5:
             raise ValueError("xi must lie in (0, 0.5]")
         self.kernel = kernel

@@ -596,11 +596,6 @@ def test_ipw_surface_eval_memory_stays_below_one_cells_by_grid_table():
     assert peak < ys.size * xs.size * fit.grid.size * 8
 
 
-def test_contrast_profile_rejects_unpaired_queries():
-    with pytest.raises(ValueError, match="pair up"):
-        ContrastFit((LinearContrast(),)).profile_many([0.1, 0.2], [0.0, 1.0], [[0.5]])
-
-
 def test_surface_eval_identity_estimator_zero_matrix():
     grid = np.linspace(0.0, 1.0, 11)
     fit = CqcFit(LinearContrast(), grid)

@@ -42,9 +42,10 @@ def test_bandwidth_whose_square_is_zero_is_rejected(family):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("bandwidth", [1e200, 1.8e154, np.float64(1e200), float("inf")])
+@pytest.mark.parametrize("bandwidth", [1e200, 1.8e154, 1.3407807929942597e154,
+                                       np.float64(1e200), float("inf")])
 def test_bandwidth_whose_square_overflows_is_rejected(bandwidth):
-    # A Python float's ** raises OverflowError above sqrt(max float).
+    # Above sqrt(max float) a Python float's square is inf (** would raise OverflowError).
     with pytest.raises(ValueError, match="finite square"):
         KernelSpec("gaussian", bandwidth)
 
@@ -52,6 +53,7 @@ def test_bandwidth_whose_square_overflows_is_rejected(bandwidth):
 def test_largest_bandwidth_with_a_finite_square_is_accepted():
     # The Gaussian divisor -2h^2 overflows to -inf here, so every weight is
     # exp(-0) = 1: the wide-bandwidth limit.
+    assert KernelSpec("gaussian", 1.3407807929942596e154).bandwidth == 1.3407807929942596e154
     spec = KernelSpec("gaussian", 1.3e154)
     np.testing.assert_array_equal(nw_weight_matrix(spec, [[0.0]], [[0.5], [9.0]]), [[0.5, 0.5]])
 
@@ -100,10 +102,14 @@ def test_kernel_dimension_mismatch():
                  lambda: kernel_matrix(BOX1, [[0.0, 0.0]], [[1.0]])):
         with pytest.raises(ValueError, match="^dimension mismatch: 2 vs 1$"):
             call()
-    # It also rejects a non-finite row, naming it; without a width nothing is checked.
-    assert np.isnan(as_rows([0.5, np.nan])[1, 0])
+    # It also rejects a non-finite row, naming it, with or without a width: in
+    # queries and training rows alike, which would otherwise get an all-NaN
+    # weight row or a zero weight.
     for bad in (np.nan, np.inf, -np.inf):
-        for call in (lambda: as_rows([0.5, bad], 1), lambda: kernel_matrix(BOX1, [0.5, bad], [1.0])):
+        for call in (lambda: as_rows([0.5, bad], 1), lambda: as_rows([0.5, bad]),
+                     lambda: kernel_matrix(BOX1, [0.5, bad], [1.0]),
+                     lambda: kernel_matrix(GAUSS1, [0.5], [1.0, bad]),
+                     lambda: nw_weight_matrix(GAUSS1, [0.5], [1.0, bad, 0.0])):
             with pytest.raises(ValueError, match="^covariate row 1 is not finite$"):
                 call()
 
