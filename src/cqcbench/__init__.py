@@ -20,11 +20,10 @@ from .estimator import (
     cross_fit_contrast,
     estimate_cqc_many,
     fit_contrast,
-    fit_cqc,
     fit_oracle_contrast,
     surface_eval,
 )
-from .baselines import DrEstimator, IpwEstimator, OracleEstimator, SeparateEstimator
+from .baselines import DrEstimator, IpwEstimator, OracleEstimator, SeparateEstimator, fit_cqc
 from .simlab import (
     DgpSpec,
     ErrorReport,

@@ -4,9 +4,9 @@ Three baselines ship alongside the doubly robust estimator: a separate
 plug-in that estimates the two arm CDFs independently and composes the
 generalised inverse with the untreated CDF, an IPW pseudo-outcome variant of
 the main pipeline, and the oracle that runs the main pipeline with exact
-nuisances. The estimator classes share one contract -- ``fit``
-on a dataset and a seed, get back a batch predictor -- so the Monte-Carlo
-runner treats all of them identically.
+nuisances. Each estimator is a frozen record of its settings, and they
+share one contract -- ``fit`` on a dataset and a seed, get back a batch
+predictor -- so the Monte-Carlo runner treats all of them identically.
 
 The separate plug-in and the oracle both use the full sample: the plug-in
 has no pseudo-outcome stage to de-correlate, and the oracle's nuisances carry
@@ -15,37 +15,44 @@ no estimation noise, so sample splitting would only discard data.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .estimator import CqcFit, _queries, build_grid, fit_cqc, fit_oracle_contrast
+from .estimator import (CqcFit, _queries, build_grid, cross_fit_contrast, fit_contrast,
+                        fit_oracle_contrast)
 from .kernels import KernelSpec
-from .nuisance import XI, CcdfEvaluator, Dataset, _step_gather, step_quantile
+from .nuisance import XI, CcdfEvaluator, Dataset, _step_gather, make_split, step_quantile
 from .pseudo import PseudoOutcomeKind
 
 
+@dataclass(frozen=True)
 class DrEstimator:
-    """Doubly robust pipeline packaged for the Monte-Carlo harness."""
+    """Doubly robust pipeline packaged for the Monte-Carlo harness: the record
+    of its settings, which ``fit_cqc`` fits."""
 
     name = "dr"
     kind = PseudoOutcomeKind.DR
 
-    def __init__(
-        self,
-        nuisance_kernel: KernelSpec,
-        outer_kernel: KernelSpec,
-        xi: float = XI,
-        cross_fit: bool = False,
-        grid_count: int | None = None,
-    ):
-        self.nuisance_kernel = nuisance_kernel
-        self.outer_kernel = outer_kernel
-        self.xi = xi
-        self.cross_fit = cross_fit
-        self.grid_count = grid_count
+    nuisance_kernel: KernelSpec
+    outer_kernel: KernelSpec
+    xi: float = XI
+    cross_fit: bool = False
+    grid_count: int | None = None
 
     def fit(self, dataset: Dataset, seed: int, truth=None) -> CqcFit:
-        return fit_cqc(dataset, seed, self.nuisance_kernel, self.outer_kernel,
-                       self.kind, self.xi, self.cross_fit, self.grid_count)
+        return fit_cqc(self, dataset, seed)
+
+
+def fit_cqc(estimator: DrEstimator, dataset: Dataset, seed: int) -> CqcFit:
+    """The estimator: a contrast fit of ``estimator.kind`` (cross-fitted, or on
+    ``make_split(dataset, seed)``), then ``build_grid``."""
+    settings = (estimator.nuisance_kernel, estimator.outer_kernel, estimator.kind, estimator.xi)
+    if estimator.cross_fit:
+        contrast = cross_fit_contrast(dataset, seed, *settings)
+    else:
+        contrast = fit_contrast(dataset, make_split(dataset, seed), *settings)
+    return CqcFit(contrast, build_grid(dataset, estimator.grid_count))
 
 
 class IpwEstimator(DrEstimator):
@@ -55,13 +62,13 @@ class IpwEstimator(DrEstimator):
     kind = PseudoOutcomeKind.IPW
 
 
+@dataclass(frozen=True)
 class SeparateEstimator:
     """Separate plug-in baseline on the full sample."""
 
     name = "separate"
 
-    def __init__(self, kernel: KernelSpec):
-        self.kernel = kernel
+    kernel: KernelSpec
 
     def fit(self, dataset: Dataset, seed: int, truth=None):
         ccdf = CcdfEvaluator(self.kernel, dataset)
@@ -77,19 +84,15 @@ class SeparateEstimator:
         return predict
 
 
+@dataclass(frozen=True)
 class OracleEstimator:
     """Main pipeline with exact nuisances; valid only with a simulation truth."""
 
     name = "oracle"
 
-    def __init__(
-        self,
-        outer_kernel: KernelSpec,
-        xi: float = XI,  # unused: exact propensities are never clipped
-        grid_count: int | None = None,
-    ):
-        self.outer_kernel = outer_kernel
-        self.grid_count = grid_count
+    outer_kernel: KernelSpec
+    xi: float = XI  # unused: exact propensities are never clipped
+    grid_count: int | None = None
 
     def fit(self, dataset: Dataset, seed: int, truth=None) -> CqcFit:
         if truth is None:

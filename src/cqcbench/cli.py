@@ -31,8 +31,8 @@ import tempfile
 
 import numpy as np
 
-from .estimator import cqc_to_cqte, fit_cqc, surface_eval
-from .baselines import DrEstimator, IpwEstimator, OracleEstimator, SeparateEstimator
+from .estimator import cqc_to_cqte, surface_eval
+from .baselines import DrEstimator, IpwEstimator, OracleEstimator, SeparateEstimator, fit_cqc
 from .kernels import KERNEL_FAMILIES, DegenerateMassError, KernelSpec
 from .nuisance import XI, CcdfEvaluator, Dataset, SingleArmError
 from .pseudo import PseudoOutcomeKind
@@ -355,10 +355,11 @@ def _out_path(args: argparse.Namespace, filename: str) -> str:
     return os.path.join(out_dir, filename)
 
 
-# The estimators ``simulate`` can run, each built from the parsed settings.
+# The estimators ``simulate`` can run, each record built from the parsed
+# settings; ``surface`` and ``cqte`` fit the ``--pseudo`` one.
 _ESTIMATORS = {
-    "dr": lambda a: DrEstimator(a.nuisance_kernel, a.outer_kernel, a.xi, a.cross_fit, a.grid),
-    "ipw": lambda a: IpwEstimator(a.nuisance_kernel, a.outer_kernel, a.xi, a.cross_fit, a.grid),
+    **{cls.name: lambda a, cls=cls: cls(a.nuisance_kernel, a.outer_kernel, a.xi, a.cross_fit,
+                                        a.grid) for cls in (DrEstimator, IpwEstimator)},
     "separate": lambda a: SeparateEstimator(a.nuisance_kernel),
     "oracle": lambda a: OracleEstimator(a.outer_kernel, grid_count=a.grid),
 }
@@ -429,9 +430,9 @@ def _query_input(args: argparse.Namespace, filename: str):
 
 
 def _fit(args: argparse.Namespace, dataset: Dataset):
-    """``fit_cqc`` on ``dataset``; one it cannot split or fit is a data error."""
-    return _checked_input(args.input, fit_cqc, dataset, args.seed, args.nuisance_kernel,
-                          args.outer_kernel, args.pseudo, args.xi, args.cross_fit, args.grid)
+    """``fit_cqc`` of the ``--pseudo`` estimator's record on ``dataset``; one it
+    cannot split or fit is a data error."""
+    return _checked_input(args.input, fit_cqc, _ESTIMATORS[args.pseudo](args), dataset, args.seed)
 
 
 def cmd_surface(args: argparse.Namespace) -> int:

@@ -253,14 +253,17 @@ def build_grid(dataset: Dataset, count: int | None = None) -> np.ndarray:
     return np.unique(points + 0.0)
 
 
-def _check_grid(grid: np.ndarray) -> np.ndarray:
-    grid = np.asarray(grid, dtype=float).reshape(-1)
+def _check_grid(grid) -> np.ndarray:
+    """Nonempty, finite, strictly increasing thresholds; an error names the point at fault."""
+    grid = as_thresholds(grid)
     if grid.size == 0:
         raise ValueError("evaluation grid must be nonempty")
-    if not np.isfinite(grid).all():
-        raise ValueError("evaluation grid must be finite")
-    if grid.size > 1 and not np.all(np.diff(grid) > 0):
-        raise ValueError("evaluation grid must be strictly increasing")
+    infinite, flat = np.isinf(grid), np.diff(grid) <= 0.0
+    if infinite.any():
+        raise ValueError(f"evaluation grid point {np.argmax(infinite)} is infinite")
+    if flat.any():
+        raise ValueError(
+            f"evaluation grid point {np.argmax(flat) + 1} is not above the one before it")
     return grid
 
 
@@ -274,16 +277,20 @@ def estimate_cqc_many(contrast: ContrastFit, grid, y0s, xs):
     corresponding grid end, and the argmin clamps there. Returns (g_hat,
     grid indices, residuals |projected value|), empty for no queries.
 
-    This is the one place that groups queries into runs of equal
-    consecutive covariate rows: ``contrast.profile_many`` evaluates one row
-    per run, at the run's first query. Every query of a run differs from it
-    by its ``contrast.y0_terms`` minus the first query's, a constant that is
-    exactly 0.0 for the first query, and projection commutes with adding a
-    constant (Robertson, Wright & Dykstra 1988, ch. 1), so one
-    ``isotonic.zero_crossing`` call inverts every query from its run's row
-    and that shift, with the bits of projecting the shifted row when the
-    shift is exact. A batch whose runs are all of one query needs no shift
-    and no ``y0_terms`` call.
+    Queries are grouped here into runs of equal consecutive covariate rows:
+    ``contrast.profile_many`` evaluates one row per run, at the run's first
+    query. Every query of a run differs from it by its ``contrast.y0_terms``
+    minus the first query's, a constant that is exactly 0.0 for the first
+    query, and projection commutes with adding a constant (Robertson, Wright
+    & Dykstra 1988, ch. 1), so one ``isotonic.zero_crossing`` call inverts
+    every query from its run's row and that shift, with the bits of
+    projecting the shifted row when the shift is exact. A batch whose runs
+    are all of one query needs no shift and no ``y0_terms`` call. A fitted
+    contrast's ``y0_terms`` regroups the queries with ``_runs`` and rebuilds
+    the run-first outer weights that its ``profile_many`` built: keeping them
+    would hold one (runs, n) table per replicate beside the profile rows,
+    and rebuilding bounds each step at O((runs + L) n) for n regression
+    rows and L distinct y0.
     """
     grid = _check_grid(grid)
     y0s, xs = _queries(y0s, xs)
@@ -314,26 +321,6 @@ class CqcFit:
     def __call__(self, y0s, xs) -> np.ndarray:
         g_hat, _, _ = estimate_cqc_many(self.contrast, self.grid, y0s, xs)
         return g_hat
-
-
-def fit_cqc(
-    dataset: Dataset,
-    seed: int,
-    nuisance_kernel: KernelSpec,
-    outer_kernel: KernelSpec,
-    kind: PseudoOutcomeKind,
-    xi: float,
-    cross_fit: bool,
-    grid_count: int | None,
-) -> CqcFit:
-    """The estimator: a contrast fit (cross-fitted, or on ``make_split(dataset,
-    seed)``), then ``build_grid``."""
-    if cross_fit:
-        contrast = cross_fit_contrast(dataset, seed, nuisance_kernel, outer_kernel, kind, xi)
-    else:
-        contrast = fit_contrast(dataset, make_split(dataset, seed), nuisance_kernel, outer_kernel,
-                                kind, xi)
-    return CqcFit(contrast, build_grid(dataset, grid_count))
 
 
 def _gap_table(fit: CqcFit, y0s: np.ndarray, xs: np.ndarray) -> np.ndarray:

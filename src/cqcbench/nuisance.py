@@ -132,10 +132,11 @@ class Dataset:
             raise ValueError("dataset must be nonempty")
         if not (self.y.size == self.x.shape[0] == self.a.size):
             raise ValueError("y, x, a must have equal length")
-        if not np.isfinite(self.y).all():
-            raise ValueError("outcomes must be finite")
-        if not np.isin(self.a, (0, 1)).all():
-            raise ValueError("treatment indicator must be 0 or 1")
+        finite, binary = np.isfinite(self.y), np.isin(self.a, (0, 1))
+        if not finite.all():
+            raise ValueError(f"outcome row {np.argmin(finite)} is not finite")
+        if not binary.all():
+            raise ValueError(f"treatment row {np.argmin(binary)} is not 0 or 1")
         self.a = self.a.astype(np.int64)
 
     @property

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from scalar_oracle import separate_plugin_cqc
 
-from cqcbench.baselines import DrEstimator, IpwEstimator, OracleEstimator, SeparateEstimator
+from cqcbench.baselines import (DrEstimator, IpwEstimator, OracleEstimator, SeparateEstimator,
+                                fit_cqc)
 from cqcbench.estimator import build_grid, fit_contrast
 from cqcbench.isotonic import pava_project
 from cqcbench.kernels import KernelSpec
@@ -97,6 +100,27 @@ def test_estimators_share_harness_contract():
         assert np.isfinite(g_hat).all()
         assert (g_hat >= data.y[data.a == 1].min()).all()
         assert (g_hat <= data.y[data.a == 1].max()).all()
+
+
+def test_estimators_are_frozen_records_that_fit_cqc_fits():
+    # A setting cannot change between two fits, every one shows in the repr,
+    # and a DR or IPW record's fit is fit_cqc of the record, bit for bit.
+    records = [DrEstimator(NK, OK, 0.1, True, 7), IpwEstimator(NK, OK, grid_count=9),
+               SeparateEstimator(NK), OracleEstimator(OK, 0.2, 5)]
+    for record in records:
+        for field in dataclasses.fields(record):
+            value = getattr(record, field.name)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, field.name, value)
+            assert f"{field.name}={value!r}" in repr(record), field.name
+    spec = DgpSpec("illustrative", gamma=2.0)
+    data = sample_dgp(spec, 240, seed=9)
+    y0s, xs = sample_holdout(spec, 20, seed=10)
+    for make in (DrEstimator, IpwEstimator):
+        for cross_fit in (False, True):
+            record = make(NK, OK, cross_fit=cross_fit)
+            g_hat = record.fit(data, seed=9)(y0s, xs)
+            assert fit_cqc(record, data, 9)(y0s, xs).tobytes() == g_hat.tobytes(), record
 
 
 def test_a_treatment_column_fits_as_the_flat_vector():

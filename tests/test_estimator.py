@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -17,12 +18,12 @@ from cqcbench.estimator import (
     cross_fit_contrast,
     estimate_cqc_many,
     fit_contrast,
-    fit_cqc,
     fit_oracle_contrast,
     surface_eval,
 )
 from cqcbench import kernels
-from cqcbench.baselines import OracleEstimator, SeparateEstimator
+from cqcbench.baselines import (DrEstimator, IpwEstimator, OracleEstimator, SeparateEstimator,
+                                fit_cqc)
 from cqcbench.kernels import KernelSpec, as_rows
 from cqcbench.nuisance import CcdfEvaluator, Dataset, SingleArmError, make_split, prefix_gather
 from cqcbench.pseudo import PseudoOutcomeKind
@@ -30,6 +31,7 @@ from cqcbench.simlab import DgpSpec, sample_dgp, sample_holdout, truth
 
 NK = KernelSpec("gaussian", 0.1)
 OK = KernelSpec("gaussian", 0.15)
+RECORDS = {"dr": DrEstimator, "ipw": IpwEstimator}
 
 
 class StubContrast:
@@ -373,7 +375,7 @@ def test_y0_terms_are_the_grid_free_part_of_fitted_profiles(kind, cross_fit):
     # Within a run of equal covariate rows, profile rows differ by their
     # y0_terms difference, up to rounding.
     data = illustrative_data(n=300, seed=2)
-    fit = fit_cqc(data, 2, NK, OK, kind, 0.05, cross_fit, None)
+    fit = fit_cqc(RECORDS[kind](NK, OK, 0.05, cross_fit, None), data, 2)
     y0s = np.tile(np.linspace(-1.0, 3.0, 7), 3)
     xs = np.repeat([[0.2], [0.5], [0.8]], 7, axis=0)
     table = fit.contrast.profile_many(y0s, fit.grid, xs)
@@ -482,7 +484,7 @@ def fitted_cqte_margins(family, gamma, mean_bound, level_bound, base_seed=0):
     errors = []
     for seed in range(base_seed, base_seed + 10):
         data = sample_dgp(spec, 2000, seed)
-        fit = fit_cqc(data, seed, nk, ok, "dr", 0.05, True, None)
+        fit = fit_cqc(DrEstimator(nk, ok, 0.05, True, None), data, seed)
         arm0 = CcdfEvaluator(nk, data)
         tau = cqc_to_cqte(fit, lambda a, x: arm0.quantile(0, a, x), alphas, xs)
         errors.append(np.abs(tau - expected).mean(axis=1))
@@ -523,7 +525,7 @@ def exact_quantile_cqte_margins(family, gamma, oracle_bound, dr_bound, base_seed
         data = sample_dgp(spec, 2000, seed)
         fits = {
             "oracle": OracleEstimator(ok).fit(data, seed, truth=oracle),
-            "dr": fit_cqc(data, seed, nk, ok, "dr", 0.05, True, None),
+            "dr": fit_cqc(DrEstimator(nk, ok, 0.05, True, None), data, seed),
             "separate": SeparateEstimator(nk).fit(data, seed),
         }
         for name, fit in fits.items():
@@ -540,7 +542,7 @@ def exact_quantile_cqte_margins(family, gamma, oracle_bound, dr_bound, base_seed
 def test_fit_cqc_asserts_monotone_exactly_for_ipw(kind, monotone, cross_fit):
     # ContrastFit.profile_many checks monotonicity for IPW replicates only.
     data = illustrative_data(n=200)
-    fit = fit_cqc(data, 3, NK, OK, kind, 0.05, cross_fit, 5)
+    fit = fit_cqc(RECORDS[kind](NK, OK, 0.05, cross_fit, 5), data, 3)
     kinds = {rep.kind for rep in fit.contrast.replicates}
     assert kinds == {PseudoOutcomeKind.IPW if monotone else PseudoOutcomeKind.DR}
     assert len(fit.contrast.replicates) == (2 if cross_fit else 1)
@@ -569,8 +571,8 @@ def test_surface_eval_matches_a_per_column_loop(contrast):
 def test_surface_eval_memory_stays_below_one_cells_by_grid_table():
     # A 60 x 60 surface holds one profile row per x column, never one per cell.
     data = illustrative_data(n=2000, gamma=6.0, seed=7)
-    fit = fit_cqc(data, 7, KernelSpec("gaussian", 0.05), KernelSpec("gaussian", 0.1),
-                  PseudoOutcomeKind.DR, 0.05, True, None)
+    fit = fit_cqc(DrEstimator(KernelSpec("gaussian", 0.05), KernelSpec("gaussian", 0.1), 0.05,
+                              True, None), data, 7)
     ys, xs = np.linspace(-2.0, 4.0, 60), np.linspace(0.0, 1.0, 60)
     tracemalloc.start()
     try:
@@ -585,7 +587,7 @@ def test_ipw_surface_eval_memory_stays_below_one_cells_by_grid_table():
     # IPW profile rows have no descent, so every cell is read from its
     # column's row in bounded blocks of queries.
     data = illustrative_data(n=1000, gamma=6.0, seed=7)
-    fit = fit_cqc(data, 7, NK, OK, PseudoOutcomeKind.IPW, 0.05, True, None)
+    fit = fit_cqc(IpwEstimator(NK, OK, 0.05, True, None), data, 7)
     ys, xs = np.linspace(-2.0, 4.0, 60), np.linspace(0.0, 1.0, 60)
     tracemalloc.start()
     try:
@@ -910,8 +912,8 @@ def test_dr_fit_and_predict_memory_is_kept_blocks_plus_query_tables():
     n1, n2 = (idx.size for idx in make_split(data, 0))
     tracemalloc.start()
     try:
-        fit = fit_cqc(data, 0, KernelSpec("gaussian", 0.8), KernelSpec("gaussian", 1.5),
-                      PseudoOutcomeKind.DR, 0.05, True, None)
+        fit = fit_cqc(DrEstimator(KernelSpec("gaussian", 0.8), KernelSpec("gaussian", 1.5), 0.05,
+                                  True, None), data, 0)
         fit(y0s, xs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -940,7 +942,7 @@ def test_dr_predict_evaluates_only_outer_kernels(monkeypatch, cross_fit):
     # the only kernels a predict evaluates are the outer smoother's.
     spec = DgpSpec("illustrative", gamma=2.0)
     data = sample_dgp(spec, 300, seed=5)
-    fit = fit_cqc(data, 5, NK, OK, PseudoOutcomeKind.DR, 0.05, cross_fit, None)
+    fit = fit_cqc(DrEstimator(NK, OK, 0.05, cross_fit, None), data, 5)
     specs = []
     kernel_matrix = kernels.kernel_matrix
 
@@ -1002,7 +1004,14 @@ def test_oracle_contrast_uses_full_sample():
 
 
 def test_cqcfit_rejects_bad_grid():
-    for grid, rule in (([2.0, 1.0], "strictly increasing"), ([np.nan], "finite"),
-                       ([-np.inf, 0.0, np.inf], "finite")):
-        with pytest.raises(ValueError, match=f"^evaluation grid must be {rule}$"):
+    # Each message names the first point at fault; a NaN one is a NaN threshold.
+    for grid, message in (
+        ([2.0, 1.0], "evaluation grid point 1 is not above the one before it"),
+        ([0.0, 1.0, 1.0, 0.5], "evaluation grid point 2 is not above the one before it"),
+        ([np.nan], "threshold 0 is NaN"),
+        ([0.0, 1.0, np.nan, -1.0], "threshold 2 is NaN"),
+        ([-np.inf, 0.0, np.inf], "evaluation grid point 0 is infinite"),
+        ([0.0, 1.0, np.inf], "evaluation grid point 2 is infinite"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             CqcFit(LinearContrast(), np.array(grid))

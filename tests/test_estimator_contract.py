@@ -97,7 +97,13 @@ MALFORMED += [
      CONTRAST_KINDS, "threshold 1 is NaN"),
     ("estimate_cqc_many NaN grid point",
      lambda f, y, r, q: estimate_cqc_many(f.contrast, with_bad(f.grid, 1, np.nan), y, r),
-     CONTRAST_KINDS, "evaluation grid must be finite"),
+     CONTRAST_KINDS, "threshold 1 is NaN"),
+    ("estimate_cqc_many infinite grid point",
+     lambda f, y, r, q: estimate_cqc_many(f.contrast, with_bad(f.grid, 1, np.inf), y, r),
+     CONTRAST_KINDS, "evaluation grid point 1 is infinite"),
+    ("estimate_cqc_many repeated grid point at 3",
+     lambda f, y, r, q: estimate_cqc_many(f.contrast, with_bad(f.grid, 3, f.grid[2]), y, r),
+     CONTRAST_KINDS, "evaluation grid point 3 is not above the one before it"),
     ("surface_eval NaN y", lambda f, y, r, q: surface_eval(f, with_bad(y[:5], 3, np.nan), r[:4]),
      PREDICTOR_KINDS, "threshold 3 is NaN"),
     ("surface_eval wrong width", lambda f, y, r, q: surface_eval(f, y[:5], wide(r[:4])),

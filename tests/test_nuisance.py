@@ -32,16 +32,20 @@ def test_prefix_gather_with_no_columns_is_zero():
 
 
 def test_dataset_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^treatment row 0 is not 0 or 1$"):
         Dataset(np.array([1.0]), np.array([[0.0]]), np.array([2]))
+    with pytest.raises(ValueError, match="^treatment row 2 is not 0 or 1$"):
+        Dataset(np.array([1.0, 2.0, 3.0]), np.zeros((3, 1)), np.array([0, 1, 0.5]))
     with pytest.raises(ValueError):
         Dataset(np.array([]), np.empty((0, 1)), np.array([]))
     with pytest.raises(ValueError):
         Dataset(np.array([1.0, 2.0]), np.array([[0.0]]), np.array([0, 1]))
     with pytest.raises(ValueError, match="finite"):
         Dataset(np.array([1.0, 2.0]), np.array([[0.0], [np.nan]]), np.array([0, 1]))
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="^outcome row 1 is not finite$"):
         Dataset(np.array([1.0, np.inf]), np.array([[0.0], [1.0]]), np.array([0, 1]))
+    with pytest.raises(ValueError, match="^outcome row 2 is not finite$"):
+        Dataset(np.array([1.0, 2.0, np.nan]), np.zeros((3, 1)), np.array([0, 1, 0]))
 
 
 def test_dataset_arm_bookkeeping():
